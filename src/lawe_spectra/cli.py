@@ -223,12 +223,30 @@ def _sl_eos(eff):
         f"got {variant!r}")
 
 
+def _refuse_graded(op):
+    # eigenvalues are certified to an absolute tolerance relative to the
+    # whole span; rows whose Gershgorin scale is below it carry
+    # eigenvalues the certificate cannot resolve at all
+    scale = np.abs(op.diag)
+    scale[:-1] += np.abs(op.offdiag)
+    scale[1:] += np.abs(op.offdiag)
+    glo, ghi = spectra.gershgorin_interval(op.diag, op.offdiag)
+    tol = spectra.DEFAULT_RTOL * (ghi - glo)
+    if np.min(scale) < tol:
+        raise ValidationError(
+            f"the section is graded: row scales run from {np.min(scale):.3e} to "
+            f"{np.max(scale):.3e}, so eigenvalues of the small rows lie below the "
+            f"certificate tolerance {tol:.3e}; run the scaled subcommand, which "
+            f"analyses the rescaled operator")
+
+
 def _run_spectrum(eff, outdir, h, threads):
     ana = eff["analysis"]
     n_trunc = ana["n_trunc"] or 4000
     i_start = ana["i_start"] if ana["i_start"] is not None else 16
     pd = _build_pd(eff, n_trunc=n_trunc, i_start=i_start)
     op = discrete.assemble_jacobi(pd, n_trunc, i_start=i_start)
+    _refuse_graded(op)
     rep = spectra.spectrum_fill_report(op, pad=ana["pad"], threads=threads)
     _write_csv(os.path.join(outdir, "eigenvalues.csv"), ["lambda"],
                [rep.values], h)
@@ -500,7 +518,8 @@ def main(argv=None):
     parser.add_argument("--rational", action="store_true",
                         help="exact rational arithmetic (transform-check only)")
     parser.add_argument("--threads", type=int,
-                        help="worker threads (falls back to LAWE_SPECTRA_THREADS)")
+                        help="threads for the Sturm certificate sweep "
+                             "(falls back to LAWE_SPECTRA_THREADS)")
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config) if args.config else {"schema": 1}

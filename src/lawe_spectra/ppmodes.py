@@ -27,7 +27,7 @@ from .errors import ValidationError
 from .model import (build_mass_distribution, build_pd_distribution,
                     coupling_constant, gamma_profile, profile_constant)
 from .discrete import delta_r_from_X
-from .spectra import (eigenvalues_bisect, eigenvectors_inverse_iteration,
+from .spectra import (eigenvalues_tridiagonal, eigenvectors_inverse_iteration,
                       gershgorin_interval)
 
 
@@ -267,7 +267,7 @@ def detect_edge_eigenvalues(op, dsp, *, edge=None, window=None, tol=None,
         window = edge - glo + 1e-6 * span
     lo = edge - window
     hi = edge - 1e-9 * span
-    vals = eigenvalues_bisect(op, window=(lo, hi), tol=tol, threads=threads)
+    vals = eigenvalues_tridiagonal(op, window=(lo, hi), tol=tol, threads=threads)
     if vals.size == 0:
         empty = np.empty(0)
         return EdgeModes(edge=float(edge), values=vals,

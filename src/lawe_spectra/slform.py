@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ValidationError, NumericalError
 
@@ -244,7 +243,8 @@ class CanonicalForm:
         s1 = self.s + 1.0
         if s1 == 0.0:
             return np.log(Dd / D) / rt
-        return (Dd**s1 - D**s1) / (s1 * rt)
+        # Dd**s1 - D**s1 through expm1: the difference cancels as s1 -> 0
+        return -(Dd**s1) * np.expm1(s1 * np.log(D / Dd)) / (s1 * rt)
 
     def x_of_X(self, X):
         X = np.asarray(X, dtype=float)
@@ -254,7 +254,7 @@ class CanonicalForm:
         if s1 == 0.0:
             D = Dd * np.exp(-rt * X)
         else:
-            D = (Dd**s1 - s1 * rt * X) ** (1.0 / s1)
+            D = Dd * np.exp(np.log1p((-s1 * rt / Dd**s1) * X) / s1)
         return self.eos.R_star - D
 
     def q1(self, x):
@@ -555,6 +555,9 @@ def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10, seed=(0.0, 1.0),
     wavelength sqrt(lam).  The physical displacement is recovered on
     the same grid through y = Y/(pw)**(1/4), delta_r = x*y.
     """
+    # imported here so that runs which never integrate skip loading scipy.integrate
+    from scipy.integrate import solve_ivp
+
     if lam <= 0.0:
         raise ValidationError(f"lam must be positive, got {lam!r}")
     if X_max >= form.X_surface:

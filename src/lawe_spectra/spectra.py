@@ -1,10 +1,16 @@
-"""Spectra of truncated sections: bisection eigensolver and diagnostics.
+"""Spectra of truncated sections: certified LAPACK eigenvalues and diagnostics.
 
-The solver is a vectorized Sturm-sequence bisection; it needs only the
-two diagonals, handles windowed queries without computing the full
-spectrum, and is immune to the element-growth issues of QR-type sweeps
-on strongly graded matrices.  Eigenvectors come from inverse iteration
-with a banded LU solve.
+Eigenvalues come from LAPACK: the full spectrum from root-free QR
+(``sterf``), windows and index ranges from bisection in compiled code
+(``stebz``).
+Every returned value is then certified by one vectorized Sturm-count
+sweep at ``lambda_k -+ tol``, which must place exactly the claimed
+eigenvalue index inside ``[lambda_k - tol, lambda_k + tol)``; a window
+must also hold as many values as the Sturm counts at its ends say.  A
+result that fails the certificate raises :class:`NumericalError` (the
+CLI exits 2); there is no silent fallback.  The pure-NumPy bisection
+solver is kept as an independent reference.  Eigenvectors come from
+inverse iteration with a banded LU solve.
 """
 
 from __future__ import annotations
@@ -14,10 +20,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .errors import NumericalError, ValidationError
 from .discrete import JacobiOperator
+
+#: default eigenvalue tolerance, relative to the Gershgorin span
+DEFAULT_RTOL = 1e-10
 
 
 def _as_diagonals(op_or_diag, offdiag=None):
@@ -61,6 +70,15 @@ def sturm_counts(diag, off2, shifts, threads=1):
     return count
 
 
+def _check_query(n, window, indices):
+    if window is not None and indices is not None:
+        raise ValidationError("pass either window or indices, not both")
+    if window is not None and not window[0] < window[1]:
+        raise ValidationError(f"empty window {window!r}")
+    if indices is not None and not (0 <= int(indices[0]) <= int(indices[1]) < n):
+        raise ValidationError(f"indices out of range for n={n}: {indices!r}")
+
+
 def eigenvalues_bisect(op_or_diag, offdiag=None, *, window=None, indices=None,
                        tol=None, threads=1, max_rounds=120):
     """Eigenvalues of a symmetric tridiagonal section by index bisection.
@@ -71,7 +89,9 @@ def eigenvalues_bisect(op_or_diag, offdiag=None, *, window=None, indices=None,
         Return eigenvalues k_lo..k_hi inclusive (0-based, ascending).
 
     All requested eigenvalues are bisected simultaneously, one Sturm count
-    per round over the vector of active midpoints.
+    per round over the vector of active midpoints.  This is the
+    independent reference for :func:`eigenvalues_tridiagonal`; no library
+    route calls it.
     """
     diag, off = _as_diagonals(op_or_diag, offdiag)
     n = diag.shape[0]
@@ -80,22 +100,17 @@ def eigenvalues_bisect(op_or_diag, offdiag=None, *, window=None, indices=None,
     span = max(ghi - glo, 1e-30)
     glo, ghi = glo - 1e-12 * span, ghi + 1e-12 * span
     if tol is None:
-        tol = 1e-10 * span
+        tol = DEFAULT_RTOL * span
 
-    if window is not None and indices is not None:
-        raise ValidationError("pass either window or indices, not both")
+    _check_query(n, window, indices)
     b_lo, b_hi = glo, ghi
     if window is not None:
         a, b = window
-        if not a < b:
-            raise ValidationError(f"empty window {window!r}")
         c = sturm_counts(diag, off2, np.array([a, b]), threads)
         k_lo, k_hi = int(c[0]), int(c[1]) - 1
         b_lo, b_hi = a, b
     elif indices is not None:
         k_lo, k_hi = int(indices[0]), int(indices[1])
-        if not (0 <= k_lo <= k_hi < n):
-            raise ValidationError(f"indices out of range for n={n}: {indices!r}")
     else:
         k_lo, k_hi = 0, n - 1
     m = k_hi - k_lo + 1
@@ -121,6 +136,74 @@ def eigenvalues_bisect(op_or_diag, offdiag=None, *, window=None, indices=None,
     else:
         raise NumericalError("bisection failed to converge; tol too small?")
     return 0.5 * (lo + hi)
+
+
+def eigenvalues_tridiagonal(op_or_diag, offdiag=None, *, window=None, indices=None,
+                            tol=None, threads=1):
+    """Eigenvalues of a symmetric tridiagonal section, certified by Sturm counts.
+
+    window=(a, b]
+        Return the eigenvalues in the half-open interval (LAPACK ``stebz``).
+    indices=(k_lo, k_hi)
+        Return eigenvalues k_lo..k_hi inclusive (0-based, ascending;
+        LAPACK ``stebz``).
+    neither
+        Return the full spectrum (LAPACK root-free QR, ``sterf``).
+
+    One Sturm sweep at every value -+ ``tol`` then certifies that the
+    k-th eigenvalue lies in [value_k - tol, value_k + tol), and that a
+    window holds as many values as the counts at its ends.  ``tol``
+    defaults to 1e-10 times the Gershgorin span, the accuracy of
+    :func:`eigenvalues_bisect`; ``threads`` splits the sweep.  Raises
+    NumericalError naming the first index that fails.
+    """
+    diag, off = _as_diagonals(op_or_diag, offdiag)
+    n = diag.shape[0]
+    _check_query(n, window, indices)
+    glo, ghi = gershgorin_interval(diag, off)
+    if not (math.isfinite(glo) and math.isfinite(ghi)):
+        row = np.flatnonzero(~np.isfinite(diag + np.append(off, 0.0)))[0]
+        raise NumericalError(f"tridiagonal section has a non-finite entry in row {row}")
+    if tol is None:
+        tol = DEFAULT_RTOL * max(ghi - glo, 1e-30)
+
+    k_lo = 0
+    try:
+        if window is not None:
+            vals = eigvalsh_tridiagonal(diag, off, select="v", select_range=window,
+                                        check_finite=False, lapack_driver="stebz")
+        elif indices is not None:
+            k_lo = int(indices[0])
+            vals = eigvalsh_tridiagonal(diag, off, select="i",
+                                        select_range=(k_lo, int(indices[1])),
+                                        check_finite=False, lapack_driver="stebz")
+        else:
+            # sterf, not stemr: the stemr wrapper allocates an n x n
+            # eigenvector array even for eigenvalues only
+            vals = eigvalsh_tridiagonal(diag, off, check_finite=False,
+                                        lapack_driver="sterf")
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK tridiagonal eigensolver failed: {exc}") from None
+
+    m = vals.size
+    ends = [] if window is None else [window[0], window[1]]
+    c = sturm_counts(diag, off * off, np.concatenate([vals - tol, vals + tol, ends]),
+                     threads)
+    if window is not None:
+        k_lo = int(c[-2])
+        if int(c[-1]) - k_lo != m:
+            raise NumericalError(
+                f"Sturm certificate failed: LAPACK finds {m} eigenvalues in the "
+                f"window {tuple(window)!r}, the Sturm counts {int(c[-1]) - k_lo}")
+    ks = k_lo + np.arange(m)
+    bad = np.flatnonzero((c[:m] > ks) | (c[m:2 * m] <= ks))
+    if bad.size:
+        j = int(bad[0])
+        raise NumericalError(
+            f"Sturm certificate failed at eigenvalue index {int(ks[j])}: "
+            f"value {float(vals[j])!r} with tol {tol:.3e} has {int(c[j])} eigenvalues "
+            f"below value - tol and {int(c[m + j])} below value + tol")
+    return vals
 
 
 def eigenvectors_inverse_iteration(diag, offdiag, values, *, iters=3, seed=7,
@@ -208,8 +291,8 @@ class EigenResult:
 def truncation_eigenvalues(op, *, window=None, indices=None, tol=None,
                            vectors=False, threads=1):
     """Windowed or full spectrum of a :class:`JacobiOperator` section."""
-    vals = eigenvalues_bisect(op, window=window, indices=indices,
-                              tol=tol, threads=threads)
+    vals = eigenvalues_tridiagonal(op, window=window, indices=indices,
+                                   tol=tol, threads=threads)
     vecs = None
     if vectors and vals.size:
         vecs = eigenvectors_inverse_iteration(op.diag, op.offdiag, vals)
@@ -244,7 +327,7 @@ def spectrum_fill_report(op, interval=None, *, pad=0.05, tol=None, threads=1):
     if interval is None:
         interval = op.scaling.interval
     lo, hi = float(interval[0]), float(interval[1])
-    vals = eigenvalues_bisect(op, tol=tol, threads=threads)
+    vals = eigenvalues_tridiagonal(op, tol=tol, threads=threads)
     inside = vals[(vals >= lo - pad) & (vals <= hi + pad)]
     outliers = vals[(vals < lo - pad) | (vals > hi + pad)]
     knots = np.concatenate([[lo], np.sort(np.clip(inside, lo, hi)), [hi]])

@@ -195,6 +195,34 @@ def test_scaled_smoke_and_profile_guard(tmp_path, capsys):
     assert "needs a constant adiabatic exponent" in capsys.readouterr().err
 
 
+def test_spectrum_refuses_graded_section(tmp_path, capsys):
+    # the raw polytrope operator is graded over tens of decades; an
+    # absolute certificate tolerance cannot resolve its small eigenvalues
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json",
+                       eos={"variant": "polytrope", "Gamma": 2.0},
+                       analysis={"n_trunc": 300, "i_start": 1},
+                       output={"directory": str(out)})
+    assert cli.run("spectrum", cfg) == 1
+    err = capsys.readouterr().err
+    assert "the section is graded" in err
+    assert "run the scaled subcommand" in err
+    assert not (out / "eigenvalues.csv").exists()
+
+
+def test_scaled_overflow_exits_numerical(tmp_path, capsys):
+    # the stiff pressure factor overflows at this depth; the solver must
+    # refuse the non-finite operator instead of writing NaN frequencies
+    cfg = write_config(tmp_path / "cfg.json",
+                       model={"eta": 0.3, "gamma": 1.5},
+                       eos={"variant": "polytrope", "Gamma": 1.3},
+                       analysis={"n_trunc": 900},
+                       output={"directory": str(tmp_path / "out")})
+    with np.errstate(all="ignore"):
+        assert cli.run("scaled", cfg) == 2
+    assert "non-finite entry in row" in capsys.readouterr().err
+
+
 def test_sl_trace_csv_layout(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json",

@@ -1,4 +1,4 @@
-"""Bisection eigensolver, fill diagnostics, tail waves and band structure."""
+"""Eigensolvers, fill diagnostics, tail waves and band structure."""
 
 import math
 
@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lawe_spectra import discrete, model, spectra
+from lawe_spectra import discrete, model, polytrans, ppmodes, spectra
 from lawe_spectra.errors import NumericalError, ValidationError
 
 
@@ -90,6 +90,90 @@ def test_sturm_count_properties(seed):
     assert np.all(np.diff(counts) >= 0)
     assert spectra.sturm_counts(d, e * e, np.array([glo - 1e-9]))[0] == 0
     assert spectra.sturm_counts(d, e * e, np.array([ghi + 1e-9]))[0] == n
+
+
+def _scaled_polytrope_op():
+    dist = model.build_mass_distribution(0.5, 2.0, N=700)
+    gp = model.gamma_profile(dist, "constant", value=2.0)
+    pd = model.build_pd_distribution(dist, gp, pressure_mode="polytrope")
+    return polytrans.build_scaled_system(pd, 600).operator()
+
+
+def _ppmodes_window():
+    dsp = ppmodes.construct_dsp(n=2000)
+    op = discrete.assemble_jacobi(ppmodes.theorem_model(dsp), dsp.extent, i_start=1)
+    return op, (-3.0, op.scaling.interval[0])
+
+
+@pytest.mark.parametrize("case", ["limit", "scaled_polytrope", "two_periodic",
+                                  "ppmodes_window"])
+def test_lapack_route_matches_bisection(case, canonical_op):
+    # the certified LAPACK values agree with the NumPy bisection oracle to
+    # the shared default tolerance of 1e-10 of the span
+    window = None
+    if case == "limit":
+        op = canonical_op
+    elif case == "scaled_polytrope":
+        op = _scaled_polytrope_op()
+    elif case == "two_periodic":
+        op = spectra.build_two_periodic(2.0, 1.0, 0.5, 401)
+    else:
+        op, window = _ppmodes_window()
+    glo, ghi = spectra.gershgorin_interval(op.diag, op.offdiag)
+    tol = 1e-10 * (ghi - glo)
+    vals = spectra.eigenvalues_tridiagonal(op, window=window)
+    ref = spectra.eigenvalues_bisect(op, window=window)
+    assert vals.size == ref.size > 0
+    assert np.max(np.abs(vals - ref)) <= tol
+    if case == "ppmodes_window":
+        assert vals.size >= 10
+
+
+def test_lapack_indices_match_sturm_counts(canonical_op):
+    d, e = canonical_op.diag, canonical_op.offdiag
+    tol = 1e-9
+    vals = spectra.eigenvalues_tridiagonal(canonical_op, indices=(100, 139), tol=tol)
+    assert vals.size == 40
+    ks = np.arange(100, 140)
+    assert np.array_equal(spectra.sturm_counts(d, e * e, vals - tol), ks)
+    assert np.array_equal(spectra.sturm_counts(d, e * e, vals + tol), ks + 1)
+    res = spectra.truncation_eigenvalues(canonical_op, indices=(100, 139), tol=tol)
+    assert np.array_equal(res.values, vals)
+
+
+def _lapack_patched(monkeypatch, edit):
+    real = spectra.eigvalsh_tridiagonal
+    monkeypatch.setattr(spectra, "eigvalsh_tridiagonal",
+                        lambda *a, **k: edit(real(*a, **k)))
+
+
+def test_certificate_rejects_nudged_value(canonical_op, monkeypatch):
+    tol = 1e-9
+
+    def nudge(vals):
+        vals = vals.copy()
+        vals[5] += 10.0 * tol
+        return vals
+
+    _lapack_patched(monkeypatch, nudge)
+    with pytest.raises(NumericalError, match="certificate failed at eigenvalue index 5:"):
+        spectra.eigenvalues_tridiagonal(canonical_op, tol=tol)
+    with pytest.raises(NumericalError, match="index 105:"):
+        spectra.eigenvalues_tridiagonal(canonical_op, indices=(100, 139), tol=tol)
+
+
+def test_certificate_rejects_window_count_mismatch(canonical_op, monkeypatch):
+    _lapack_patched(monkeypatch, lambda vals: vals[1:])
+    with pytest.raises(NumericalError, match="LAPACK finds 17 eigenvalues in the window"):
+        spectra.eigenvalues_tridiagonal(canonical_op, window=(-0.3, 0.0))
+
+
+def test_lapack_route_refuses_non_finite_section():
+    d = np.zeros(8)
+    e = np.ones(7)
+    e[4] = np.inf
+    with pytest.raises(NumericalError, match="non-finite entry in row 4"):
+        spectra.eigenvalues_tridiagonal(d, e)
 
 
 def test_inverse_iteration_residuals(canonical_op):
