@@ -1,11 +1,11 @@
 """Configuration-driven runner emitting reproducible CSV and JSON artifacts.
 
-Config files are strict JSON with a versioned ``schema`` field; unknown
-keys are rejected everywhere, so a typo cannot silently fall back to a
-default.  Artifacts are byte-identical across runs with the same
-effective configuration: floats are written in shortest round-trip
-form, JSON keys are sorted, and every CSV opens with a comment line
-carrying the sha256 hash of the effective config.
+Config files are strict JSON with a versioned ``schema`` field, checked
+key by key against ``_SCHEMA``; unknown keys are rejected everywhere, so a
+typo cannot silently fall back to a default.  Artifacts are byte-identical
+across runs with the same effective configuration: floats are written in
+shortest round-trip form, JSON keys are sorted, and every CSV opens with a
+comment line carrying the sha256 hash of the effective config.
 
 Exit codes: 0 success, 1 validation failure (message names the violated
 precondition), 2 numerical failure (message includes the location).
@@ -28,40 +28,81 @@ from .errors import ValidationError, NumericalError
 from . import model, discrete, spectra, ppmodes, polytrans, slform
 
 
-_TOP_KEYS = {"schema", "model", "eos", "analysis", "output"}
-_MODEL_KEYS = {"eta", "gamma", "M_star", "R_star", "G", "zeta", "N"}
-_EOS_KEYS = {
-    "limit": {"profile", "Gamma", "c"},
-    "hse": {"profile", "Gamma", "c"},
-    "polytrope": {"Gamma", "C_star"},
-    "polytropic": {"a", "b", "K", "R_delta"},
-    "linear_thermal": {"a", "b", "c", "K0", "L0", "R_delta"},
+def _is_number(v):
+    # json.load yields exactly int or float for a number; it accepts NaN,
+    # and an integer literal may lie beyond the float range
+    return type(v) in (int, float) and -sys.float_info.max <= v <= sys.float_info.max
+
+
+# value kinds: (test, what a message says the value must be)
+_NUM = (_is_number, "a finite number")
+_POS = (lambda v: _is_number(v) and v > 0, "a positive finite number")
+_INT = (lambda v: type(v) is int, "an integer")
+_POS_INT = (lambda v: type(v) is int and v > 0, "a positive integer")
+_NUMS = (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+         "a list of finite numbers")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_STR = (lambda v: isinstance(v, str), "a string")
+
+_SHELL_EOS = {"profile": (_STR, "geometric"), "Gamma": (_NUM, 2.0), "c": (_NUM, None)}
+
+#: Every config key: block -> key -> (kind, default).  A key may be null
+#: exactly where its default is null; a default of ``...`` marks a key
+#: the config must give.  A range appears only where the library does
+#: not check one itself.  The eos keys depend on the variant; their
+#: defaults are read by the handlers and are not written into the
+#: effective config, and eos keys left out of an ``sl`` config take the
+#: defaults of ``slform.Polytropic``/``LinearThermal``.
+_SCHEMA = {
+    "model": {"eta": (_NUM, 0.5), "gamma": (_NUM, 2.0), "M_star": (_NUM, 1.0),
+              "R_star": (_NUM, 1.0), "G": (_NUM, 1.0), "zeta": (_NUM, 0.0),
+              "N": (_INT, None)},
+    "eos": {
+        "limit": _SHELL_EOS,
+        "hse": _SHELL_EOS,
+        "polytrope": {"Gamma": (_NUM, 2.0), "C_star": (_NUM, None)},
+        "polytropic": {"a": (_NUM, ...), "b": (_NUM, ...), "K": (_NUM, None),
+                       "R_delta": (_NUM, None)},
+        "linear_thermal": {"a": (_NUM, ...), "b": (_NUM, ...), "c": (_NUM, ...),
+                           "K0": (_NUM, None), "L0": (_NUM, None),
+                           "R_delta": (_NUM, None)},
+    },
+    "analysis": {
+        # a null n_trunc, i_start, i_min, n_instances or lambdas takes the
+        # subcommand's own default; see the handlers
+        "subcommand": (_STR, None), "lambdas": (_NUMS, None), "n_trunc": (_INT, None),
+        "i_start": (_INT, None), "i_min": (_INT, None), "pad": (_NUM, 0.05),
+        "seed": (_INT, 0), "threads": (_POS_INT, None), "rational": (_BOOL, False),
+        "n_instances": (_POS_INT, None), "x_max": (_POS, 2000.0), "rtol": (_POS, 1e-10),
+        "alpha": (_NUM, 0.8), "p": (_NUM, 0.5), "spacing": (_NUM, 5.0), "b": (_NUM, None),
+        "binding": (_STR, "attractive"),
+        # ppmodes: window is the width of the search below the edge
+        "edge": (_NUM, None), "window": (_NUM, None), "tol": (_POS, None),
+    },
+    "output": {"directory": (_STR, "out")},
 }
-_ANALYSIS_KEYS = {"subcommand", "lambdas", "n_trunc", "i_start", "i_min",
-                  "pad", "seed", "threads", "rational", "n_instances",
-                  "x_max", "rtol", "alpha", "p", "spacing", "b", "binding",
-                  "edge", "window", "tol"}
-_OUTPUT_KEYS = {"directory", "formats"}
-
-_MODEL_DEFAULTS = {"eta": 0.5, "gamma": 2.0, "M_star": 1.0, "R_star": 1.0,
-                   "G": 1.0, "zeta": 0.0, "N": None}
-_ANALYSIS_DEFAULTS = {"subcommand": None, "lambdas": None, "n_trunc": None,
-                      "i_start": None, "i_min": None, "pad": 0.05, "seed": 0,
-                      "threads": None, "rational": False, "n_instances": None,
-                      "x_max": 2000.0, "rtol": 1e-10, "alpha": 0.8, "p": 0.5,
-                      "spacing": 5.0, "b": None, "binding": "attractive",
-                      "edge": None, "window": None, "tol": None}
-_OUTPUT_DEFAULTS = {"directory": "out", "formats": ["csv", "json"]}
 
 
-def _reject_unknown(block, allowed, where):
-    extra = sorted(set(block) - set(allowed))
+def _defaults(specs):
+    return {key: default for key, (_, default) in specs.items()}
+
+
+def _check_block(block, specs, where, label):
+    if not isinstance(block, dict):
+        raise ValidationError(f"{where} block must be a JSON object")
+    extra = sorted(set(block) - set(specs))
     if extra:
-        raise ValidationError(f"unknown key(s) {extra} in {where} block")
+        raise ValidationError(f"unknown key(s) {extra} in {label} block")
+    for key, ((test, noun), default) in specs.items():
+        if key not in block:
+            if default is ...:
+                raise ValidationError(f"{where}.{key} is required in {label}")
+        elif not (test(block[key]) or (block[key] is None and default is None)):
+            raise ValidationError(f"{where}.{key} must be {noun}, got {block[key]!r}")
 
 
 def load_config(path):
-    """Parse and structurally validate a JSON config file."""
+    """Parse a JSON config file and validate it against ``_SCHEMA``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -73,41 +114,31 @@ def load_config(path):
         raise ValidationError("config root must be a JSON object")
     if cfg.get("schema") != 1:
         raise ValidationError(f"config schema must be 1, got {cfg.get('schema')!r}")
-    _reject_unknown(cfg, _TOP_KEYS, "top-level")
-    for name, allowed in (("model", _MODEL_KEYS), ("analysis", _ANALYSIS_KEYS),
-                          ("output", _OUTPUT_KEYS)):
-        block = cfg.get(name, {})
-        if not isinstance(block, dict):
-            raise ValidationError(f"{name} block must be a JSON object")
-        _reject_unknown(block, allowed, name)
+    extra = sorted(set(cfg) - {"schema", *_SCHEMA})
+    if extra:
+        raise ValidationError(f"unknown key(s) {extra} in top-level block")
+    for name in ("model", "analysis", "output"):
+        _check_block(cfg.get(name, {}), _SCHEMA[name], name, name)
     eos = cfg.get("eos", {})
-    if not isinstance(eos, dict):
-        raise ValidationError("eos block must be a JSON object")
-    variant = eos.get("variant", "limit")
-    if variant not in _EOS_KEYS:
+    variant = eos.get("variant", "limit") if isinstance(eos, dict) else "limit"
+    if not (isinstance(variant, str) and variant in _SCHEMA["eos"]):
         raise ValidationError(
-            f"eos variant must be one of {sorted(_EOS_KEYS)}, got {variant!r}")
-    _reject_unknown(eos, _EOS_KEYS[variant] | {"variant"}, f"eos ({variant})")
+            f"eos variant must be one of {sorted(_SCHEMA['eos'])}, got {variant!r}")
+    _check_block(eos, {"variant": (_STR, "limit"), **_SCHEMA["eos"][variant]},
+                 "eos", f"eos ({variant})")
     return cfg
 
 
 def effective_config(cfg, args):
     """Overlay defaults and command-line overrides onto a parsed config."""
-    eff = {
-        "schema": 1,
-        "model": {**_MODEL_DEFAULTS, **cfg.get("model", {})},
-        "eos": {"variant": "limit", **cfg.get("eos", {})},
-        "analysis": {**_ANALYSIS_DEFAULTS, **cfg.get("analysis", {})},
-        "output": {**_OUTPUT_DEFAULTS, **cfg.get("output", {})},
-    }
-    if args.subcommand is not None:
-        eff["analysis"]["subcommand"] = args.subcommand
-    if args.seed is not None:
-        eff["analysis"]["seed"] = int(args.seed)
-    if args.rational:
-        eff["analysis"]["rational"] = True
-    if args.threads is not None:
-        eff["analysis"]["threads"] = int(args.threads)
+    eff = {"schema": 1, "eos": {"variant": "limit", **cfg.get("eos", {})}}
+    for name in ("model", "analysis", "output"):
+        eff[name] = {**_defaults(_SCHEMA[name]), **cfg.get(name, {})}
+    overrides = {"subcommand": args.subcommand, "seed": args.seed,
+                 "threads": args.threads, "rational": args.rational or None}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    _check_block(overrides, _SCHEMA["analysis"], "analysis", "command-line")
+    eff["analysis"].update(overrides)
     if args.out is not None:
         eff["output"]["directory"] = args.out
     return eff
@@ -118,18 +149,6 @@ def config_hash(eff):
     core = {k: eff[k] for k in ("schema", "model", "eos", "analysis")}
     blob = json.dumps(core, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _resolve_threads(eff):
-    t = eff["analysis"]["threads"]
-    if t is None:
-        t = os.environ.get("LAWE_SPECTRA_THREADS")
-    if t is None:
-        return 1
-    t = int(t)
-    if t < 1:
-        raise ValidationError(f"threads must be a positive integer, got {t}")
-    return t
 
 
 def _fmt(v):
@@ -144,6 +163,12 @@ def _write_csv(path, header, columns, h):
     cols = [np.asarray(c) for c in columns]
     if len({c.shape[0] for c in cols}) > 1:
         raise ValidationError("CSV columns must share a length")
+    for name, col in zip(header, cols):
+        bad = np.flatnonzero(~np.isfinite(col)) if col.dtype.kind == "f" else ()
+        if len(bad):
+            raise NumericalError(
+                f"non-finite value {float(col[bad[0]])!r} in artifact "
+                f"{os.path.basename(path)}, column {name}, row {int(bad[0])}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config sha256: {h}\n")
         fh.write(",".join(header) + "\n")
@@ -151,26 +176,36 @@ def _write_csv(path, header, columns, h):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _jsonable(v):
+#: fields whose documented value may be infinite; written as "inf"/"-inf"
+_INF_SENTINELS = {"tail_ratio", "max_growth_factor"}
+
+
+def _jsonable(v, artifact, field):
     if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
+        return {str(k): _jsonable(x, artifact, f"{field}.{k}" if field else str(k))
+                for k, x in v.items()}
     if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
+        v = v.tolist()
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x, artifact, f"{field}[{i}]") for i, x in enumerate(v)]
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, (int, np.integer)):
         return int(v)
     if isinstance(v, (float, np.floating)):
         f = float(v)
-        return f if math.isfinite(f) else repr(f)
+        if math.isfinite(f):
+            return f
+        if math.isnan(f) or field.rsplit(".", 1)[-1] not in _INF_SENTINELS:
+            raise NumericalError(
+                f"non-finite value {f!r} in artifact {artifact}, field {field}")
+        return repr(f)
     return v
 
 
 def _write_json(path, obj, h):
     payload = {"config_sha256": h}
-    payload.update(_jsonable(obj))
+    payload.update(_jsonable(obj, os.path.basename(path), ""))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
@@ -178,108 +213,95 @@ def _write_json(path, obj, h):
 
 def _build_pd(eff, *, n_trunc, i_start):
     m = eff["model"]
-    N = m["N"]
-    if N is None:
-        N = int(n_trunc) + int(i_start) + 4
+    variant = eff["eos"]["variant"]
+    if variant not in ("limit", "hse", "polytrope"):
+        raise ValidationError(
+            f"this subcommand needs a shell-model eos variant "
+            f"(limit, hse or polytrope), got {variant!r}")
+    eos = {**_defaults(_SCHEMA["eos"][variant]), **eff["eos"]}
     dist = model.build_mass_distribution(m["eta"], m["gamma"], M_star=m["M_star"],
-                                         R_star=m["R_star"], G=m["G"], N=N)
-    eos = eff["eos"]
-    variant = eos["variant"]
-    if variant in ("limit", "hse"):
-        if eos.get("profile", "geometric") == "constant":
-            prof = model.gamma_profile(dist, "constant",
-                                       value=eos.get("Gamma", 2.0), zeta=m["zeta"])
-        else:
-            prof = model.gamma_profile(dist, "geometric", c=eos.get("c"),
-                                       zeta=m["zeta"])
-        return model.build_pd_distribution(dist, prof, zeta=m["zeta"],
-                                           pressure_mode=variant)
-    if variant == "polytrope":
-        prof = model.gamma_profile(dist, "constant", value=eos.get("Gamma", 2.0),
-                                   zeta=m["zeta"])
-        return model.build_pd_distribution(dist, prof, zeta=m["zeta"],
-                                           pressure_mode="polytrope",
-                                           C_star=eos.get("C_star"))
-    raise ValidationError(
-        f"this subcommand needs a shell-model eos variant "
-        f"(limit, hse or polytrope), got {variant!r}")
+                                         R_star=m["R_star"], G=m["G"],
+                                         N=_or(m["N"], n_trunc + i_start + 4))
+    # a polytrope has a constant exponent; the variant names the pressure law
+    prof = model.gamma_profile(dist, eos.get("profile", "constant"), c=eos.get("c"),
+                               value=eos["Gamma"], zeta=m["zeta"])
+    return model.build_pd_distribution(dist, prof, zeta=m["zeta"],
+                                       pressure_mode=variant, C_star=eos.get("C_star"))
+
+
+_SL_EOS = {"polytropic": slform.Polytropic, "linear_thermal": slform.LinearThermal}
 
 
 def _sl_eos(eff):
-    eos = eff["eos"]
-    m = eff["model"]
-    variant = eos["variant"]
-    kw = {"R_star": m["R_star"]}
-    if eos.get("R_delta") is not None:
-        kw["R_delta"] = eos["R_delta"]
-    if variant == "polytropic":
-        return slform.Polytropic(eos["a"], eos["b"], K=eos.get("K", 1.0), **kw)
-    if variant == "linear_thermal":
-        return slform.LinearThermal(eos["a"], eos["b"], eos["c"],
-                                    K0=eos.get("K0", 1.0), L0=eos.get("L0", 1.0),
-                                    **kw)
-    raise ValidationError(
-        f"sl analysis needs eos variant polytropic or linear_thermal, "
-        f"got {variant!r}")
+    params = {k: v for k, v in eff["eos"].items() if v is not None}
+    variant = params.pop("variant")
+    if variant not in _SL_EOS:
+        raise ValidationError(
+            f"sl analysis needs eos variant polytropic or linear_thermal, "
+            f"got {variant!r}")
+    return _SL_EOS[variant](R_star=eff["model"]["R_star"], **params)
+
+
+def _fields(obj, names):
+    return {name: getattr(obj, name) for name in names.split()}
+
+
+def _or(value, default):
+    return default if value is None else value
 
 
 def _refuse_graded(op):
-    # eigenvalues are certified to an absolute tolerance relative to the
-    # whole span; rows whose Gershgorin scale is below it carry
-    # eigenvalues the certificate cannot resolve at all
+    # eigenvalues are certified to an absolute tolerance, a fraction of the
+    # whole span; unless it lies far below the smallest Gershgorin row
+    # scale, the certificate resolves the small rows' eigenvalues poorly
     scale = np.abs(op.diag)
     scale[:-1] += np.abs(op.offdiag)
     scale[1:] += np.abs(op.offdiag)
     glo, ghi = spectra.gershgorin_interval(op.diag, op.offdiag)
     tol = spectra.DEFAULT_RTOL * (ghi - glo)
-    if np.min(scale) < tol:
+    if tol > 1e-6 * np.min(scale):
         raise ValidationError(
             f"the section is graded: row scales run from {np.min(scale):.3e} to "
-            f"{np.max(scale):.3e}, so eigenvalues of the small rows lie below the "
-            f"certificate tolerance {tol:.3e}; run the scaled subcommand, which "
+            f"{np.max(scale):.3e}, so the certificate tolerance {tol:.3e} "
+            f"exceeds 1e-6 of the smallest; run the scaled subcommand, which "
             f"analyses the rescaled operator")
 
 
-def _run_spectrum(eff, outdir, h, threads):
-    ana = eff["analysis"]
-    n_trunc = ana["n_trunc"] or 4000
-    i_start = ana["i_start"] if ana["i_start"] is not None else 16
+def _shell_section(eff):
+    n_trunc = _or(eff["analysis"]["n_trunc"], 4000)
+    i_start = _or(eff["analysis"]["i_start"], 16)
     pd = _build_pd(eff, n_trunc=n_trunc, i_start=i_start)
-    op = discrete.assemble_jacobi(pd, n_trunc, i_start=i_start)
+    return discrete.assemble_jacobi(pd, n_trunc, i_start=i_start)
+
+
+def _run_spectrum(eff, outdir, h, threads):
+    op = _shell_section(eff)
     _refuse_graded(op)
-    rep = spectra.spectrum_fill_report(op, pad=ana["pad"], threads=threads)
+    rep = spectra.spectrum_fill_report(op, pad=eff["analysis"]["pad"], threads=threads)
     _write_csv(os.path.join(outdir, "eigenvalues.csv"), ["lambda"],
                [rep.values], h)
     _write_json(os.path.join(outdir, "fill_report.json"), {
-        "interval": list(rep.interval), "pad": rep.pad,
-        "n_values": int(rep.values.size), "n_inside": rep.n_inside,
-        "n_outliers": rep.n_outliers, "max_gap": rep.max_gap,
-        "fills": rep.fills}, h)
+        "interval": list(rep.interval), "n_values": int(rep.values.size),
+        **_fields(rep, "pad n_inside n_outliers max_gap fills")}, h)
     print(f"spectrum: n={rep.values.size} inside={rep.n_inside} "
           f"outliers={rep.n_outliers} max_gap={rep.max_gap:.3e} fills={rep.fills}")
     return 0
 
 
+#: jost artifact columns and the JostFit attributes they hold
+_JOST_FIELDS = (("lambda", "lam"), ("theta", "theta"), ("theta_fit", "theta_fit"),
+                ("theta_error", "theta_error"), ("amplitude_flatness", "amplitude_flatness"),
+                ("phase_residual", "phase_residual"), ("n_peaks", "n_peaks"))
+
+
 def _run_jost(eff, outdir, h, threads):
-    ana = eff["analysis"]
-    n_trunc = ana["n_trunc"] or 4000
-    i_start = ana["i_start"] if ana["i_start"] is not None else 16
-    lambdas = ana["lambdas"] if ana["lambdas"] is not None else [-1.6, 0.0, 1.6]
-    pd = _build_pd(eff, n_trunc=n_trunc, i_start=i_start)
-    op = discrete.assemble_jacobi(pd, n_trunc, i_start=i_start)
-    fits = [spectra.jost_verify(op, float(lam)) for lam in lambdas]
-    _write_csv(os.path.join(outdir, "jost.csv"),
-               ["lambda", "theta", "theta_fit", "theta_error",
-                "amplitude_flatness", "phase_residual", "n_peaks"],
-               [[f.lam for f in fits], [f.theta for f in fits],
-                [f.theta_fit for f in fits], [f.theta_error for f in fits],
-                [f.amplitude_flatness for f in fits],
-                [f.phase_residual for f in fits], [f.n_peaks for f in fits]], h)
+    op = _shell_section(eff)
+    fits = [spectra.jost_verify(op, lam)
+            for lam in _or(eff["analysis"]["lambdas"], [-1.6, 0.0, 1.6])]
+    _write_csv(os.path.join(outdir, "jost.csv"), [col for col, _ in _JOST_FIELDS],
+               [[getattr(f, attr) for f in fits] for _, attr in _JOST_FIELDS], h)
     _write_json(os.path.join(outdir, "jost.json"), {"fits": [
-        {"lambda": f.lam, "theta": f.theta, "theta_fit": f.theta_fit,
-         "theta_error": f.theta_error, "amplitude_flatness": f.amplitude_flatness,
-         "phase_residual": f.phase_residual, "n_peaks": f.n_peaks}
-        for f in fits]}, h)
+        {col: getattr(f, attr) for col, attr in _JOST_FIELDS} for f in fits]}, h)
     for f in fits:
         print(f"jost: lambda={f.lam:+.4g} theta_err={f.theta_error:.3e} "
               f"flatness={f.amplitude_flatness:.3e}")
@@ -289,19 +311,13 @@ def _run_jost(eff, outdir, h, threads):
 def _run_ppmodes(eff, outdir, h, threads):
     ana = eff["analysis"]
     m = eff["model"]
-    n_trunc = ana["n_trunc"] or 20000
+    n_trunc = _or(ana["n_trunc"], 20000)
     dsp = ppmodes.construct_dsp(ana["alpha"], ana["p"], ana["spacing"], n=n_trunc)
     pd = ppmodes.theorem_model(dsp, eta=m["eta"], gamma=m["gamma"], b=ana["b"],
                                zeta=m["zeta"], binding=ana["binding"])
     op = discrete.assemble_jacobi(pd, dsp.extent, i_start=1)
-    kw = {}
-    if ana["edge"] is not None:
-        kw["edge"] = ana["edge"]
-    if ana["window"] is not None:
-        kw["window"] = tuple(ana["window"])
-    if ana["tol"] is not None:
-        kw["tol"] = ana["tol"]
-    modes = ppmodes.detect_edge_eigenvalues(op, dsp, threads=threads, **kw)
+    modes = ppmodes.detect_edge_eigenvalues(
+        op, dsp, edge=ana["edge"], window=ana["window"], tol=ana["tol"], threads=threads)
     slope, r2 = modes.ladder_fit()
     _write_csv(os.path.join(outdir, "ppmodes.csv"),
                ["value", "depth", "block", "in_block", "dr_bounded"],
@@ -318,27 +334,23 @@ def _run_ppmodes(eff, outdir, h, threads):
 
 def _run_transform_check(eff, outdir, h, threads):
     ana = eff["analysis"]
-    n_instances = ana["n_instances"] or 50
-    rational = bool(ana["rational"])
+    n_instances = _or(ana["n_instances"], 50)
+    rational = ana["rational"]
     rng = random.Random(ana["seed"])
     nonzero = [k for k in range(-9, 10) if k != 0]
 
-    def _rat():
-        return Fraction(rng.choice(nonzero), rng.randint(1, 9))
+    def draw(lo, hi):
+        if rational:
+            return Fraction(rng.choice(nonzero), rng.randint(1, 9))
+        return rng.uniform(lo, hi)
 
     worst = Fraction(0) if rational else 0.0
     for _ in range(n_instances):
         n = rng.randint(2, 64)
-        if rational:
-            diag = [_rat() for _ in range(n)]
-            sub = [_rat() for _ in range(n - 1)]
-            sup = [_rat() for _ in range(n - 1)]
-            x, y = _rat(), _rat()
-        else:
-            diag = [rng.uniform(-2, 2) for _ in range(n)]
-            sub = [rng.uniform(-2, 2) for _ in range(n - 1)]
-            sup = [rng.uniform(-2, 2) for _ in range(n - 1)]
-            x, y = rng.uniform(0.3, 1.8), rng.uniform(0.3, 1.8)
+        diag = [draw(-2, 2) for _ in range(n)]
+        sub = [draw(-2, 2) for _ in range(n - 1)]
+        sup = [draw(-2, 2) for _ in range(n - 1)]
+        x, y = draw(0.3, 1.8), draw(0.3, 1.8)
         chk = polytrans.similarity_check(diag, sub, sup, x, y)
         if chk.max_residual > worst:
             worst = chk.max_residual
@@ -365,7 +377,7 @@ def _first_admissible(system, lam):
 
 def _run_scaled(eff, outdir, h, threads):
     ana = eff["analysis"]
-    n_trunc = ana["n_trunc"] or 2000
+    n_trunc = _or(ana["n_trunc"], 2000)
     pd = _build_pd(eff, n_trunc=n_trunc, i_start=1)
     if pd.gamma.kind == "geometric":
         raise ValidationError(
@@ -373,23 +385,19 @@ def _run_scaled(eff, outdir, h, threads):
             "(eos variant polytrope); geometric profiles scale to the "
             "trivial zero-coupling limit")
     system = polytrans.build_scaled_system(pd, n_trunc)
-    lambdas = ana["lambdas"] if ana["lambdas"] is not None else [0.0]
-
     vals = spectra.truncation_eigenvalues(system.operator(), threads=threads).values
     bs = system.limit_band_structure()
     brep = spectra.band_report(np.sort(-vals), bs, pad=ana["pad"],
                                gap_margin=ana["pad"])
     per_lam = []
-    for lam in lambdas:
-        lam = float(lam)
-        i_min = ana["i_min"] if ana["i_min"] is not None else _first_admissible(system, lam)
+    for lam in _or(ana["lambdas"], [0.0]):
+        i_min = _or(ana["i_min"], _first_admissible(system, lam))
         lf = polytrans.local_frequencies(system, lam, i_min=i_min)
         gr = polytrans.delta_r_growth(system, lam)
-        per_lam.append({"lambda": lam, "i_min": i_min,
-                        "omega_slope": lf.slope(),
-                        "solution_rate": gr.solution_rate,
-                        "displacement_rate": gr.displacement_rate,
-                        "theory_displacement_rate": gr.theory_displacement_rate})
+        # the artifact writes every lambda as a float, integers included
+        per_lam.append({"lambda": float(lam), "i_min": i_min, "omega_slope": lf.slope(),
+                        **_fields(gr, "solution_rate displacement_rate "
+                                      "theory_displacement_rate")})
     _write_csv(os.path.join(outdir, "scaled.csv"),
                ["I", "mu", "beta", "t", "diag"],
                [np.arange(1, system.n + 1), system.mu, system.beta, system.t,
@@ -397,9 +405,7 @@ def _run_scaled(eff, outdir, h, threads):
     _write_json(os.path.join(outdir, "scaled.json"), {
         "nu": system.nu, "mu_inf": system.mu_inf, "beta_inf": system.beta_inf,
         "bands": [list(b) for b in bs.bands], "gap": list(bs.gap),
-        "negated_band_report": {"n_values": brep.n_values,
-                                "n_off_band": brep.n_off_band,
-                                "n_gap_interior": brep.n_gap_interior},
+        "negated_band_report": _fields(brep, "n_values n_off_band n_gap_interior"),
         "frequencies": per_lam}, h)
     for row in per_lam:
         print(f"scaled: lambda={row['lambda']:+.4g} omega_slope={row['omega_slope']:.6f} "
@@ -414,16 +420,13 @@ def _run_sl(eff, outdir, h, threads):
     case = slform.classify_sl_case(eos)
     _write_json(os.path.join(outdir, "sl_case.json"), {
         "route": case.route, "applies": case.applies, "notes": case.notes,
-        "checks": [{"name": c.name, "exponent": c.exponent, "fitted": c.fitted,
-                    "integrable": c.integrable, "tail_ratio": c.tail_ratio,
-                    "consistent": c.consistent} for c in case.checks]}, h)
+        "checks": [_fields(c, "name exponent fitted integrable tail_ratio consistent")
+                   for c in case.checks]}, h)
     print(f"sl: route={case.route} applies={case.applies}")
 
-    lambdas = ana["lambdas"] if ana["lambdas"] is not None else []
     results = []
     form = slform.CanonicalForm(eos)
-    for k, lam in enumerate(lambdas):
-        lam = float(lam)
+    for k, lam in enumerate(_or(ana["lambdas"], [])):
         trace = slform.integrate_canonical(form, lam, X_max=ana["x_max"],
                                            rtol=ana["rtol"])
         env = slform.extend_trace_asymptotic(trace, form)
@@ -432,22 +435,15 @@ def _run_sl(eff, outdir, h, threads):
         wkb = slform.wkb_fit(trace, form)
         zero = np.zeros(trace.X_grid.size)
         _write_csv(os.path.join(outdir, f"trace_{k}.csv"),
-                   ["X", "ReY", "ImY", "ReY_prime", "ImY_prime", "x", "xi",
-                    "delta_r"],
+                   ["X", "ReY", "ImY", "ReY_prime", "ImY_prime", "x", "xi", "delta_r"],
                    [trace.X_grid, trace.Y, zero, trace.Y_prime, zero,
                     trace.x_grid, trace.y, trace.delta_r], h)
         results.append({
-            "lambda": lam,
-            "regularity": {"fitted_power": reg.fitted_power,
-                           "analytic_power": reg.analytic_power,
-                           "lower_bound": reg.lower_bound,
-                           "monotone": reg.monotone, "within": reg.within,
-                           "bound_satisfied": reg.bound_satisfied},
-            "l2_growth": {"slope": gr.slope, "r_squared": gr.r_squared,
-                          "max_growth_factor": gr.max_growth_factor,
-                          "growth_exponent": gr.growth_exponent,
-                          "delta_r_lower": gr.delta_r_lower,
-                          "diverges": gr.diverges},
+            "lambda": trace.lam,
+            "regularity": _fields(reg, "fitted_power analytic_power lower_bound "
+                                       "monotone within bound_satisfied"),
+            "l2_growth": _fields(gr, "slope r_squared max_growth_factor "
+                                     "growth_exponent delta_r_lower diverges"),
             "wkb": {"alpha_abs": abs(wkb.alpha), "beta_abs": abs(wkb.beta),
                     "residual": wkb.residual, "window": list(wkb.window)}})
         print(f"sl: lambda={lam:g} R_power={reg.fitted_power:.4f} "
@@ -464,17 +460,16 @@ def _run_report(eff, outdir, h, threads):
     sections = {}
     for name in names:
         with open(os.path.join(outdir, name), "r", encoding="utf-8") as fh:
-            sections[name] = json.load(fh)
+            try:
+                sections[name] = json.load(fh)
+            except ValueError as exc:   # not JSON, or not UTF-8
+                raise ValidationError(f"{name} in {outdir} is not JSON: {exc}") from None
     _write_json(os.path.join(outdir, "report.json"),
                 {"artifacts": sections}, h)
     lines = ["# run report", "", f"config sha256: `{h}`", ""]
     for name in names:
-        lines.append(f"## {name}")
-        lines.append("")
-        lines.append("```json")
-        lines.append(json.dumps(sections[name], sort_keys=True, indent=2))
-        lines.append("```")
-        lines.append("")
+        lines += [f"## {name}", "", "```json",
+                  json.dumps(sections[name], sort_keys=True, indent=2), "```", ""]
     with open(os.path.join(outdir, "report.md"), "w", encoding="utf-8",
               newline="") as fh:
         fh.write("\n".join(lines))
@@ -519,7 +514,7 @@ def main(argv=None):
                         help="exact rational arithmetic (transform-check only)")
     parser.add_argument("--threads", type=int,
                         help="threads for the Sturm certificate sweep "
-                             "(falls back to LAWE_SPECTRA_THREADS)")
+                             "(overrides config)")
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config) if args.config else {"schema": 1}
@@ -534,11 +529,14 @@ def main(argv=None):
                 f"subcommand must be one of {sorted(_HANDLERS)}, got {sub!r}")
         if args.rational and sub != "transform-check":
             raise ValidationError("--rational applies to transform-check only")
-        threads = _resolve_threads(eff)
         h = config_hash(eff)
         outdir = eff["output"]["directory"]
-        os.makedirs(outdir, exist_ok=True)
-        return _HANDLERS[sub](eff, outdir, h, threads)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(
+                f"output.directory {outdir!r} cannot be created: {exc}") from None
+        return _HANDLERS[sub](eff, outdir, h, _or(eff["analysis"]["threads"], 1))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

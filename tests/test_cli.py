@@ -1,10 +1,15 @@
 import json
+import math
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lawe_spectra import cli
+from lawe_spectra.errors import NumericalError
 
 
 def write_config(path, **blocks):
@@ -140,14 +145,59 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     assert "eos variant must be one of" in capsys.readouterr().err
 
 
-def test_threads_env_fallback(tmp_path, spectrum_cfg, capsys, monkeypatch):
-    monkeypatch.setenv("LAWE_SPECTRA_THREADS", "2")
-    out = tmp_path / "env"
-    assert cli.run("spectrum", spectrum_cfg, argv_extra=["--out", str(out)]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("LAWE_SPECTRA_THREADS", "0")
-    assert cli.run("spectrum", spectrum_cfg, argv_extra=["--out", str(out)]) == 1
-    assert "threads must be a positive integer" in capsys.readouterr().err
+THIS_CONFIG = "<the config file itself>"
+
+# malformed configs: (subcommand, blocks, extra argv, text stderr must hold)
+PROBES = {
+    "n_trunc-string": ("spectrum", {"analysis": {"n_trunc": "abc"}}, [],
+                       "analysis.n_trunc must be an integer, got 'abc'"),
+    "n_trunc-float": ("spectrum", {"analysis": {"n_trunc": 10.5}}, [],
+                      "analysis.n_trunc must be an integer, got 10.5"),
+    "n_trunc-zero": ("spectrum", {"analysis": {"n_trunc": 0}}, [], "need n >= 2, got 0"),
+    "eta-string": ("spectrum", {"model": {"eta": "x"}}, [], "model.eta must be"),
+    "eta-nan": ("spectrum", {"model": {"eta": float("nan")}}, [], "model.eta must be"),
+    "lambdas-scalar": ("jost", {"analysis": {"lambdas": 0.5}}, [], "analysis.lambdas"),
+    "lambdas-string": ("jost", {"analysis": {"lambdas": ["a"]}}, [], "analysis.lambdas"),
+    "lambdas-nan": ("scaled", {"analysis": {"lambdas": [float("nan")]}}, [],
+                    "analysis.lambdas"),
+    "window-string": ("ppmodes", {"analysis": {"window": "x"}}, [], "analysis.window"),
+    "pad-string": ("spectrum", {"analysis": {"pad": "x"}}, [], "analysis.pad"),
+    "i_min-string": ("scaled", {"analysis": {"i_min": "q"}}, [], "analysis.i_min"),
+    "threads-string": ("spectrum", {"analysis": {"threads": "two"}}, [],
+                       "analysis.threads"),
+    "threads-zero": ("spectrum", {"analysis": {"threads": 0}}, [],
+                     "analysis.threads must be a positive integer, got 0"),
+    "threads-flag-zero": ("spectrum", {}, ["--threads", "0"],
+                          "analysis.threads must be a positive integer, got 0"),
+    "threads-bool": ("spectrum", {"analysis": {"threads": True}}, [], "analysis.threads"),
+    "n_instances-negative": ("transform-check", {"analysis": {"n_instances": -5}}, [],
+                             "analysis.n_instances must be a positive integer"),
+    "x_max-negative": ("sl", {"eos": {"variant": "polytropic", "a": 2, "b": 4},
+                              "analysis": {"lambdas": [1.0], "x_max": -1}}, [],
+                       "analysis.x_max must be a positive finite number, got -1"),
+    "polytropic-without-a": ("sl", {"eos": {"variant": "polytropic", "b": 4}}, [],
+                             "eos.a is required"),
+    "eos-null-Gamma": ("scaled", {"eos": {"variant": "polytrope", "Gamma": None}}, [],
+                       "eos.Gamma must be"),
+    "formats-removed": ("spectrum", {"output": {"formats": ["xml"]}}, [],
+                        "unknown key(s) ['formats'] in output block"),
+    "output-is-a-file": ("transform-check", {"output": {"directory": THIS_CONFIG}}, [],
+                         "output.directory"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_malformed_config_exits_1(tmp_path, capsys, probe):
+    sub, blocks, extra, text = PROBES[probe]
+    cfg = tmp_path / "cfg.json"
+    output = {"directory": str(tmp_path / "out"), **blocks.get("output", {})}
+    if output["directory"] == THIS_CONFIG:
+        output["directory"] = str(cfg)
+    cfg.write_text(json.dumps({"schema": 1, **blocks, "output": output}))
+    assert cli.run(sub, str(cfg), argv_extra=extra) == 1
+    err = capsys.readouterr().err
+    assert text in err
+    assert "Traceback" not in err
 
 
 def test_jost_smoke(tmp_path, capsys):
@@ -197,17 +247,19 @@ def test_scaled_smoke_and_profile_guard(tmp_path, capsys):
 
 def test_spectrum_refuses_graded_section(tmp_path, capsys):
     # the raw polytrope operator is graded over tens of decades; an
-    # absolute certificate tolerance cannot resolve its small eigenvalues
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path / "cfg.json",
-                       eos={"variant": "polytrope", "Gamma": 2.0},
-                       analysis={"n_trunc": 300, "i_start": 1},
-                       output={"directory": str(out)})
-    assert cli.run("spectrum", cfg) == 1
-    err = capsys.readouterr().err
-    assert "the section is graded" in err
-    assert "run the scaled subcommand" in err
-    assert not (out / "eigenvalues.csv").exists()
+    # absolute certificate tolerance cannot resolve its small eigenvalues.
+    # At n=30 the smallest eigenvalue, 4.45, would be certified to +-0.86.
+    for n in (300, 30):
+        out = tmp_path / f"out{n}"
+        cfg = write_config(tmp_path / "cfg.json",
+                           eos={"variant": "polytrope", "Gamma": 2.0},
+                           analysis={"n_trunc": n, "i_start": 1},
+                           output={"directory": str(out)})
+        assert cli.run("spectrum", cfg) == 1
+        err = capsys.readouterr().err
+        assert "the section is graded" in err
+        assert "run the scaled subcommand" in err
+        assert not (out / "eigenvalues.csv").exists()
 
 
 def test_scaled_overflow_exits_numerical(tmp_path, capsys):
@@ -221,6 +273,36 @@ def test_scaled_overflow_exits_numerical(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert cli.run("scaled", cfg) == 2
     assert "non-finite entry in row" in capsys.readouterr().err
+
+
+def test_nan_bound_for_an_artifact_exits_numerical(tmp_path, capsys):
+    # a sub-unit constant exponent makes the tail recurrence overflow, so
+    # the Jost fits come back NaN; no artifact may carry them
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json",
+                       model={"eta": 0.1, "gamma": 0.75},
+                       eos={"variant": "limit", "profile": "constant", "Gamma": 0.835},
+                       analysis={"i_start": 12, "lambdas": [0.8]},
+                       output={"directory": str(out)})
+    with np.errstate(all="ignore"):
+        assert cli.run("jost", cfg) == 2
+    assert ("non-finite value nan in artifact jost.csv, column theta_fit"
+            in capsys.readouterr().err)
+    assert not (out / "jost.csv").exists()
+
+
+def test_json_infinity_only_under_sentinels(tmp_path):
+    path = tmp_path / "a.json"
+    cli._write_json(str(path), {"checks": [{"tail_ratio": np.inf}],
+                                "l2_growth": {"max_growth_factor": -np.inf}}, "h")
+    art = json.loads(path.read_text())
+    assert art["checks"][0]["tail_ratio"] == "inf"
+    assert art["l2_growth"]["max_growth_factor"] == "-inf"
+    for bad, field in (({"slope": np.inf}, "slope"),
+                       ({"traces": [{"tail_ratio": np.nan}]}, "traces[0].tail_ratio")):
+        with pytest.raises(NumericalError, match=re.escape(f"b.json, field {field}")):
+            cli._write_json(str(tmp_path / "b.json"), bad, "h")
+    assert not (tmp_path / "b.json").exists()
 
 
 def test_sl_trace_csv_layout(tmp_path, capsys):
@@ -255,3 +337,107 @@ def test_report_aggregates_artifacts(tmp_path, capsys):
     md = (out / "report.md").read_text()
     assert "## transform_check.json" in md
     assert "config sha256:" in md
+
+
+# --- any config: exit 0, 1 or 2, never a traceback, never a NaN at exit 0
+
+# the two documented infinite sentinels, and transform-check's float-mode
+# residual, a string that reads "inf" once the graded factors overflow
+INF_FIELDS = {"tail_ratio", "max_growth_factor", "max_residual"}
+JUNK = st.sampled_from(["x", None, True, [1.0], {}, float("nan"), float("-inf"),
+                        -1, 0, 2.5])
+
+
+def _num(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _opt(strategy):
+    return st.none() | strategy
+
+
+@st.composite
+def cli_configs(draw, sub):
+    model = {"eta": draw(_num(0.05, 0.95)), "gamma": draw(_num(0.5, 4.0)),
+             "zeta": draw(st.sampled_from([0.0, 0.0, -1.0, 2.0]))}
+    eos, ana = {}, {}
+    if sub in ("spectrum", "jost"):
+        eos = {"variant": draw(st.sampled_from(["limit", "hse", "polytrope"]))}
+        if eos["variant"] != "polytrope" and draw(st.booleans()):
+            eos.update(profile="constant", Gamma=draw(_num(0.5, 4.0)))
+        ana = {"n_trunc": draw(st.integers(2, 200)), "i_start": draw(st.integers(1, 20)),
+               "pad": draw(_num(0.0, 0.2)),
+               "lambdas": draw(st.lists(_num(-2.5, 2.5), max_size=3))}
+    elif sub == "ppmodes":
+        ana = {"n_trunc": draw(st.integers(2, 200)), "alpha": draw(_num(0.55, 0.95)),
+               "p": draw(_num(0.34, 0.6)), "spacing": draw(_num(0.5, 8.0)),
+               "edge": draw(_opt(_num(-3.0, 0.0))), "window": draw(_opt(_num(-1.0, 5.0))),
+               "tol": draw(_opt(_num(1e-12, 1e-2))),
+               "binding": draw(st.sampled_from(["attractive", "repulsive"]))}
+    elif sub == "transform-check":
+        ana = {"n_instances": draw(st.integers(1, 4)), "rational": draw(st.booleans()),
+               "seed": draw(st.integers(0, 2**31))}
+    elif sub == "scaled":
+        eos = {"variant": "polytrope", "Gamma": draw(_num(1.05, 4.0))}
+        ana = {"n_trunc": draw(st.integers(2, 200)), "i_min": draw(_opt(st.integers(1, 200))),
+               "lambdas": draw(st.lists(_num(-3.0, 3.0), max_size=2))}
+    elif sub == "sl":
+        if draw(st.booleans()):
+            eos = {"variant": "polytropic", "a": draw(_num(0.5, 4.0)),
+                   "b": draw(_num(1.5, 5.0))}
+        else:
+            eos = {"variant": "linear_thermal", "a": draw(_num(1.0, 3.0)),
+                   "b": draw(_num(1.0, 4.0)), "c": draw(_num(1.0, 6.0))}
+        ana = {"lambdas": [draw(_num(0.2, 3.0))], "x_max": draw(_num(0.5, 20.0)),
+               "rtol": draw(st.sampled_from([1e-6, 1e-8]))}
+    cfg = {"schema": 1, "model": model, "eos": eos, "analysis": ana}
+    # one job in four carries one value of the wrong kind
+    block = draw(st.sampled_from(["model", "eos", "analysis", None, None, None, None,
+                                  None, None, None, None, None]))
+    if block and cfg[block]:
+        cfg[block][draw(st.sampled_from(sorted(cfg[block])))] = draw(JUNK)
+    return cfg
+
+
+def _walk_json(v, name, key=None):
+    if isinstance(v, dict):
+        for k, x in v.items():
+            _walk_json(x, name, k)
+    elif isinstance(v, list):
+        for x in v:
+            _walk_json(x, name, key)
+    elif isinstance(v, float):
+        assert math.isfinite(v), (name, key, v)
+    elif v in ("nan", "inf", "-inf"):
+        assert v != "nan" and key in INF_FIELDS, (name, key, v)
+
+
+def assert_artifacts_finite(out):
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), encoding="utf-8") as fh:
+            if name.endswith(".json"):
+                _walk_json(json.load(fh), name)
+            elif name.endswith(".csv"):
+                for row in fh.read().splitlines()[2:]:
+                    for cell in row.split(","):
+                        assert cell in ("true", "false") or math.isfinite(float(cell)), \
+                            (name, row)
+
+
+# derandomized: every run draws the same 30 configs per subcommand
+@pytest.mark.parametrize("sub", sorted(cli._HANDLERS))
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_config_exits_0_1_or_2(sub, data):
+    cfg = data.draw(cli_configs(sub))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg["output"] = {"directory": os.path.join(tmp, "out")}
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        with np.errstate(all="ignore"):
+            rc = cli.run(sub, path)
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            assert_artifacts_finite(cfg["output"]["directory"])
