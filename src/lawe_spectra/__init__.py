@@ -11,6 +11,8 @@ oscillation equations to canonical form and quantifies surface behavior.
 artifacts.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import NumericalError, ValidationError
 from .model import (
     FOUR_PI,
@@ -85,7 +87,7 @@ from .slform import (
     LinearThermal,
     Polytropic,
     QuadCheck,
-    SLProblem,
+    SurfaceLayer,
     TailEnvelope,
     WKBFit,
     canonical_derivative_exponents,
@@ -97,92 +99,14 @@ from .slform import (
     liouville,
     q0_fd,
     regularity_check,
-    sl_coefficients,
     trace_regularity,
     wkb_fit,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityReport",
-    "BandReport",
-    "BandStructure",
-    "BumpField",
-    "CONVERGENCE_ORDER",
-    "CanonicalForm",
-    "CanonicalTrace",
-    "CaseReport",
-    "DecayReport",
-    "EdgeModes",
-    "EigenResult",
-    "FOUR_PI",
-    "FillReport",
-    "GammaProfile",
-    "GrowthReport",
-    "JacobiOperator",
-    "JostFit",
-    "LinearThermal",
-    "LocalFrequencies",
-    "MassDistribution",
-    "NumericalError",
-    "Polytropic",
-    "PressureDensityDistribution",
-    "QuadCheck",
-    "SLProblem",
-    "ScaledSystem",
-    "ScalingParams",
-    "SpectrumPrediction",
-    "TailClass",
-    "TailEnvelope",
-    "TransformCheck",
-    "ValidationError",
-    "WKBFit",
-    "assemble_jacobi",
-    "band_report",
-    "band_structure",
-    "build_mass_distribution",
-    "build_pd_distribution",
-    "build_scaled_system",
-    "build_two_periodic",
-    "canonical_derivative_exponents",
-    "check_admissibility",
-    "classify_sl_case",
-    "classify_tail",
-    "construct_dsp",
-    "coupling_constant",
-    "coupling_values",
-    "delta_r_from_X",
-    "delta_r_growth",
-    "delta_r_log",
-    "detect_edge_eigenvalues",
-    "diag_transform",
-    "edge_quadratic",
-    "eigenvalues_bisect",
-    "eigenvalues_tridiagonal",
-    "eigenvectors_inverse_iteration",
-    "extend_trace_asymptotic",
-    "gamma_profile",
-    "gershgorin_interval",
-    "hse_residual_array",
-    "integrate_canonical",
-    "jost_verify",
-    "l2_growth",
-    "liouville",
-    "local_frequencies",
-    "predict_spectrum",
-    "profile_constant",
-    "q0_fd",
-    "rayleigh_quotients",
-    "regularity_check",
-    "scaling_params",
-    "similarity_check",
-    "sl_coefficients",
-    "spectrum_fill_report",
-    "sturm_counts",
-    "theorem_model",
-    "trace_regularity",
-    "truncation_eigenvalues",
-    "wkb_fit",
-    "__version__",
-]
+# every name imported above is public; the submodules stay reachable as
+# attributes but are not part of the star-import
+__all__ = ["__version__", *sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType))]

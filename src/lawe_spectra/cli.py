@@ -39,6 +39,10 @@ _NUM = (_is_number, "a finite number")
 _POS = (lambda v: _is_number(v) and v > 0, "a positive finite number")
 _INT = (lambda v: type(v) is int, "an integer")
 _POS_INT = (lambda v: type(v) is int and v > 0, "a positive integer")
+# sizes and counts carry an upper bound as a third entry: far beyond it a
+# job would exhaust memory or run for hours instead of failing
+_SIZE = (*_INT, 10**6)
+_COUNT = (*_POS_INT, 10**4)
 _NUMS = (lambda v: isinstance(v, list) and all(map(_is_number, v)),
          "a list of finite numbers")
 _BOOL = (lambda v: isinstance(v, bool), "true or false")
@@ -56,7 +60,7 @@ _SHELL_EOS = {"profile": (_STR, "geometric"), "Gamma": (_NUM, 2.0), "c": (_NUM, 
 _SCHEMA = {
     "model": {"eta": (_NUM, 0.5), "gamma": (_NUM, 2.0), "M_star": (_NUM, 1.0),
               "R_star": (_NUM, 1.0), "G": (_NUM, 1.0), "zeta": (_NUM, 0.0),
-              "N": (_INT, None)},
+              "N": (_SIZE, None)},
     "eos": {
         "limit": _SHELL_EOS,
         "hse": _SHELL_EOS,
@@ -70,10 +74,10 @@ _SCHEMA = {
     "analysis": {
         # a null n_trunc, i_start, i_min, n_instances or lambdas takes the
         # subcommand's own default; see the handlers
-        "subcommand": (_STR, None), "lambdas": (_NUMS, None), "n_trunc": (_INT, None),
-        "i_start": (_INT, None), "i_min": (_INT, None), "pad": (_NUM, 0.05),
+        "subcommand": (_STR, None), "lambdas": (_NUMS, None), "n_trunc": (_SIZE, None),
+        "i_start": (_SIZE, None), "i_min": (_INT, None), "pad": (_NUM, 0.05),
         "seed": (_INT, 0), "threads": (_POS_INT, None), "rational": (_BOOL, False),
-        "n_instances": (_POS_INT, None), "x_max": (_POS, 2000.0), "rtol": (_POS, 1e-10),
+        "n_instances": (_COUNT, None), "x_max": (_POS, 2000.0), "rtol": (_POS, 1e-10),
         "alpha": (_NUM, 0.8), "p": (_NUM, 0.5), "spacing": (_NUM, 5.0), "b": (_NUM, None),
         "binding": (_STR, "attractive"),
         # ppmodes: window is the width of the search below the edge
@@ -93,12 +97,15 @@ def _check_block(block, specs, where, label):
     extra = sorted(set(block) - set(specs))
     if extra:
         raise ValidationError(f"unknown key(s) {extra} in {label} block")
-    for key, ((test, noun), default) in specs.items():
+    for key, ((test, noun, *hi), default) in specs.items():
+        v = block.get(key)
         if key not in block:
             if default is ...:
                 raise ValidationError(f"{where}.{key} is required in {label}")
-        elif not (test(block[key]) or (block[key] is None and default is None)):
-            raise ValidationError(f"{where}.{key} must be {noun}, got {block[key]!r}")
+        elif not (test(v) or (v is None and default is None)):
+            raise ValidationError(f"{where}.{key} must be {noun}, got {v!r}")
+        elif hi and v is not None and v > hi[0]:
+            raise ValidationError(f"{where}.{key} must be at most {hi[0]}, got {v!r}")
 
 
 def load_config(path):
@@ -258,7 +265,7 @@ def _refuse_graded(op):
     scale[:-1] += np.abs(op.offdiag)
     scale[1:] += np.abs(op.offdiag)
     glo, ghi = spectra.gershgorin_interval(op.diag, op.offdiag)
-    tol = spectra.DEFAULT_RTOL * (ghi - glo)
+    tol = spectra.default_tol(glo, ghi)
     if tol > 1e-6 * np.min(scale):
         raise ValidationError(
             f"the section is graded: row scales run from {np.min(scale):.3e} to "

@@ -13,11 +13,15 @@ equations of state here everything is closed form: the depth variable
 is a power of X, Q decays like a power of D, and the surface sits at
 X = infinity whenever sqrt(w/p) is not integrable (ab - a >= 2).
 
-Two equations of state are supported: a polytrope P = K*rho**b, and a
-two-term law P = T*rho + L with T = K0*D**(ab-a) (perfect-gas part
-with temperature vanishing at the surface) and L = L0*D**c (radiative
-part).  Both give p = C_p*D**ab*x**4 for a constant C_p, so they share
-the transform; only q differs.
+Both supported equations of state make P and q/x**3 sums of powers of
+D, so one type, :class:`SurfaceLayer`, holds either as (coefficient,
+power) pairs and derives every coefficient function from them.  Two
+constructors write the pairs: :func:`Polytropic` for P = K*rho**b, and
+:func:`LinearThermal` for the two-term law P = T*rho + L with
+T = K0*D**(ab-a) (perfect-gas part with temperature vanishing at the
+surface) and L = L0*D**c (radiative part).  Both give
+p = C_p*D**ab*x**4 for a constant C_p, so they share the transform;
+only q differs.
 """
 
 from __future__ import annotations
@@ -42,33 +46,46 @@ def edge_quadratic(u, a, b):
     return 32.0 - 32.0 * (2.0 + ab) * u + c2 * u * u
 
 
+def _depth_sum(terms, D, k=0):
+    """k-th D-derivative of sum(cf * D**pw) over (cf, pw) pairs.
+
+    Terms are added left to right starting from 0; the derivative
+    factors multiply the coefficient one at a time, cf*pw*(pw-1)*...
+    """
+    total = 0
+    for cf, pw in terms:
+        for j in range(k):
+            cf = cf * (pw - j)
+        total = total + cf * D ** (pw - k)
+    return total
+
+
 @dataclass(frozen=True)
-class Polytropic:
-    """Polytropic surface layer: P = K*rho**b, rho = (R_star - x)**a.
+class SurfaceLayer:
+    """Surface layer whose pressure is a sum of powers of the depth.
 
-    The adiabatic exponent is the constant b.  Defined on
-    [R_delta, R_star); R_delta defaults to R_star/2.
-
-    Attributes
-    ----------
-    a, b, K : float
-        Density exponent, pressure exponent, pressure constant.
-    R_star, R_delta : float
-        Surface radius and inner edge of the layer.
+    With D = R_star - x, the density is rho = D**a, the pressure is
+    P = sum(cf * D**pw) over ``P_terms`` and q/x**3 = sum(cf * D**pw)
+    over ``q_terms``; the first pressure term is the adiabatic one, so
+    Gamma*P = C_p*D**ab with C_p = ``pressure_coeff``.  ``c`` is the
+    power of the second pressure source, None for a polytrope.  Build
+    layers with :func:`Polytropic` or :func:`LinearThermal`, which
+    write each coefficient once.  Defined on [R_delta, R_star);
+    R_delta defaults to R_star/2.
     """
 
     a: float
     b: float
-    K: float = 1.0
+    c: float | None
+    pressure_coeff: float
+    P_terms: tuple
+    q_terms: tuple
     R_star: float = 1.0
     R_delta: float = None
 
     def __post_init__(self):
         if self.R_delta is None:
             object.__setattr__(self, "R_delta", 0.5 * self.R_star)
-        if not (self.K > 0 and self.a > 0 and self.b > 1):
-            raise ValidationError(
-                f"need K > 0, a > 0, b > 1, got K={self.K!r} a={self.a!r} b={self.b!r}")
         if not (0.0 < self.R_delta < self.R_star):
             raise ValidationError(
                 f"need 0 < R_delta < R_star, got {self.R_delta!r}, {self.R_star!r}")
@@ -76,11 +93,6 @@ class Polytropic:
     @property
     def ab(self):
         return self.a * self.b
-
-    @property
-    def pressure_coeff(self):
-        """C_p in p(x) = C_p*(R_star - x)**ab * x**4."""
-        return self.b * self.K
 
     def depth(self, x):
         x = np.asarray(x, dtype=float)
@@ -92,115 +104,67 @@ class Polytropic:
         return self.depth(x) ** self.a
 
     def P(self, x):
-        return self.K * self.depth(x) ** self.ab
+        return _depth_sum(self.P_terms, self.depth(x))
 
     def gamma_P(self, x):
-        return self.b * self.P(x)
+        # a polytrope has Gamma = b; the two-term law's Gamma*P is its gas term
+        gas = _depth_sum(self.P_terms[:1], self.depth(x))
+        return self.b * gas if self.c is None else gas
 
     def q_over_x3(self, x):
-        # q = -x^3 [(3b-4)P]' = +x^3 K ab (3b-4) D^(ab-1)
-        return self.K * self.ab * (3.0 * self.b - 4.0) * self.depth(x) ** (self.ab - 1.0)
+        return _depth_sum(self.q_terms, self.depth(x))
 
     def hse_residual(self, x, G=1.0):
         """dP/dx + G*rho/x^2, the local hydrostatic defect."""
         x = np.asarray(x, dtype=float)
-        return -self.K * self.ab * self.depth(x) ** (self.ab - 1.0) + G * self.rho(x) / x**2
+        return -_depth_sum(self.P_terms, self.depth(x), 1) + G * self.rho(x) / x**2
+
+    def p(self, x):
+        return self.gamma_P(x) * np.asarray(x, dtype=float) ** 4
+
+    def q(self, x):
+        return np.asarray(x, dtype=float) ** 3 * self.q_over_x3(x)
+
+    def w(self, x):
+        return self.rho(x) * np.asarray(x, dtype=float) ** 4
+
+    def W(self, x):
+        """sqrt(w/p) = D**(a-ab)/2 / sqrt(C_p); the Liouville density."""
+        return self.depth(x) ** (0.5 * (self.a - self.ab)) / math.sqrt(self.pressure_coeff)
 
 
-@dataclass(frozen=True)
-class LinearThermal:
+def Polytropic(a, b, K=1.0, R_star=1.0, R_delta=None):
+    """Polytropic surface layer: P = K*rho**b, rho = (R_star - x)**a.
+
+    The adiabatic exponent is the constant b, so C_p = b*K, and
+    q = -x^3 [(3b-4)P]' = x^3 K ab (3b-4) D^(ab-1).
+    """
+    if not (K > 0 and a > 0 and b > 1):
+        raise ValidationError(f"need K > 0, a > 0, b > 1, got K={K!r} a={a!r} b={b!r}")
+    ab = a * b
+    return SurfaceLayer(a=a, b=b, c=None, pressure_coeff=b * K, P_terms=((K, ab),),
+                        q_terms=((K * ab * (3.0 * b - 4.0), ab - 1.0),),
+                        R_star=R_star, R_delta=R_delta)
+
+
+def LinearThermal(a, b, c, K0=1.0, L0=1.0, R_star=1.0, R_delta=None):
     """Two-term surface layer: P = T(x)*rho + L(x).
 
     T = K0*(R_star - x)**(ab - a) plays the role of temperature and
     L = L0*(R_star - x)**c of a second pressure source; the density is
     rho = (R_star - x)**a.  The adiabatic part of the pressure is the
     gas term, Gamma*P = T*rho = K0*D**ab, so p matches the polytropic
-    shape with C_p = K0.
+    shape with C_p = K0, and q = -x^3 [3*T*rho - 4*P]'
+    = -x^3 [ab K0 D^(ab-1) + 4 c L0 D^(c-1)].
     """
-
-    a: float
-    b: float
-    c: float
-    K0: float = 1.0
-    L0: float = 1.0
-    R_star: float = 1.0
-    R_delta: float = None
-
-    def __post_init__(self):
-        if self.R_delta is None:
-            object.__setattr__(self, "R_delta", 0.5 * self.R_star)
-        if not (self.K0 > 0 and self.L0 > 0):
-            raise ValidationError(f"need K0, L0 > 0, got {self.K0!r}, {self.L0!r}")
-        if not (self.a >= 1 and self.b >= 1 and self.c > 0):
-            raise ValidationError(
-                f"need a >= 1, b >= 1, c > 0, got a={self.a!r} b={self.b!r} c={self.c!r}")
-        if not (0.0 < self.R_delta < self.R_star):
-            raise ValidationError(
-                f"need 0 < R_delta < R_star, got {self.R_delta!r}, {self.R_star!r}")
-
-    @property
-    def ab(self):
-        return self.a * self.b
-
-    @property
-    def pressure_coeff(self):
-        return self.K0
-
-    def depth(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x >= self.R_star):
-            raise ValidationError(f"x must stay below the surface R_star={self.R_star}")
-        return self.R_star - x
-
-    def rho(self, x):
-        return self.depth(x) ** self.a
-
-    def P(self, x):
-        D = self.depth(x)
-        return self.K0 * D**self.ab + self.L0 * D**self.c
-
-    def gamma_P(self, x):
-        return self.K0 * self.depth(x) ** self.ab
-
-    def q_over_x3(self, x):
-        # q = -x^3 [3*T*rho - 4*P]' = -x^3 [K0 D^ab + 4 L0 D^c]' flipped once more
-        D = self.depth(x)
-        return -(self.ab * self.K0 * D ** (self.ab - 1.0)
-                 + 4.0 * self.c * self.L0 * D ** (self.c - 1.0))
-
-    def hse_residual(self, x, G=1.0):
-        """dP/dx + G*rho/x^2, the local hydrostatic defect."""
-        x = np.asarray(x, dtype=float)
-        D = self.depth(x)
-        dP = -(self.ab * self.K0 * D ** (self.ab - 1.0)
-               + self.c * self.L0 * D ** (self.c - 1.0))
-        return dP + G * self.rho(x) / x**2
-
-
-@dataclass(frozen=True)
-class SLProblem:
-    """Coefficient functions of the Sturm-Liouville form."""
-
-    eos: object
-
-    def p(self, x):
-        return self.eos.gamma_P(x) * np.asarray(x, dtype=float) ** 4
-
-    def q(self, x):
-        return np.asarray(x, dtype=float) ** 3 * self.eos.q_over_x3(x)
-
-    def w(self, x):
-        return self.eos.rho(x) * np.asarray(x, dtype=float) ** 4
-
-    def W(self, x):
-        """sqrt(w/p) = D**(a-ab)/2 / sqrt(C_p); the Liouville density."""
-        return self.eos.depth(x) ** (0.5 * (self.eos.a - self.eos.ab)) \
-            / math.sqrt(self.eos.pressure_coeff)
-
-
-def sl_coefficients(eos):
-    """Closed-form SL coefficients for a power-law equation of state."""
-    return SLProblem(eos=eos)
+    if not (K0 > 0 and L0 > 0):
+        raise ValidationError(f"need K0, L0 > 0, got {K0!r}, {L0!r}")
+    if not (a >= 1 and b >= 1 and c > 0):
+        raise ValidationError(f"need a >= 1, b >= 1, c > 0, got a={a!r} b={b!r} c={c!r}")
+    ab = a * b
+    return SurfaceLayer(a=a, b=b, c=c, pressure_coeff=K0, P_terms=((K0, ab), (L0, c)),
+                        q_terms=((-(ab * K0), ab - 1.0), (-(4.0 * c * L0), c - 1.0)),
+                        R_star=R_star, R_delta=R_delta)
 
 
 @dataclass(frozen=True)
@@ -262,30 +226,29 @@ class CanonicalForm:
         return self.eos.q_over_x3(x) / (self.eos.rho(x) * np.asarray(x, dtype=float))
 
     def _q1_terms(self):
-        """q1 = -u(D)/x with u a sum of depth powers; returns (coeff, power)."""
+        """q1 = q/w = -u(D)/x with u a sum of depth powers; returns (coeff, power).
+
+        Each term of q/x^3 loses a in depth power; the power is formed
+        from the pressure term it came from, (pw - a) - 1.
+        """
         eos = self.eos
-        if isinstance(eos, Polytropic):
-            return ((-eos.K * eos.ab * (3.0 * eos.b - 4.0), eos.ab - eos.a - 1.0),)
-        return ((eos.ab * eos.K0, eos.ab - eos.a - 1.0),
-                (4.0 * eos.c * eos.L0, eos.c - eos.a - 1.0))
+        return tuple((-cf, pw - eos.a - 1.0)
+                     for (cf, _), (_, pw) in zip(eos.q_terms, eos.P_terms))
 
     def q1_prime(self, x):
         """Closed-form dq1/dx; nested differences lose the signal when
         the second canonical derivative is needed at depths ~ 1e-8."""
         x = np.asarray(x, dtype=float)
         D = self.eos.depth(x)
-        u = sum(cf * D**pw for cf, pw in self._q1_terms())
-        up = sum(cf * pw * D ** (pw - 1.0) for cf, pw in self._q1_terms())
-        return up / x + u / x**2
+        terms = self._q1_terms()
+        return _depth_sum(terms, D, 1) / x + _depth_sum(terms, D) / x**2
 
     def q1_second(self, x):
         x = np.asarray(x, dtype=float)
         D = self.eos.depth(x)
         terms = self._q1_terms()
-        u = sum(cf * D**pw for cf, pw in terms)
-        up = sum(cf * pw * D ** (pw - 1.0) for cf, pw in terms)
-        upp = sum(cf * pw * (pw - 1.0) * D ** (pw - 2.0) for cf, pw in terms)
-        return -upp / x - 2.0 * up / x**2 - 2.0 * u / x**3
+        return (-_depth_sum(terms, D, 2) / x - 2.0 * _depth_sum(terms, D, 1) / x**2
+                - 2.0 * _depth_sum(terms, D) / x**3)
 
     def q2_prime(self, x):
         x = np.asarray(x, dtype=float)
@@ -303,17 +266,17 @@ class CanonicalForm:
 
     def Q1_prime_X(self, x):
         """dQ1/dX at x: q1'(x)/W(x)."""
-        return self.q1_prime(x) / sl_coefficients(self.eos).W(x)
+        return self.q1_prime(x) / self.eos.W(x)
 
     def Q1_second_X(self, x):
         """d^2 Q1/dX^2 at x: (q1'' + s q1'/D)/W^2 with W ~ D^s."""
         D = self.eos.depth(x)
-        W = sl_coefficients(self.eos).W(x)
+        W = self.eos.W(x)
         return (self.q1_second(x) + self.s * self.q1_prime(x) / D) / W**2
 
     def Q2_prime_X(self, x):
         """dQ2/dX at x: q2'(x)/W(x)."""
-        return self.q2_prime(x) / sl_coefficients(self.eos).W(x)
+        return self.q2_prime(x) / self.eos.W(x)
 
     def q2(self, x):
         x = np.asarray(x, dtype=float)
@@ -343,19 +306,18 @@ def q0_fd(form, x, h=None, levels=4):
     routes is the transform-consistency check.
     """
     eos = form.eos
-    sl = sl_coefficients(eos)
     D = float(eos.depth(x))
     if h is None:
         h = min(0.05 * D, 0.01 * (eos.R_star - eos.R_delta))
 
     def f(t):
-        return (sl.p(t) * sl.w(t)) ** 0.25
+        return (eos.p(t) * eos.w(t)) ** 0.25
 
     def g(t):
-        return np.sqrt(sl.p(t) / sl.w(t)) * _richardson(f, t, h * 0.5, levels)
+        return np.sqrt(eos.p(t) / eos.w(t)) * _richardson(f, t, h * 0.5, levels)
 
     inner = _richardson(g, x, h, levels)
-    return float(sl.q(x) / sl.w(x) - (sl.p(x) / sl.w(x) ** 3) ** 0.25 * inner)
+    return float(eos.q(x) / eos.w(x) - (eos.p(x) / eos.w(x) ** 3) ** 0.25 * inner)
 
 
 def _richardson(fn, x, h, levels):
@@ -440,11 +402,10 @@ def classify_sl_case(eos):
     dominates, which fails when its coefficient c-a-1 vanishes.
     """
     form = liouville(eos)
-    sl = sl_coefficients(eos)
     a, ab = eos.a, eos.ab
     g = ab - a
 
-    if isinstance(eos, Polytropic):
+    if eos.c is None:
         if g <= 1.0:
             return CaseReport(route="outside_scope", applies=False, checks=(),
                               notes=f"a(b-1) = {g} <= 1 excluded")
@@ -453,7 +414,7 @@ def classify_sl_case(eos):
             # q0 is integrable in dx (exponent g-2 > -1) but not in dX
             checks = (
                 _slope_check("q0", form.q0, eos, g - 2.0),
-                _slope_check("q0*W", lambda x: form.q0(x) * sl.W(x),
+                _slope_check("q0*W", lambda x: form.q0(x) * eos.W(x),
                              eos, 0.5 * g - 2.0),
             )
             return CaseReport(route="finite_interval", applies=False, checks=checks,
@@ -461,12 +422,12 @@ def classify_sl_case(eos):
                                     "potential inverse-square at the finite end")
         if g == 2.0:
             k = -eos.pressure_coeff * edge_quadratic(1.0, eos.a, eos.b) / 16.0
-            chk = _slope_check("(q0-k)*W", lambda x: (form.q0(x) - k) * sl.W(x),
+            chk = _slope_check("(q0-k)*W", lambda x: (form.q0(x) - k) * eos.W(x),
                                eos, 0.0)
             return CaseReport(route="integrable_shifted_potential", applies=True,
                               checks=(chk,), notes=f"k = {k!r}")
         exp_qw = 0.5 * g - 2.0
-        chk = _slope_check("q0*W", lambda x: form.q0(x) * sl.W(x), eos, exp_qw)
+        chk = _slope_check("q0*W", lambda x: form.q0(x) * eos.W(x), eos, exp_qw)
         notes = "boundary: q0*W tends to a constant" if exp_qw == 0.0 else ""
         return CaseReport(route="integrable_canonical_potential", applies=True,
                           checks=(chk,), notes=notes)
@@ -480,7 +441,7 @@ def classify_sl_case(eos):
     if c > a + 1.0:
         e_qw = e_q0 - 0.5 * g
         if e_qw > -1.0:
-            chk = _slope_check("q0*W", lambda x: form.q0(x) * sl.W(x), eos, e_qw)
+            chk = _slope_check("q0*W", lambda x: form.q0(x) * eos.W(x), eos, e_qw)
             return CaseReport(route="integrable_canonical_potential",
                               applies=in_scope, checks=(chk,))
         chk = _slope_check("q0", form.q0, eos, e_q0)
@@ -491,7 +452,7 @@ def classify_sl_case(eos):
 
     # c <= a+1: Q1 tends to -infinity (strict) or a negative constant
     # (c = a+1); the four WKB quadrature conditions
-    W = sl.W
+    W = eos.W
     lam = 1.0
     q1 = form.q1
     e1p, e1pp, _ = canonical_derivative_exponents(eos)
@@ -578,8 +539,7 @@ def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10, seed=(0.0, 1.0),
         raise NumericalError(
             f"canonical integration failed near X = {where}: {sol.message}")
     x = form.x_of_X(grid)
-    sl = sl_coefficients(form.eos)
-    y = sol.y[0] / (sl.p(x) * sl.w(x)) ** 0.25
+    y = sol.y[0] / (form.eos.p(x) * form.eos.w(x)) ** 0.25
     return CanonicalTrace(lam=float(lam), X_grid=grid, Y=sol.y[0],
                           Y_prime=sol.y[1], x_grid=x, y=y, delta_r=x * y)
 
@@ -606,12 +566,11 @@ class TailEnvelope:
 
 def _envelope_fields(eos, amp_Y, amp_Yp, x, D):
     """Envelope bounds on y, y', delta_r and Gamma*P*(3y + x*y')."""
-    sl = sl_coefficients(eos)
-    pw4 = (sl.p(x) * sl.w(x)) ** 0.25
+    pw4 = (eos.p(x) * eos.w(x)) ** 0.25
     env_y = amp_Y / pw4
     # y' = Y'*W/(pw)^(1/4) + Y*((pw)^(-1/4))'; both terms kept
     dpw4 = _pw_quarter_log_deriv(eos, x, D)
-    env_yp = amp_Yp * sl.W(x) / pw4 + amp_Y * np.abs(dpw4) / pw4
+    env_yp = amp_Yp * eos.W(x) / pw4 + amp_Y * np.abs(dpw4) / pw4
     env_R = eos.gamma_P(x) * (3.0 * env_y + x * env_yp)
     return env_y, env_yp, x * env_y, env_R
 
@@ -782,12 +741,10 @@ def trace_regularity(trace, eos):
     y' carries two terms, Y'*W/(pw)**(1/4) and Y*((pw)**(-1/4))'; both
     are closed form for the power-law coefficients.
     """
-    form = liouville(eos)
-    sl = sl_coefficients(eos)
     x = trace.x_grid
     D = eos.depth(x)
-    pw4 = (sl.p(x) * sl.w(x)) ** 0.25
-    yp = trace.Y_prime * sl.W(x) / pw4 \
+    pw4 = (eos.p(x) * eos.w(x)) ** 0.25
+    yp = trace.Y_prime * eos.W(x) / pw4 \
         + trace.Y * _pw_quarter_log_deriv(eos, x, D) / pw4
     return eos.gamma_P(x) * (3.0 * trace.y + x * yp)
 
@@ -805,10 +762,7 @@ def regularity_check(trace, eos, envelope=None):
     lower bound for the polytropic layer (3/4 for the two-term layer
     with a weak second source).
     """
-    if isinstance(eos, CanonicalForm):
-        form, eos = eos, eos.eos
-    else:
-        form = liouville(eos)
+    form = liouville(eos)
     if trace.X_grid.size < 200:
         raise ValidationError("trace too short for a tail fit")
     if envelope is None:
@@ -830,10 +784,8 @@ def regularity_check(trace, eos, envelope=None):
     order = np.argsort(D[dec])
     monotone = bool(np.all(np.diff(R[dec][order]) >= 0.0))
     analytic = (eos.ab + eos.a) / 4.0
-    if isinstance(eos, Polytropic):
-        bound = (eos.a + 1.0) / 2.0
-    else:
-        bound = 0.75 if eos.c <= eos.a + 1.0 else (eos.a + 1.0) / 2.0
+    weak_source = eos.c is not None and eos.c <= eos.a + 1.0
+    bound = 0.75 if weak_source else (eos.a + 1.0) / 2.0
     return DecayReport(fitted_power=float(coef[0]), analytic_power=float(analytic),
                        lower_bound=float(bound), monotone=monotone,
                        R_last=float(R[np.argmin(D)]), envelope_ratio=ratio)

@@ -183,6 +183,14 @@ PROBES = {
                         "unknown key(s) ['formats'] in output block"),
     "output-is-a-file": ("transform-check", {"output": {"directory": THIS_CONFIG}}, [],
                          "output.directory"),
+    "n_trunc-huge": ("spectrum", {"analysis": {"n_trunc": 10**30}}, [],
+                     "analysis.n_trunc must be at most 1000000, got 10000000000"),
+    "i_start-huge": ("spectrum", {"analysis": {"i_start": 10**7}}, [],
+                     "analysis.i_start must be at most 1000000, got 10000000"),
+    "N-huge": ("spectrum", {"model": {"N": 10**7}}, [],
+               "model.N must be at most 1000000, got 10000000"),
+    "n_instances-huge": ("transform-check", {"analysis": {"n_instances": 10**6}}, [],
+                         "analysis.n_instances must be at most 10000, got 1000000"),
 }
 
 
@@ -260,6 +268,24 @@ def test_spectrum_refuses_graded_section(tmp_path, capsys):
         assert "the section is graded" in err
         assert "run the scaled subcommand" in err
         assert not (out / "eigenvalues.csv").exists()
+
+
+def test_spectrum_certifies_a_nearly_scalar_section(tmp_path, capsys):
+    # every eigenvalue lies within 6.3e-9 of 4.0, so 1e-10 of the span is
+    # below the spacing of doubles there; the tolerance floor keeps the
+    # certificate satisfiable
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", model={"eta": 0.05, "gamma": 3.5345},
+                       eos={"variant": "polytrope"},
+                       analysis={"n_trunc": 188, "i_start": 18},
+                       output={"directory": str(out)})
+    assert cli.run("spectrum", cfg) == 0
+    assert "spectrum: n=188" in capsys.readouterr().out
+    art = json.loads((out / "fill_report.json").read_text())
+    assert art["n_values"] == 188
+    rows = (out / "eigenvalues.csv").read_text().splitlines()[2:]
+    assert len(rows) == 188
+    assert all(abs(float(r) - 4.0) < 1e-8 for r in rows)
 
 
 def test_scaled_overflow_exits_numerical(tmp_path, capsys):

@@ -21,8 +21,7 @@ def thermal_trace():
 
 
 def test_polytropic_profile_closed_forms():
-    eos = slform.Polytropic(2, 3)
-    sl = slform.sl_coefficients(eos)
+    sl = eos = slform.Polytropic(2, 3)
     x = np.array([0.55, 0.7, 0.9])
     D = 1.0 - x
     assert np.allclose(eos.rho(x), D**2, rtol=1e-15)
@@ -33,6 +32,37 @@ def test_polytropic_profile_closed_forms():
     # q = x^3 * K*a*b*(3b-4)*D^(ab-1)
     assert np.allclose(sl.q(x), 30.0 * D**5 * x**3, rtol=1e-14)
     assert np.allclose(sl.W(x), D**-2 / math.sqrt(3.0), rtol=1e-15)
+
+
+def test_linear_thermal_profile_closed_forms():
+    eos = slform.LinearThermal(1, 4, 2.5, K0=2.0, L0=0.5)
+    x = np.array([0.55, 0.7, 0.9])
+    D = 1.0 - x
+    assert np.allclose(eos.rho(x), D, rtol=1e-15)
+    assert np.allclose(eos.P(x), 2.0 * D**4 + 0.5 * D**2.5, rtol=1e-15)
+    assert np.allclose(eos.gamma_P(x), 2.0 * D**4, rtol=1e-15)
+    assert np.allclose(eos.p(x), 2.0 * D**4 * x**4, rtol=1e-15)
+    assert np.allclose(eos.w(x), D * x**4, rtol=1e-15)
+    # q = -x^3 * (ab*K0*D^(ab-1) + 4*c*L0*D^(c-1))
+    assert np.allclose(eos.q(x), -(8.0 * D**3 + 5.0 * D**1.5) * x**3, rtol=1e-14)
+    assert np.allclose(eos.W(x), D**-1.5 / math.sqrt(2.0), rtol=1e-15)
+
+
+@pytest.mark.parametrize("eos", [
+    slform.Polytropic(2, 3), slform.Polytropic(1.5, 2.2, K=0.7, R_delta=0.6),
+    slform.LinearThermal(1, 4, 2.5), slform.LinearThermal(1.3, 3.1, 1.7, K0=0.8, L0=1.9)],
+    ids=["poly", "poly-K", "thermal", "thermal-K0-L0"])
+def test_q_is_minus_x3_derivative_of_3gamma_minus_4_pressure(eos):
+    # q = -x^3 d/dx[(3 Gamma - 4) P], by central differences of the
+    # layer's own P and Gamma*P, with a step relative to the depth
+    x = np.array([0.65, 0.8, 0.95])
+    h = 1e-5 * (eos.R_star - x)
+
+    def f(t):
+        return 3.0 * eos.gamma_P(t) - 4.0 * eos.P(t)
+
+    want = -x**3 * (f(x + h) - f(x - h)) / (2.0 * h)
+    assert np.allclose(eos.q(x), want, rtol=1e-8, atol=0.0)
 
 
 def test_profile_validation():
@@ -203,9 +233,8 @@ ROUTE_CASES = [
 
 
 @pytest.mark.parametrize("eos,route,applies", ROUTE_CASES,
-                         ids=[f"{type(e).__name__[:4]}-{e.a}-{e.b}" +
-                              (f"-{e.c}" if hasattr(e, "c") else "")
-                              for e, _, _ in ROUTE_CASES])
+                         ids=[f"Poly-{e.a}-{e.b}" if e.c is None
+                              else f"Line-{e.a}-{e.b}-{e.c}" for e, _, _ in ROUTE_CASES])
 def test_classification_route(eos, route, applies):
     rep = slform.classify_sl_case(eos)
     assert rep.route == route
@@ -275,7 +304,7 @@ def test_trace_fields_consistent(poly24_trace):
     form, tr = poly24_trace
     assert tr.X_max == 600.0
     assert np.all(np.diff(tr.x_grid) > 0)
-    sl = slform.sl_coefficients(form.eos)
+    sl = form.eos
     pw4 = (sl.p(tr.x_grid) * sl.w(tr.x_grid)) ** 0.25
     assert np.array_equal(tr.y, tr.Y / pw4)
     assert np.array_equal(tr.delta_r, tr.x_grid * tr.y)
@@ -383,7 +412,7 @@ def test_zero_solution_has_zero_regularity():
 
 def test_dying_solution_not_flagged_divergent():
     form = slform.liouville(slform.Polytropic(2, 4))
-    sl = slform.sl_coefficients(form.eos)
+    sl = form.eos
     X = np.linspace(0.0, 100.0, 2000)
     xg = form.x_of_X(X)
     Y = np.clip(1.0 - X / 50.0, 0.0, None)

@@ -129,6 +129,23 @@ def test_lapack_route_matches_bisection(case, canonical_op):
         assert vals.size >= 10
 
 
+def test_default_tolerance_floor_on_a_nearly_scalar_section():
+    # a span of 1e-9 around 4 puts 1e-10 of the span far below the
+    # spacing of doubles near 4; both solvers must still finish and agree
+    rng = np.random.default_rng(3)
+    d = 4.0 + 1e-9 * rng.random(120)
+    e = 1e-10 * rng.random(119)
+    glo, ghi = spectra.gershgorin_interval(d, e)
+    tol = spectra.default_tol(glo, ghi)
+    assert spectra.DEFAULT_RTOL * (ghi - glo) < np.spacing(4.0) < tol
+    vals = spectra.eigenvalues_tridiagonal(d, e)
+    ks = np.arange(120)
+    assert np.array_equal(spectra.sturm_counts(d, e * e, vals + tol), ks + 1)
+    assert np.max(np.abs(vals - spectra.eigenvalues_bisect(d, e))) <= tol
+    # a wide section keeps the span-relative tolerance
+    assert spectra.default_tol(-2.0, 2.0) == spectra.DEFAULT_RTOL * 4.0
+
+
 def test_lapack_indices_match_sturm_counts(canonical_op):
     d, e = canonical_op.diag, canonical_op.offdiag
     tol = 1e-9
