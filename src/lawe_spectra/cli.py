@@ -424,6 +424,19 @@ def _run_scaled(eff, outdir, h, threads):
 def _run_sl(eff, outdir, h, threads):
     ana = eff["analysis"]
     eos = _sl_eos(eff)
+    form = slform.CanonicalForm(eos)
+    lambdas = _or(ana["lambdas"], [])
+    if any(lam <= 0.0 for lam in lambdas):
+        raise ValidationError(f"analysis.lambdas must be positive for sl, got {lambdas!r}")
+    # each trace hands over to its surface envelope, which runs down to
+    # ENVELOPE_DEPTH; the growth factor compares the envelope's deepest
+    # decade with the one above, so the trace must end above both
+    depth = 10.0 * slform.ENVELOPE_DEPTH
+    x_top = form.X_at_depth(depth * eos.R_star)
+    if lambdas and ana["x_max"] >= x_top:
+        raise ValidationError(
+            f"analysis.x_max must be below {x_top:.6g} for this layer, where its depth "
+            f"falls to {depth:g} R_star; got {ana['x_max']!r}")
     case = slform.classify_sl_case(eos)
     _write_json(os.path.join(outdir, "sl_case.json"), {
         "route": case.route, "applies": case.applies, "notes": case.notes,
@@ -432,21 +445,25 @@ def _run_sl(eff, outdir, h, threads):
     print(f"sl: route={case.route} applies={case.applies}")
 
     results = []
-    form = slform.CanonicalForm(eos)
-    for k, lam in enumerate(_or(ana["lambdas"], [])):
-        trace = slform.integrate_canonical(form, lam, X_max=ana["x_max"],
-                                           rtol=ana["rtol"])
+    for k, lam in enumerate(lambdas):
+        try:
+            trace = slform.integrate_canonical(form, lam, X_max=ana["x_max"],
+                                               rtol=ana["rtol"])
+        except NumericalError as exc:
+            raise NumericalError(
+                f"sl at lambda {lam!r} with analysis.rtol {ana['rtol']!r}: {exc}") from None
         env = slform.extend_trace_asymptotic(trace, form)
         reg = slform.regularity_check(trace, eos, envelope=env)
         gr = slform.l2_growth(trace, form, envelope=env)
         wkb = slform.wkb_fit(trace, form)
-        zero = np.zeros(trace.X_grid.size)
         _write_csv(os.path.join(outdir, f"trace_{k}.csv"),
-                   ["X", "ReY", "ImY", "ReY_prime", "ImY_prime", "x", "xi", "delta_r"],
-                   [trace.X_grid, trace.Y, zero, trace.Y_prime, zero,
-                    trace.x_grid, trace.y, trace.delta_r], h)
+                   ["X", "Y", "Y_prime", "x", "xi", "delta_r"],
+                   [trace.X_grid, trace.Y, trace.Y_prime, trace.x_grid, trace.y,
+                    trace.delta_r], h)
         results.append({
             "lambda": trace.lam,
+            "propagator": {"method": "magnus4", "substeps": trace.substeps,
+                           "error_estimate": trace.error_estimate},
             "regularity": _fields(reg, "fitted_power analytic_power lower_bound "
                                        "monotone within bound_satisfied"),
             "l2_growth": _fields(gr, "slope r_squared max_growth_factor "

@@ -221,6 +221,11 @@ class CanonicalForm:
             D = Dd * np.exp(np.log1p((-s1 * rt / Dd**s1) * X) / s1)
         return self.eos.R_star - D
 
+    def X_at_depth(self, depth):
+        """X where the depth R_star - x equals ``depth``; inf past the float range."""
+        with np.errstate(over="ignore"):
+            return float(self.X_of_x(self.eos.R_star - depth))
+
     def q1(self, x):
         # q/w with q = x^3 * q_over_x3 and w = rho * x^4
         return self.eos.q_over_x3(x) / (self.eos.rho(x) * np.asarray(x, dtype=float))
@@ -493,7 +498,13 @@ def canonical_derivative_exponents(eos):
 
 @dataclass(frozen=True)
 class CanonicalTrace:
-    """Integrated canonical solution with the recovered physical fields."""
+    """Integrated canonical solution with the recovered physical fields.
+
+    ``substeps`` is the number of Magnus steps per output interval and
+    ``error_estimate`` the step-doubling estimate of the relative error
+    of (Y, Y'); both are None for a trace not made by
+    :func:`integrate_canonical`.
+    """
 
     lam: float
     X_grid: np.ndarray = field(repr=False)
@@ -502,46 +513,146 @@ class CanonicalTrace:
     x_grid: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     delta_r: np.ndarray = field(repr=False)
+    substeps: int = None
+    error_estimate: float = None
 
     @property
     def X_max(self):
         return float(self.X_grid[-1])
 
 
+#: offset of the two Gauss nodes from the middle of a step, in steps
+_GAUSS = math.sqrt(3.0) / 6.0
+#: most Magnus steps whose matrices are held at once
+_BLOCK = 8192
+
+
+def _mul(A, B):
+    """A @ B for stacks of 2x2 matrices stored as rows (a, b, c, d).
+
+    Written out element by element, so the result does not depend on
+    how a BLAS library orders its sums.
+    """
+    a, b, c, d = A
+    e, f, g, h = B
+    return np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
+
+
+def _prefix_products(T):
+    """P_k = T_k ... T_1 for a (4, n) stack of 2x2 matrices.
+
+    A Hillis-Steele scan: after the pass with stride d, column k holds
+    the product of the up to 2d matrices ending at k.
+    """
+    P, d = T, 1
+    while d < P.shape[1]:
+        P = np.concatenate([P[:, :d], _mul(P[:, d:], P[:, :-d])], axis=1)
+        d *= 2
+    return P
+
+
+def _magnus_steps(form, lam, h, first, n):
+    """exp(Omega) of the fourth-order Magnus steps first .. first+n-1 of size h.
+
+    Omega = [[delta, h], [h*fbar, -delta]] from f = Q - lam at the two
+    Gauss nodes of each step; it is traceless, so exp(Omega) = C*I +
+    S*Omega with C, S the cosh and sinh/kappa (or cos and sin/kappa) of
+    kappa = sqrt|delta**2 + h**2*fbar|.  Returns the matrices and the
+    largest kappa.
+    """
+    mid = h * (first + np.arange(n) + 0.5)
+    f = form.Q(np.concatenate([mid - _GAUSS * h, mid + _GAUSS * h])) - lam
+    fbar = 0.5 * (f[:n] + f[n:])
+    delta = (math.sqrt(3.0) / 12.0 * h * h) * (f[:n] - f[n:])
+    k2 = delta * delta + (h * h) * fbar
+    kappa = np.sqrt(np.abs(k2))
+    grow = k2 > 0.0
+    C, S = np.cos(kappa), np.sin(kappa)
+    with np.errstate(over="ignore"):
+        C[grow], S[grow] = np.cosh(kappa[grow]), np.sinh(kappa[grow])
+    S = np.divide(S, kappa, out=np.ones_like(kappa), where=kappa > 0.0)
+    T = np.stack([C + S * delta, S * h, S * (h * fbar), C - S * delta])
+    return T, float(np.max(kappa))
+
+
+def _propagate(form, lam, seed, H, n_int, m):
+    """(Y, Y') on the grid k*H, k = 0..n_int, with m Magnus steps per
+    interval, and the largest kappa of those steps."""
+    h = H / m
+    per_block = max(1, _BLOCK // m)
+    M, turn = [], 0.0
+    for i0 in range(0, n_int, per_block):
+        nb = min(per_block, n_int - i0)
+        T, k = _magnus_steps(form, lam, h, i0 * m, nb * m)
+        turn = max(turn, k)
+        T = T.reshape(4, nb, m)
+        while T.shape[2] > 1:   # pairwise tree over each interval's steps
+            T = _mul(T[:, :, 1::2], T[:, :, 0::2])
+        M.append(T[:, :, 0])
+    a, b, c, d = _prefix_products(np.concatenate(M, axis=1))
+    y0, y1 = seed
+    return (np.concatenate([[y0], a * y0 + b * y1]),
+            np.concatenate([[y1], c * y0 + d * y1])), turn
+
+
+def _doubling_estimate(coarse, fine):
+    """max over Y, Y' of |coarse - fine|_inf / |fine|_inf, over 15 (order 4)."""
+    est = 0.0
+    for u, v in zip(coarse, fine):
+        scale = np.max(np.abs(v))
+        diff = np.max(np.abs(u - v))
+        est = max(est, diff / scale if scale > 0.0 else diff)
+    return est / 15.0
+
+
 def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10, seed=(0.0, 1.0),
                         points_per_wave=24):
     """Integrate -Y'' + Q Y = lam Y over [0, X_max] from seed (Y, Y')(0).
 
-    High-order adaptive stepping; the output grid resolves the local
-    wavelength sqrt(lam).  The physical displacement is recovered on
-    the same grid through y = Y/(pw)**(1/4), delta_r = x*y.
+    Fourth-order Magnus propagator with two Gauss nodes per step
+    (Iserles & Norsett 1999): each interval of the output grid, which
+    resolves the wavelength 2*pi/sqrt(lam), takes m = 4, 8, 16, ...
+    equal steps, and m doubles until the step-doubling estimate of the
+    relative error of (Y, Y') is at most ``rtol``.  The step size does
+    not shrink with the local frequency.  Once every step turns the
+    solution by at most pi, a doubling that cuts the estimate less than
+    fourfold means roundoff has the upper hand, and raises
+    NumericalError.  The physical displacement is recovered on the same
+    grid through y = Y/(pw)**(1/4), delta_r = x*y.
     """
-    # imported here so that runs which never integrate skip loading scipy.integrate
-    from scipy.integrate import solve_ivp
-
     if lam <= 0.0:
         raise ValidationError(f"lam must be positive, got {lam!r}")
     if X_max >= form.X_surface:
         raise ValidationError(
             f"X_max = {X_max} reaches past the finite image "
             f"[0, {form.X_surface}) of this bounded transform")
-    Q = form.Q
-
-    def rhs(X, z):
-        return (z[1], (Q(X) - lam) * z[0])
-
     n_out = max(1000, int(points_per_wave * X_max * math.sqrt(lam) / (2.0 * math.pi)))
     grid = np.linspace(0.0, X_max, n_out)
-    sol = solve_ivp(rhs, (0.0, X_max), np.asarray(seed, dtype=float),
-                    method="DOP853", t_eval=grid, rtol=rtol, atol=rtol * 1e-2)
-    if not sol.success:
-        where = float(sol.t[-1]) if sol.t.size else 0.0
-        raise NumericalError(
-            f"canonical integration failed near X = {where}: {sol.message}")
+    H = X_max / (n_out - 1)
+    m, prev_est, prev_turn = 4, math.inf, math.inf
+    coarse, turn = _propagate(form, lam, seed, H, n_out - 1, m)
+    while True:
+        fine, fine_turn = _propagate(form, lam, seed, H, n_out - 1, 2 * m)
+        est = _doubling_estimate(coarse, fine)
+        if not math.isfinite(est):
+            raise NumericalError(
+                f"the canonical solution is not finite with {2 * m} Magnus "
+                f"steps per output interval of {H!r}")
+        if est <= rtol:
+            break
+        # only steps that turn the solution by less than pi are in the
+        # asymptotic h**4 regime, where a small cut can only be roundoff
+        if est > 0.25 * prev_est and prev_turn <= math.pi:
+            raise NumericalError(
+                f"the Magnus error estimate stalls at {est:.3e} with {2 * m} "
+                f"steps per output interval: roundoff keeps it above rtol")
+        m, prev_est, prev_turn = 2 * m, est, turn
+        coarse, turn = fine, fine_turn
+    Y, Yp = fine
     x = form.x_of_X(grid)
-    y = sol.y[0] / (form.eos.p(x) * form.eos.w(x)) ** 0.25
-    return CanonicalTrace(lam=float(lam), X_grid=grid, Y=sol.y[0],
-                          Y_prime=sol.y[1], x_grid=x, y=y, delta_r=x * y)
+    y = Y / (form.eos.p(x) * form.eos.w(x)) ** 0.25
+    return CanonicalTrace(lam=float(lam), X_grid=grid, Y=Y, Y_prime=Yp, x_grid=x,
+                          y=y, delta_r=x * y, substeps=2 * m, error_estimate=est)
 
 
 @dataclass(frozen=True)
@@ -575,7 +686,11 @@ def _envelope_fields(eos, amp_Y, amp_Yp, x, D):
     return env_y, env_yp, x * env_y, env_R
 
 
-def extend_trace_asymptotic(trace, form, depth_min=1e-8, n=500, tail_frac=0.2):
+#: depth, in units of R_star, down to which a trace is continued by envelopes
+ENVELOPE_DEPTH = 1e-8
+
+
+def extend_trace_asymptotic(trace, form, depth_min=ENVELOPE_DEPTH, n=500, tail_frac=0.2):
     """Extend the trace by envelope bounds down to depth_min*R_star.
 
     The Y and Y' amplitudes are read off the last ``tail_frac`` of the

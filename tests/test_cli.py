@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -191,6 +192,14 @@ PROBES = {
                "model.N must be at most 1000000, got 10000000"),
     "n_instances-huge": ("transform-check", {"analysis": {"n_instances": 10**6}}, [],
                          "analysis.n_instances must be at most 10000, got 1000000"),
+    # on this shifted-potential layer the depth falls like exp(-sqrt(3)*X), so
+    # it reaches 1e-7 R_star, a decade above the envelope's floor, at X = 8.9
+    "x_max-past-envelope": ("sl", {"eos": {"variant": "polytropic", "a": 1, "b": 3},
+                                   "analysis": {"lambdas": [1.0], "x_max": 60}}, [],
+                            "analysis.x_max must be below 8.9056 for this layer"),
+    "lambdas-negative-sl": ("sl", {"eos": {"variant": "polytropic", "a": 2, "b": 4},
+                                   "analysis": {"lambdas": [1.0, -0.5]}}, [],
+                            "analysis.lambdas must be positive for sl"),
 }
 
 
@@ -206,6 +215,9 @@ def test_malformed_config_exits_1(tmp_path, capsys, probe):
     err = capsys.readouterr().err
     assert text in err
     assert "Traceback" not in err
+    # a refused config writes no artifact
+    out = tmp_path / "out"
+    assert not out.is_dir() or not any(out.iterdir())
 
 
 def test_jost_smoke(tmp_path, capsys):
@@ -331,25 +343,54 @@ def test_json_infinity_only_under_sentinels(tmp_path):
     assert not (tmp_path / "b.json").exists()
 
 
+def _sl_config(tmp_path, **analysis):
+    return write_config(tmp_path / "cfg.json",
+                        eos={"variant": "polytropic", "a": 2, "b": 4},
+                        analysis={"lambdas": [1.0], "x_max": 60.0, **analysis},
+                        output={"directory": str(tmp_path / "out")})
+
+
 def test_sl_trace_csv_layout(tmp_path, capsys):
     out = tmp_path / "out"
-    cfg = write_config(tmp_path / "cfg.json",
-                       eos={"variant": "polytropic", "a": 2, "b": 4},
-                       analysis={"lambdas": [1.0], "x_max": 60.0, "rtol": 1e-8},
-                       output={"directory": str(out)})
-    assert cli.run("sl", cfg) == 0
+    assert cli.run("sl", _sl_config(tmp_path, rtol=1e-8)) == 0
     text = capsys.readouterr().out
     assert "sl: route=integrable_canonical_potential applies=True" in text
     assert "diverges=True" in text
     rows = (out / "trace_0.csv").read_text().splitlines()
-    assert rows[1] == "X,ReY,ImY,ReY_prime,ImY_prime,x,xi,delta_r"
+    assert rows[1] == "X,Y,Y_prime,x,xi,delta_r"
     data = np.loadtxt(rows[2:], delimiter=",")
-    assert np.all(data[:, 2] == 0.0) and np.all(data[:, 4] == 0.0)
-    assert np.array_equal(data[:, 7], data[:, 5] * data[:, 6])
+    assert np.array_equal(data[:, 5], data[:, 3] * data[:, 4])
     case = json.loads((out / "sl_case.json").read_text())
     assert case["route"] == "integrable_canonical_potential"
     res = json.loads((out / "sl.json").read_text())
     assert res["traces"][0]["regularity"]["analytic_power"] == 2.5
+    prop = res["traces"][0]["propagator"]
+    assert prop["method"] == "magnus4"
+    assert prop["substeps"] >= 8 and prop["substeps"] & (prop["substeps"] - 1) == 0
+    assert 0.0 < prop["error_estimate"] <= 1e-8
+
+
+def test_sl_artifacts_byte_identical_across_runs(tmp_path, capsys):
+    cfg = _sl_config(tmp_path)
+    blobs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert cli.run("sl", cfg, argv_extra=["--out", str(out)]) == 0
+        blobs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+    assert sorted(blobs[0]) == ["sl.json", "sl_case.json", "trace_0.csv"]
+    assert blobs[0] == blobs[1]
+    capsys.readouterr()
+
+
+def test_sl_unreachable_rtol_exits_numerical(tmp_path, capsys):
+    # roundoff in the products of the step matrices floors the estimate
+    # near 1e-13, so the doubling stalls and the job exits 2 quickly
+    t0 = time.perf_counter()
+    assert cli.run("sl", _sl_config(tmp_path, rtol=1e-15)) == 2
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert "analysis.rtol 1e-15" in err and "stalls" in err
+    assert not (tmp_path / "out" / "sl.json").exists()
 
 
 def test_report_aggregates_artifacts(tmp_path, capsys):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from lawe_spectra import slform
-from lawe_spectra.errors import ValidationError
+from lawe_spectra.errors import NumericalError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +140,22 @@ def test_integration_rejects_bad_window():
         slform.integrate_canonical(form, 1.0, X_max=form.X_surface)
     tr = slform.integrate_canonical(form, 1.0, X_max=0.9 * form.X_surface)
     assert tr.x_grid[-1] < form.eos.R_star
+
+
+def test_depth_floor_maps_back_through_x_of_X():
+    # log branch (s = -1): X = log(Dd/D)/sqrt(C_p), with Dd = 1/2 and C_p = 3;
+    # x = R_star - D keeps D only to about eps/1e-7 relative
+    form = slform.liouville(slform.Polytropic(1, 3))
+    assert form.X_at_depth(1e-7) == pytest.approx(math.log(0.5e7) / math.sqrt(3.0),
+                                                  rel=1e-9)
+    for eos in (slform.Polytropic(2, 4), slform.LinearThermal(1, 4, 1.5),
+                slform.Polytropic(1, 2.5)):
+        form = slform.liouville(eos)
+        X = form.X_at_depth(1e-7)
+        assert X < form.X_surface
+        assert 1.0 - float(form.x_of_X(X)) == pytest.approx(1e-7, rel=1e-6)
+    # a depth power too steep for doubles has no finite image
+    assert slform.liouville(slform.Polytropic(4, 60)).X_at_depth(1e-7) == math.inf
 
 
 def test_edge_quadratic_surface_factorization():
@@ -433,3 +450,85 @@ def test_regularity_needs_a_long_trace():
                                x_grid=form.x_of_X(X), y=one, delta_r=one)
     with pytest.raises(ValidationError, match="trace too short"):
         slform.regularity_check(tr, form.eos)
+
+
+def _oracle(form, lam, grid):
+    """(Y, Y') on ``grid`` from SciPy DOP853 at rtol 1e-13, the independent route."""
+    sol = solve_ivp(lambda X, z: (z[1], (form.Q(X) - lam) * z[0]), (0.0, grid[-1]),
+                    [0.0, 1.0], method="DOP853", t_eval=grid, rtol=1e-13, atol=1e-15)
+    assert sol.success
+    return sol.y
+
+
+def _rel_error(Y, Y_prime, ref):
+    return max(np.max(np.abs(u - v)) / np.max(np.abs(v)) for u, v in zip((Y, Y_prime), ref))
+
+
+# the seven equations of state of the benchmark's surface-ode workload
+_BENCH_LAYERS = {
+    "P(2,4)": slform.Polytropic(2, 4), "P(2,3)": slform.Polytropic(2, 3),
+    "P(1,5)": slform.Polytropic(1, 5), "P(3,2)": slform.Polytropic(3, 2),
+    "LT(1,4,2.5)": slform.LinearThermal(1, 4, 2.5),
+    "LT(2,3,4)": slform.LinearThermal(2, 3, 4), "LT(1,4,1.5)": slform.LinearThermal(1, 4, 1.5),
+}
+
+
+@pytest.mark.parametrize("lam", [0.6, 2.0])
+@pytest.mark.parametrize("name", sorted(_BENCH_LAYERS))
+def test_magnus_agrees_with_dop853(name, lam):
+    form = slform.liouville(_BENCH_LAYERS[name])
+    tr = slform.integrate_canonical(form, lam, X_max=40.0)
+    assert _rel_error(tr.Y, tr.Y_prime, _oracle(form, lam, tr.X_grid)) < 1e-8
+    assert tr.substeps >= 8 and tr.error_estimate <= 1e-10
+
+
+def test_magnus_is_fourth_order():
+    # at a fixed output grid each doubling of the steps per interval
+    # halves h and should cut the error 16-fold
+    form = slform.liouville(slform.Polytropic(2, 4))
+    grid = np.linspace(0.0, 50.0, 1000)
+    ref = _oracle(form, 1.0, grid)
+    errs = [_rel_error(*slform._propagate(form, 1.0, (0.0, 1.0), grid[1], 999, m)[0], ref)
+            for m in (1, 2, 4, 8)]
+    ratios = [e0 / e1 for e0, e1 in zip(errs, errs[1:])]
+    assert all(12.0 <= r <= 20.0 for r in ratios), ratios
+
+
+def test_magnus_error_within_rtol():
+    # Q falls to about -1200 here, so the steps per interval, and with
+    # them the error, follow rtol
+    form = slform.liouville(slform.LinearThermal(1, 4, 1.2))
+    ref = None
+    for rtol in (1e-6, 1e-8, 1e-10):
+        tr = slform.integrate_canonical(form, 1.0, X_max=60.0, rtol=rtol)
+        if ref is None:
+            ref = _oracle(form, 1.0, tr.X_grid)
+        err = _rel_error(tr.Y, tr.Y_prime, ref)
+        assert err <= 10.0 * rtol
+        assert tr.error_estimate <= rtol
+        assert 0.5 <= err / tr.error_estimate <= 2.0
+
+
+def test_magnus_stalls_on_an_unreachable_rtol():
+    form = slform.liouville(slform.Polytropic(2, 4))
+    with pytest.raises(NumericalError, match="roundoff keeps it above rtol"):
+        slform.integrate_canonical(form, 1.0, X_max=60.0, rtol=1e-15)
+
+
+def test_magnus_keeps_doubling_while_steps_are_unresolved():
+    # Q reaches -7500, so at 4-8 steps per interval each step turns the
+    # solution by several radians and the first doublings cut the
+    # estimate by less than 4x; that is not yet roundoff
+    form = slform.liouville(slform.LinearThermal(1, 4, 1.05))
+    tr = slform.integrate_canonical(form, 1.0, X_max=100.0, rtol=1e-10)
+    assert tr.error_estimate <= 1e-10
+
+
+def test_prefix_products_match_sequential_products():
+    rng = np.random.default_rng(3)
+    T = rng.standard_normal((4, 37))
+    P = slform._prefix_products(T)
+    acc = np.eye(2)
+    for k in range(T.shape[1]):
+        acc = T[:, k].reshape(2, 2) @ acc
+        assert np.allclose(P[:, k].reshape(2, 2), acc, rtol=1e-12, atol=1e-12)
