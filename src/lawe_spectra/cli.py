@@ -455,7 +455,11 @@ def _run_sl(eff, outdir, h, threads):
         env = slform.extend_trace_asymptotic(trace, form)
         reg = slform.regularity_check(trace, eos, envelope=env)
         gr = slform.l2_growth(trace, form, envelope=env)
-        wkb = slform.wkb_fit(trace, form)
+        try:
+            wkb = slform.wkb_fit(trace, form)
+        except ValidationError as exc:
+            raise ValidationError(
+                f"sl at lambda {lam!r} with analysis.x_max {ana['x_max']!r}: {exc}") from None
         _write_csv(os.path.join(outdir, f"trace_{k}.csv"),
                    ["X", "Y", "Y_prime", "x", "xi", "delta_r"],
                    [trace.X_grid, trace.Y, trace.Y_prime, trace.x_grid, trace.y,

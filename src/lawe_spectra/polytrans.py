@@ -304,10 +304,6 @@ class GrowthReport:
     shells: np.ndarray = field(repr=False)
     log_abs_y: np.ndarray = field(repr=False)
 
-    @property
-    def solution_rate_error(self):
-        return abs(self.solution_rate - self.theory_solution_rate)
-
 
 def _envelope_fit(shells, log_abs, tail=0.5):
     """Slope of the running peaks of log|Y| over the trailing fraction."""

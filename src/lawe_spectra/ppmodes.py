@@ -82,18 +82,34 @@ class BumpField:
             g[i] = i.astype(float) ** (-self.alpha)
         return g
 
-    def block_of(self, shells, mass):
-        """(block index, mass fraction in block +- 2) for the block
-        holding the largest share; shells and mass are aligned arrays."""
-        best_m, best_frac = 0, 0.0
-        total = float(np.sum(mass))
-        for m in range(1, self.m_max + 1):
-            s, L = self.blocks[m - 1]
-            sel = (shells >= s - 2) & (shells <= s + L + 2)
-            frac = float(np.sum(mass[sel])) / total
-            if frac > best_frac:
-                best_m, best_frac = m, frac
-        return best_m, best_frac
+    def block_of(self, shells, x):
+        """(blocks, fractions): for each mode, the block holding the
+        largest share of its mass x**2, and that share measured over the
+        block widened by two shells.
+
+        ``x`` is one mode or a matrix of modes in columns, with rows
+        aligned to the ascending ``shells``; the results take the shape
+        of ``x.shape[1:]``.  Ties go to the lower block, and a mode with
+        no mass in any block gets block 0 and fraction 0.  Each block
+        sums the squares of its own rows only, so no copy of ``x`` is
+        made.
+        """
+        x = np.asarray(x, dtype=float)
+        cols = x.reshape(x.shape[0], -1)
+        total = np.einsum("ij,ij->j", cols, cols)
+        blocks = np.zeros(cols.shape[1], dtype=int)
+        fractions = np.zeros(cols.shape[1])
+        s, L = np.array(self.blocks).T
+        lo = np.searchsorted(shells, s - 2)
+        hi = np.searchsorted(shells, s + L + 2, side="right")
+        with np.errstate(invalid="ignore"):  # 0/0 for a zero mode never wins
+            for m in range(1, self.m_max + 1):
+                sub = cols[lo[m - 1]:hi[m - 1]]
+                frac = np.einsum("ij,ij->j", sub, sub) / total
+                better = frac > fractions
+                blocks[better] = m
+                fractions[better] = frac[better]
+        return blocks.reshape(x.shape[1:]), fractions.reshape(x.shape[1:])
 
 
 def construct_dsp(alpha=0.8, p=0.5, spacing=5.0, m_max=None, n=None):
@@ -275,16 +291,9 @@ def detect_edge_eigenvalues(op, dsp, *, edge=None, window=None, tol=None,
                          dr_bounded=np.empty(0, bool))
 
     vecs = eigenvectors_inverse_iteration(op.diag, op.offdiag, vals)
-    shells = op.shells
-    blocks = np.empty(vals.size, dtype=int)
-    in_block = np.empty(vals.size)
-    bounded = np.empty(vals.size, dtype=bool)
-    for j in range(vals.size):
-        x = vecs[:, j]
-        m, frac = dsp.block_of(shells, x**2)
-        blocks[j] = m
-        in_block[j] = frac
-        _, bounded[j] = delta_r_from_X(x, op.pd.dist, i_start=op.i_start)
+    blocks, in_block = dsp.block_of(op.shells, vecs)
+    bounded = np.array([delta_r_from_X(vecs[:, j], op.pd.dist, i_start=op.i_start)[1]
+                        for j in range(vals.size)], dtype=bool)
     return EdgeModes(edge=float(edge), values=vals, blocks=blocks,
                      in_block=in_block, dr_bounded=bounded,
                      vectors=vecs if keep_vectors else None)

@@ -758,7 +758,10 @@ def wkb_fit(trace, form, split=None, tail_frac=0.5, lambda_convention="linear"):
     The split must satisfy the asymptotic hypotheses: V1 integrable
     over the tail, and either V2 -> 0 with V2' integrable or, for
     unbounded V2, the two WKB correction integrals convergent; a split
-    that fails these quadrature slopes is refused.
+    that fails these quadrature slopes is refused.  A window where
+    lam - V2 (lam**2 - V2 under the squared convention) does not stay
+    positive is refused first; the correction quadratures use the same
+    difference.
     """
     lam = trace.lam
     k = int((1.0 - tail_frac) * trace.X_grid.size)
@@ -783,6 +786,11 @@ def wkb_fit(trace, form, split=None, tail_frac=0.5, lambda_convention="linear"):
     else:
         raise ValidationError(f"split V2 must be zero, q0 or callable, got {v2!r}")
 
+    base = lam if lambda_convention == "linear" else lam * lam
+    under = base - V2
+    if np.any(under <= 0.0):
+        raise ValidationError("lam - V2 must stay positive over the fit window")
+
     slopes = {}
     V1 = Qw - V2
     if np.max(np.abs(V1)) > 1e-13 * max(1.0, float(np.max(np.abs(Qw)))):
@@ -800,19 +808,13 @@ def wkb_fit(trace, form, split=None, tail_frac=0.5, lambda_convention="linear"):
                     f"V2' quadrature diverges: tail slope {s_v2p:.3f} >= -1")
         else:
             v2pp = np.gradient(v2p, X)
-            slopes["V2''/(lam-V2)^1.5"] = _tail_slope(
-                X, v2pp / (lam - V2) ** 1.5)
-            slopes["V2'^2/(lam-V2)^2.5"] = _tail_slope(
-                X, v2p**2 / (lam - V2) ** 2.5)
+            slopes["V2''/(lam-V2)^1.5"] = _tail_slope(X, v2pp / under ** 1.5)
+            slopes["V2'^2/(lam-V2)^2.5"] = _tail_slope(X, v2p**2 / under ** 2.5)
             bad = [n for n in list(slopes)[-2:] if slopes[n] > -1.02]
             if bad:
                 raise ValidationError(
                     f"WKB correction quadratures diverge: {bad}")
 
-    base = lam if lambda_convention == "linear" else lam * lam
-    under = base - V2
-    if np.any(under <= 0.0):
-        raise ValidationError("lam - V2 must stay positive over the fit window")
     k_loc = np.sqrt(under)
     phi = np.concatenate([[0.0], np.cumsum(0.5 * (k_loc[1:] + k_loc[:-1]) * np.diff(X))])
     amp = (under / base) ** -0.25
@@ -934,6 +936,8 @@ def l2_growth(trace, form, total_mass=None, envelope=None):
     decades and the fitted exponent against -log(depth).  With
     ``total_mass`` the identity int |Y|^2 dX = int delta_r^2 s^2 rho ds
     turns F into a lower bound sup|delta_r| >= sqrt(4 pi F / mass).
+    An envelope with no samples in the decade above its deepest depth
+    cannot give the growth factor and is refused.
     """
     X, Y = trace.X_grid, trace.Y
     F = np.concatenate([[0.0], np.cumsum(0.5 * (Y[1:] ** 2 + Y[:-1] ** 2) * np.diff(X))])
@@ -947,8 +951,13 @@ def l2_growth(trace, form, total_mass=None, envelope=None):
         envelope = extend_trace_asymptotic(trace, form)
     D, dr = envelope.depth, envelope.env_delta_r
     lo = D.min()
+    far = (D <= lo * 100.0) & (D > lo * 10.0)
+    if not np.any(far):
+        raise ValidationError(
+            f"the displacement envelope spans depths {lo:.3g} to {D.max():.3g}; the "
+            f"growth factor needs samples in the decade above {10.0 * lo:.3g}")
     f_near = float(np.max(dr[D <= lo * 10.0]))
-    f_far = float(np.max(dr[(D <= lo * 100.0) & (D > lo * 10.0)]))
+    f_far = float(np.max(dr[far]))
     factor = f_near / f_far if f_far > 0 else np.inf
     sel = D <= lo * 100.0
     coef2 = np.polyfit(-np.log(D[sel]), np.log(dr[sel]), 1)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import NumericalError, ValidationError
 from .discrete import JacobiOperator
@@ -366,16 +367,49 @@ class JostFit:
         return abs(self.theta_fit - self.theta)
 
 
+def _tail_solution(d, e, lam, theta):
+    """Run the recurrence from the seeds (X_0, X_1) = (1, e^{i*theta}).
+
+    Rows k = 1..n-2 of e_k X_{k+1} + (d_k - lam) X_k + e_{k-1} X_{k-1} = 0
+    form a lower-triangular band system with two subdiagonals in X_2 ..
+    X_{n-1}; the seeds move into its first two right-hand sides, and the
+    real and imaginary parts are solved as two columns of one LAPACK
+    ``tbtrs`` forward substitution.  Needs n >= 4.
+    """
+    n = d.size
+    ab = np.zeros((3, n - 2), order="F")
+    ab[0] = e[1:]
+    ab[1, :-1] = d[2:-1] - lam
+    ab[2, :-2] = e[2:-1]
+    c, s = math.cos(theta), math.sin(theta)
+    b = np.zeros((n - 2, 2), order="F")
+    b[0] = (lam - d[1]) * c - e[0], (lam - d[1]) * s
+    b[1] = -e[1] * c, -e[1] * s
+    sol, info = dtbtrs(ab, b, uplo="L", overwrite_b=1)
+    if info != 0:
+        raise NumericalError(
+            f"tail recurrence at lam={lam!r} is singular (dtbtrs info {info})")
+    X = np.empty(n, dtype=complex)
+    X[0] = 1.0
+    X[1] = complex(c, s)
+    X[2:].real = sol[:, 0]
+    X[2:].imag = sol[:, 1]
+    return X
+
+
 def jost_verify(op, lam, *, fit_start=None, fit_stop=None):
     """Propagate a complex tail solution and compare it to e^{i*theta*I}.
 
     In the tail the three-term recurrence has constant limits (centre z,
     coupling c), so interior energies lam = z + 2*c*cos(theta) admit
     bounded oscillatory solutions.  The recurrence is seeded with the
-    plane-wave pair (1, e^{i*theta}) and run forward; over the fit window
-    the envelope peaks of |X| must be flat and the unwrapped phase must
-    advance by theta per shell, up to the (geometrically decaying)
-    coefficient transients.
+    plane-wave pair (1, e^{i*theta}) and run forward as one triangular
+    band solve (the same sequential substitution, in compiled code); over
+    the fit window the envelope peaks of |X| must be flat and the
+    unwrapped phase must advance by theta per shell, up to the
+    (geometrically decaying) coefficient transients.  A vanishing
+    coupling makes the recurrence singular and raises
+    :class:`NumericalError`.
     """
     sp = op.scaling
     z = sp.centre
@@ -385,21 +419,15 @@ def jost_verify(op, lam, *, fit_start=None, fit_stop=None):
         raise ValidationError(f"lam={lam!r} is not interior to {sp.interval}")
     theta = math.acos(x)
 
-    d = op.diag
-    e = np.abs(op.offdiag)  # gauge with positive couplings
     n = op.n
-    X = np.empty(n, dtype=complex)
-    X[0] = 1.0
-    X[1] = complex(math.cos(theta), math.sin(theta))
-    for k in range(1, n - 1):
-        X[k + 1] = ((lam - d[k]) * X[k] - e[k - 1] * X[k - 1]) / e[k]
-
     if fit_start is None:
         fit_start = n // 4
     if fit_stop is None:
         fit_stop = n
     if not (0 <= fit_start < fit_stop - 8 <= n - 8):
         raise ValidationError("fit window too small")
+    # gauge with positive couplings
+    X = _tail_solution(op.diag, np.abs(op.offdiag), lam, theta)
     w = np.abs(X[fit_start:fit_stop])
 
     interior = (w[1:-1] >= w[:-2]) & (w[1:-1] >= w[2:])

@@ -4,6 +4,7 @@ import os
 import re
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,32 @@ def test_ppmodes_smoke(tmp_path, capsys):
     assert len(rows) == 2 + 25
 
 
+@pytest.mark.parametrize("n_trunc", [2, 8])
+def test_jost_short_section_exits_1(tmp_path, capsys, n_trunc):
+    cfg = write_config(tmp_path / "cfg.json",
+                       analysis={"n_trunc": n_trunc, "i_start": 16},
+                       output={"directory": str(tmp_path / "out")})
+    assert cli.run("jost", cfg) == 1
+    err = capsys.readouterr().err
+    assert "fit window too small" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub,analysis", [
+    ("jost", {"n_trunc": 3000, "i_start": 16, "lambdas": [-1.1, 0.3, 1.7]}),
+    ("ppmodes", {"n_trunc": 2500})])
+def test_discrete_artifacts_byte_identical_across_runs(tmp_path, capsys, sub, analysis):
+    cfg = write_config(tmp_path / "cfg.json", analysis=analysis)
+    blobs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert cli.run(sub, cfg, argv_extra=["--out", str(out)]) == 0
+        blobs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+    assert sorted(blobs[0]) == [f"{sub}.csv", f"{sub}.json"]
+    assert blobs[0] == blobs[1]
+    capsys.readouterr()
+
+
 def test_scaled_smoke_and_profile_guard(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        eos={"variant": "polytrope", "Gamma": 2.0},
@@ -390,6 +417,20 @@ def test_sl_unreachable_rtol_exits_numerical(tmp_path, capsys):
     assert time.perf_counter() - t0 < 5.0
     err = capsys.readouterr().err
     assert "analysis.rtol 1e-15" in err and "stalls" in err
+    assert not (tmp_path / "out" / "sl.json").exists()
+
+
+def test_sl_short_trace_names_x_max(tmp_path, capsys):
+    # at x_max 0.5 the WKB window still lies where Q > lambda; the fit is
+    # refused before any fractional power of a negative difference
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.run("sl", _sl_config(tmp_path, x_max=0.5)) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "sl at lambda 1.0 with analysis.x_max 0.5" in err
+    assert "lam - V2 must stay positive" in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
     assert not (tmp_path / "out" / "sl.json").exists()
 
 

@@ -157,3 +157,47 @@ def test_repulsive_field_binds_nothing(dsp):
     assert em.count == 0
     with pytest.raises(ValidationError, match="at least three modes"):
         em.ladder_fit()
+
+
+def _block_of_per_mode(dsp, shells, mass):
+    """Reference assignment: one masked pass over the section per block."""
+    best_m, best_frac = 0, 0.0
+    total = float(np.sum(mass))
+    for m in range(1, dsp.m_max + 1):
+        s, L = dsp.blocks[m - 1]
+        sel = (shells >= s - 2) & (shells <= s + L + 2)
+        frac = float(np.sum(mass[sel])) / total
+        if frac > best_frac:
+            best_m, best_frac = m, frac
+    return best_m, best_frac
+
+
+@pytest.mark.parametrize("n", [2500, 6000])
+def test_block_of_matches_per_mode_loop(n):
+    dsp = ppmodes.construct_dsp(n=n)
+    op = discrete.assemble_jacobi(ppmodes.theorem_model(dsp), dsp.extent, i_start=1)
+    em = ppmodes.detect_edge_eigenvalues(op, dsp, keep_vectors=True)
+    vecs = em.vectors
+    assert vecs.shape[1] >= 30
+    ref = [_block_of_per_mode(dsp, op.shells, vecs[:, j] ** 2)
+           for j in range(vecs.shape[1])]
+    blocks, fractions = dsp.block_of(op.shells, vecs)
+    assert blocks.shape == fractions.shape == (vecs.shape[1],)
+    assert np.array_equal(blocks, [m for m, _ in ref])
+    assert np.allclose(fractions, [f for _, f in ref], rtol=0.0, atol=1e-12)
+    # detect_edge_eigenvalues reports the same assignment
+    assert np.array_equal(em.blocks, blocks)
+    assert np.array_equal(em.in_block, fractions)
+
+    # one mode as a vector gives 0-d results
+    m, frac = dsp.block_of(op.shells, vecs[:, 5])
+    assert m.shape == frac.shape == ()
+    assert (int(m), float(frac)) == (blocks[5], fractions[5])
+
+    # a mode with no mass gets block 0 and fraction 0, silently
+    zeroed = vecs[:, :4].copy()
+    zeroed[:, 1] = 0.0
+    with np.errstate(all="raise"):
+        zb, zf = dsp.block_of(op.shells, zeroed)
+    assert zb[1] == 0 and zf[1] == 0.0
+    assert np.array_equal(zb[[0, 2, 3]], blocks[[0, 2, 3]])

@@ -383,6 +383,16 @@ def test_l2_growth_thermal(thermal_trace):
     assert rep.diverges
 
 
+def test_l2_growth_refuses_an_envelope_under_a_decade(poly24_trace):
+    # the growth factor compares the deepest depth decade with the one
+    # above; an envelope that stops inside the first has no second
+    form, tr = poly24_trace
+    d_end = form.eos.R_star - tr.x_grid[-1]
+    env = slform.extend_trace_asymptotic(tr, form, depth_min=d_end / 3.0)
+    with pytest.raises(ValidationError, match="envelope spans depths .* decade above"):
+        slform.l2_growth(tr, form, envelope=env)
+
+
 def test_wkb_fit_polytropic(poly24_trace):
     form, tr = poly24_trace
     fit = slform.wkb_fit(tr, form)

@@ -256,6 +256,66 @@ def test_jost_rejects_exterior_energy(canonical_op):
         spectra.jost_verify(canonical_op, -3.2)
 
 
+def _jost_loop(op, lam):
+    """Reference Jost fit: the recurrence stepped row by row in Python."""
+    sp = op.scaling
+    theta = math.acos((lam - sp.centre) / (2.0 * sp.kappa * sp.lambda_star))
+    d, e, n = op.diag, np.abs(op.offdiag), op.n
+    X = np.empty(n, dtype=complex)
+    X[0] = 1.0
+    X[1] = complex(math.cos(theta), math.sin(theta))
+    for k in range(1, n - 1):
+        X[k + 1] = ((lam - d[k]) * X[k] - e[k - 1] * X[k - 1]) / e[k]
+    w = np.abs(X[n // 4:])
+    interior = (w[1:-1] >= w[:-2]) & (w[1:-1] >= w[2:])
+    peaks = w[1:-1][interior]
+    if peaks.size < 3:
+        peaks = w
+    phi = np.unwrap(np.angle(X[n // 4:]))
+    kk = np.arange(phi.size, dtype=float)
+    A = np.vstack([kk, np.ones_like(kk)]).T
+    coef = np.linalg.lstsq(A, phi, rcond=None)[0]
+    return (abs(float(coef[0])), float((np.max(peaks) - np.min(peaks)) / np.mean(peaks)),
+            float(np.sqrt(np.mean((phi - A @ coef) ** 2))), int(peaks.size))
+
+
+@pytest.mark.parametrize("eta,gamma,n", [(0.5, 2.0, 600), (0.3, 1.5, 15000),
+                                         (0.7, 3.0, 25000)])
+def test_jost_band_solve_matches_python_recurrence(eta, gamma, n):
+    dist = model.build_mass_distribution(eta, gamma, N=n + 100)
+    op = discrete.assemble_jacobi(model.build_pd_distribution(dist, pressure_mode="limit"),
+                                  n, i_start=16)
+    sp = op.scaling
+    half = 2.0 * sp.kappa * sp.lambda_star
+    for frac in (-0.8, -0.3, 0.1, 0.75):
+        lam = sp.centre + frac * half
+        fit = spectra.jost_verify(op, lam)
+        theta_fit, flat, resid, n_peaks = _jost_loop(op, lam)
+        assert fit.theta_fit == pytest.approx(theta_fit, rel=0.0, abs=1e-12)
+        assert fit.amplitude_flatness == pytest.approx(flat, rel=0.0, abs=1e-10)
+        assert fit.phase_residual == pytest.approx(resid, rel=0.0, abs=1e-10)
+        assert fit.n_peaks == n_peaks
+
+
+def test_jost_checks_the_fit_window_before_solving(canonical_op):
+    tiny = discrete.JacobiOperator(diag=canonical_op.diag[:2],
+                                   offdiag=canonical_op.offdiag[:1],
+                                   i_start=16, pd=canonical_op.pd)
+    with pytest.raises(ValidationError, match="fit window too small"):
+        spectra.jost_verify(tiny, 0.0)
+    with pytest.raises(ValidationError, match="fit window too small"):
+        spectra.jost_verify(canonical_op, 0.0, fit_start=595)
+
+
+def test_jost_vanishing_coupling_is_numerical(canonical_op):
+    off = canonical_op.offdiag.copy()
+    off[300] = 0.0
+    cut = discrete.JacobiOperator(diag=canonical_op.diag, offdiag=off,
+                                  i_start=16, pd=canonical_op.pd)
+    with pytest.raises(NumericalError, match="singular"):
+        spectra.jost_verify(cut, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # two-periodic comparison operator
 
