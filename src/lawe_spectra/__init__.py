@@ -45,20 +45,17 @@ from .discrete import (
 from .spectra import (
     BandReport,
     BandStructure,
-    EigenResult,
     FillReport,
     JostFit,
     band_report,
     band_structure,
     build_two_periodic,
-    eigenvalues_bisect,
     eigenvalues_tridiagonal,
     eigenvectors_inverse_iteration,
     gershgorin_interval,
     jost_verify,
     spectrum_fill_report,
     sturm_counts,
-    truncation_eigenvalues,
 )
 from .ppmodes import (
     BumpField,
@@ -96,7 +93,6 @@ from .slform import (
     extend_trace_asymptotic,
     integrate_canonical,
     l2_growth,
-    liouville,
     q0_fd,
     regularity_check,
     trace_regularity,

@@ -375,13 +375,6 @@ def _run_transform_check(eff, outdir, h, threads):
     return 0
 
 
-def _first_admissible(system, lam):
-    idx = np.arange(1, system.n + 1)
-    lam_i = -lam + system.beta * system.nu ** (2.0 * (idx // 2) - idx)
-    bad = np.where(lam_i <= 0.0)[0]
-    return 1 if bad.size == 0 else int(idx[bad.max()]) + 1
-
-
 def _run_scaled(eff, outdir, h, threads):
     ana = eff["analysis"]
     n_trunc = _or(ana["n_trunc"], 2000)
@@ -392,17 +385,17 @@ def _run_scaled(eff, outdir, h, threads):
             "(eos variant polytrope); geometric profiles scale to the "
             "trivial zero-coupling limit")
     system = polytrans.build_scaled_system(pd, n_trunc)
-    vals = spectra.truncation_eigenvalues(system.operator(), threads=threads).values
+    vals = spectra.eigenvalues_tridiagonal(system.operator(), threads=threads)
     bs = system.limit_band_structure()
     brep = spectra.band_report(np.sort(-vals), bs, pad=ana["pad"],
                                gap_margin=ana["pad"])
     per_lam = []
     for lam in _or(ana["lambdas"], [0.0]):
-        i_min = _or(ana["i_min"], _first_admissible(system, lam))
-        lf = polytrans.local_frequencies(system, lam, i_min=i_min)
+        lf = polytrans.local_frequencies(system, lam, i_min=ana["i_min"])
         gr = polytrans.delta_r_growth(system, lam)
         # the artifact writes every lambda as a float, integers included
-        per_lam.append({"lambda": float(lam), "i_min": i_min, "omega_slope": lf.slope(),
+        per_lam.append({"lambda": float(lam), "i_min": int(lf.shells[0]),
+                        "omega_slope": lf.slope(),
                         **_fields(gr, "solution_rate displacement_rate "
                                       "theory_displacement_rate")})
     _write_csv(os.path.join(outdir, "scaled.csv"),

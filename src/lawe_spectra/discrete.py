@@ -169,14 +169,18 @@ def _aitken_limit(a):
     return float(np.median(est[-8:]))
 
 
-def classify_tail(seq, limit=None, margin=0.01):
+#: safety margin on the power-law summability thresholds of classify_tail
+_MARGIN = 0.01
+
+
+def classify_tail(seq, limit=None):
     """Classify how fast ``seq`` approaches its limit.
 
     Fits both a geometric and a power-law model to the residuals over the
     last half of the sequence and keeps the better one.  For a power law
     |a_k - limit| ~ k**-s the summability thresholds are s > 2, 1, 1/2
     for the weighted-l1, l1 and l2 classes, each taken with a safety
-    ``margin``.  Geometric decay lands in the strongest class.
+    margin of 0.01.  Geometric decay lands in the strongest class.
     """
     a = np.asarray(seq, dtype=float)
     if a.ndim != 1 or a.size < 16:
@@ -213,13 +217,13 @@ def classify_tail(seq, limit=None, margin=0.01):
         return TailClass(mode="l1_weighted", kind="geometric",
                          rate=float(np.exp(slope_g)), limit=limit, r_squared=r2_g)
     s = -slope_p
-    if s > 2.0 + margin:
+    if s > 2.0 + _MARGIN:
         mode = "l1_weighted"
-    elif s > 1.0 + margin:
+    elif s > 1.0 + _MARGIN:
         mode = "l1"
-    elif s > 0.5 + margin:
+    elif s > 0.5 + _MARGIN:
         mode = "l2"
-    elif s > margin:
+    elif s > _MARGIN:
         mode = "limit_only"
     else:
         mode = "none"
@@ -257,19 +261,19 @@ class SpectrumPrediction:
         return self.mode == "l1_weighted"
 
 
-def predict_spectrum(op, margin=0.01):
+def predict_spectrum(op):
     """Classify the coefficient tails of ``op`` and fold in the nesting
     of spectral conclusions (stronger decay, stronger statement)."""
     sp = op.scaling
     z, c = sp.centre, sp.kappa * sp.lambda_star
-    diag_class = classify_tail(op.diag, limit=z, margin=margin)
-    offdiag_class = classify_tail(np.abs(op.offdiag), limit=c, margin=margin)
+    diag_class = classify_tail(op.diag, limit=z)
+    offdiag_class = classify_tail(np.abs(op.offdiag), limit=c)
     mode = min(diag_class.mode, offdiag_class.mode, key=CONVERGENCE_ORDER.index)
     return SpectrumPrediction(interval=sp.interval, mode=mode,
                               diag_class=diag_class, offdiag_class=offdiag_class)
 
 
-def delta_r_log(X, pd, i_start=1):
+def delta_r_log(X, dist, i_start=1):
     """ln |dr(I)| for a coefficient vector X on shells starting at i_start.
 
     dr(I) = X(I)/sqrt(M(I)); computed in log space because the shell
@@ -279,34 +283,33 @@ def delta_r_log(X, pd, i_start=1):
     X = np.asarray(X, dtype=float)
     idx = np.arange(i_start, i_start + X.shape[0])
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(X)) - 0.5 * pd.dist.log_shell_mass(idx)
+        return np.log(np.abs(X)) - 0.5 * dist.log_shell_mass(idx)
 
 
-def delta_r_from_X(X, dist, i_start=1, floor=1e-13, tol=1e-6):
+def delta_r_from_X(X, dist, i_start=1):
     """Displacement field dr(I) = X(I)/sqrt(M(I)) and a boundedness verdict.
 
-    The verdict looks only at shells where |X| exceeds floor*max|X|:
+    The verdict looks only at shells where |X| exceeds 1e-13 max|X|:
     below that an eigenvector out of inverse iteration is roundoff, and
     dividing roundoff by the vanishing shell masses manufactures fake
     growth.  Within that range the sup of |dr| must be attained before
-    the last quartile and not be exceeded inside it.  The returned
-    field itself is unguarded, so entries can overflow to inf where X
-    decays slower than sqrt(M).
+    the last quartile and not be exceeded inside it: ln sup|dr| may rise
+    there by at most 1e-6 of max(1, |ln sup|dr||).  The returned field
+    itself is unguarded, so entries can overflow to inf where X decays
+    slower than sqrt(M).
     """
     X = np.asarray(X, dtype=float)
-    idx = np.arange(i_start, i_start + X.shape[0])
-    with np.errstate(divide="ignore"):
-        log_dr = np.log(np.abs(X)) - 0.5 * dist.log_shell_mass(idx)
+    log_dr = delta_r_log(X, dist, i_start)
     with np.errstate(over="ignore"):
         dr = np.sign(X) * np.exp(log_dr)
     amax = float(np.max(np.abs(X)))
     if amax == 0.0:
         return dr, True
-    stop = int(np.where(np.abs(X) > floor * amax)[0][-1]) + 1
+    stop = int(np.where(np.abs(X) > 1e-13 * amax)[0][-1]) + 1
     y = log_dr[:stop]
     y = y[np.isfinite(y)]
     k = max(1, (3 * y.size) // 4)
     early = float(np.max(y[:k]))
     late = float(np.max(y[k:])) if y.size > k else -np.inf
-    bounded = late <= early + tol * max(1.0, abs(early))
+    bounded = late <= early + 1e-6 * max(1.0, abs(early))
     return dr, bool(bounded)

@@ -41,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ValidationError
-from .discrete import JacobiOperator, coupling_values
+from .discrete import JacobiOperator
 from .model import FOUR_PI
 
 
@@ -248,14 +248,18 @@ def build_scaled_system(pd, n):
                         nu=float(nu))
 
 
+#: trailing fraction of the shells that the slope fits use
+_TAIL = 0.5
+
+
 @dataclass(frozen=True)
 class LocalFrequencies:
     shells: np.ndarray = field(repr=False)
     log_omega: np.ndarray = field(repr=False)
 
-    def slope(self, tail=0.5):
-        """Least-squares slope of log omega over the trailing fraction."""
-        k0 = int(self.shells.size * (1.0 - tail))
+    def slope(self):
+        """Least-squares slope of log omega over the trailing half."""
+        k0 = int(self.shells.size * (1.0 - _TAIL))
         x = self.shells[k0:].astype(float)
         y = self.log_omega[k0:]
         A = np.vstack([x, np.ones_like(x)]).T
@@ -263,25 +267,36 @@ class LocalFrequencies:
         return float(coef[0])
 
 
-def local_frequencies(system, lam, i_min=1):
+def local_frequencies(system, lam, i_min=None):
     """Shell-local frequencies omega(I) = sqrt(lam_I) * nu**-alpha(I).
 
-    lam_I = -lam + beta(I)*nu**(2*alpha(I)-I) must be positive on the
-    requested range; the innermost shells usually violate this (beta < 0
-    there), in which case raise and report the deepest admissible start.
+    lam_I = -lam + beta(I)*nu**(2*alpha(I)-I) must be positive from
+    shell i_min on.  The innermost shells usually violate this (beta < 0
+    there): ``i_min=None`` starts just past the deepest such shell, and
+    an explicit i_min inside that region raises and reports the deepest
+    admissible start.  A lam with no admissible shell raises.
     """
-    if not (1 <= i_min <= system.n):
+    n = system.n
+    if i_min is not None and not 1 <= i_min <= n:
         raise ValidationError(f"i_min out of range, got {i_min}")
-    idx = np.arange(i_min, system.n + 1)
+    idx = np.arange(1, n + 1)
     alpha = idx // 2
-    lam_i = -lam + system.beta[idx - 1] * system.nu ** (2.0 * alpha - idx)
-    if np.any(lam_i <= 0.0):
-        bad = idx[lam_i <= 0.0]
+    lam_i = -lam + system.beta * system.nu ** (2.0 * alpha - idx)
+    bad = idx[lam_i <= 0.0]
+    first = int(bad[-1]) + 1 if bad.size else 1
+    if i_min is None:
+        i_min = first
+    elif i_min < first:
+        bad = bad[bad >= i_min]
         raise ValidationError(
             f"lam_I <= 0 at {bad.size} shells starting at {int(bad[0])}; "
-            f"evanescent region, try i_min >= {int(bad.max()) + 1}")
-    log_omega = 0.5 * np.log(lam_i) - alpha * math.log(system.nu)
-    return LocalFrequencies(shells=idx, log_omega=log_omega)
+            f"evanescent region, try i_min >= {first}")
+    if i_min > n:
+        raise ValidationError(f"lam_I <= 0 at shell {n}, the last: no shell is "
+                              f"admissible at lam={lam!r}")
+    keep = slice(i_min - 1, None)
+    log_omega = 0.5 * np.log(lam_i[keep]) - alpha[keep] * math.log(system.nu)
+    return LocalFrequencies(shells=idx[keep], log_omega=log_omega)
 
 
 @dataclass(frozen=True)
@@ -305,9 +320,9 @@ class GrowthReport:
     log_abs_y: np.ndarray = field(repr=False)
 
 
-def _envelope_fit(shells, log_abs, tail=0.5):
-    """Slope of the running peaks of log|Y| over the trailing fraction."""
-    k0 = int(shells.size * (1.0 - tail))
+def _envelope_fit(shells, log_abs):
+    """Slope of the running peaks of log|Y| over the trailing half."""
+    k0 = int(shells.size * (1.0 - _TAIL))
     x, y = shells[k0:].astype(float), log_abs[k0:]
     keep = np.isfinite(y)
     x, y = x[keep], y[keep]
@@ -320,13 +335,12 @@ def _envelope_fit(shells, log_abs, tail=0.5):
     return float(coef[0])
 
 
-def delta_r_growth(system, lam=0.0, *, Y=None, i_min=1, seed=(0.0, 1.0),
-                   tail=0.5):
+def delta_r_growth(system, lam=0.0, *, Y=None, i_min=1):
     """Fit the envelope growth of delta_r = nu**alpha * Y / sqrt(M).
 
     Y is a tail solution of the weighted-formulation recurrence
     mu(I-1)Y(I-1) + mu(I)Y(I+1) = (theta*nu**(2*alpha) - lam)Y(I) on
-    shells i_min..n, solved here from ``seed`` = (Y(i_min-1), Y(i_min))
+    shells i_min..n, solved here from (Y(i_min-1), Y(i_min)) = (0, 1)
     unless an explicit array is passed.  Y is renormalized on the fly,
     only log-magnitudes are kept, so lam outside the essential band
     (exponentially growing solutions) is handled too.
@@ -354,12 +368,9 @@ def delta_r_growth(system, lam=0.0, *, Y=None, i_min=1, seed=(0.0, 1.0),
                 "couplings mu underflow to zero on the requested range; "
                 "the weighted tail solve needs a non-decaying profile")
         rhs = system.theta * np.exp(2.0 * alpha * math.log(nu)) - lam
-        y_prev, y_cur = float(seed[0]), float(seed[1])
-        if y_prev == 0.0 and y_cur == 0.0:
-            raise ValidationError("seed must not be identically zero")
+        y_prev, y_cur = 0.0, 1.0
         log_scale = 0.0
-        with np.errstate(divide="ignore"):
-            log_abs[0] = math.log(abs(y_cur)) if y_cur != 0.0 else -math.inf
+        log_abs[0] = 0.0
         for k in range(idx.size - 1):
             i = int(idx[k])
             y_next = (rhs[k] * y_cur - (mu[i - 2] if i >= 2 else 0.0) * y_prev) / mu[i - 1]
@@ -371,11 +382,11 @@ def delta_r_growth(system, lam=0.0, *, Y=None, i_min=1, seed=(0.0, 1.0),
                 log_scale += math.log(m)
             log_abs[k + 1] = (log_scale + math.log(abs(y_cur))) if y_cur != 0.0 else -math.inf
 
-    sol_rate = _envelope_fit(idx, log_abs, tail)
+    sol_rate = _envelope_fit(idx, log_abs)
     gamma = system.gamma
     disp_step = 0.5 * (gamma * math.log(1.0 / system.eta) - math.log(1.0 / nu))
     disp = log_abs + alpha * math.log(nu) - 0.5 * system.pd.dist.log_shell_mass(idx)
-    disp_rate = _envelope_fit(idx, disp, tail)
+    disp_rate = _envelope_fit(idx, disp)
     return GrowthReport(solution_rate=sol_rate, displacement_rate=disp_rate,
                         theory_solution_rate=0.0,
                         theory_displacement_rate=disp_step,

@@ -231,7 +231,7 @@ class EdgeModes:
     def depths(self):
         return np.abs(self.values - self.edge)
 
-    def ladder_fit(self, m_lo=1, indexing="block"):
+    def ladder_fit(self, indexing="block"):
         """Log-log slope and r**2 of depth against the ladder index.
 
         ``indexing="block"`` takes the deepest mode per assigned block
@@ -253,7 +253,7 @@ class EdgeModes:
             ms = np.arange(1, depths.size + 1, dtype=float)
         else:
             raise ValidationError(f"indexing must be block or detected, got {indexing!r}")
-        keep = ms >= m_lo
+        keep = ms >= 1      # block 0 holds modes that no block claims
         ms, depths = ms[keep], depths[keep]
         if ms.size < 3:
             raise ValidationError("need at least three modes to fit")

@@ -297,11 +297,6 @@ class CanonicalForm:
         return self.q0(self.x_of_X(X))
 
 
-def liouville(eos):
-    """Canonical form of the surface-layer problem for ``eos``."""
-    return CanonicalForm(eos=eos)
-
-
 def q0_fd(form, x, h=None, levels=4):
     """Canonical potential by the nested-derivative definition.
 
@@ -406,7 +401,7 @@ def classify_sl_case(eos):
     formulas assume the depth derivative of the leading q1 term
     dominates, which fails when its coefficient c-a-1 vanishes.
     """
-    form = liouville(eos)
+    form = CanonicalForm(eos)
     a, ab = eos.a, eos.ab
     g = ab - a
 
@@ -575,9 +570,9 @@ def _magnus_steps(form, lam, h, first, n):
     return T, float(np.max(kappa))
 
 
-def _propagate(form, lam, seed, H, n_int, m):
-    """(Y, Y') on the grid k*H, k = 0..n_int, with m Magnus steps per
-    interval, and the largest kappa of those steps."""
+def _propagate(form, lam, H, n_int, m):
+    """(Y, Y') on the grid k*H, k = 0..n_int from (Y, Y')(0) = (0, 1), with
+    m Magnus steps per interval, and the largest kappa of those steps."""
     h = H / m
     per_block = max(1, _BLOCK // m)
     M, turn = [], 0.0
@@ -590,7 +585,7 @@ def _propagate(form, lam, seed, H, n_int, m):
             T = _mul(T[:, :, 1::2], T[:, :, 0::2])
         M.append(T[:, :, 0])
     a, b, c, d = _prefix_products(np.concatenate(M, axis=1))
-    y0, y1 = seed
+    y0, y1 = 0.0, 1.0
     return (np.concatenate([[y0], a * y0 + b * y1]),
             np.concatenate([[y1], c * y0 + d * y1])), turn
 
@@ -605,16 +600,15 @@ def _doubling_estimate(coarse, fine):
     return est / 15.0
 
 
-def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10, seed=(0.0, 1.0),
-                        points_per_wave=24):
-    """Integrate -Y'' + Q Y = lam Y over [0, X_max] from seed (Y, Y')(0).
+def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10):
+    """Integrate -Y'' + Q Y = lam Y over [0, X_max] from (Y, Y')(0) = (0, 1).
 
     Fourth-order Magnus propagator with two Gauss nodes per step
     (Iserles & Norsett 1999): each interval of the output grid, which
-    resolves the wavelength 2*pi/sqrt(lam), takes m = 4, 8, 16, ...
-    equal steps, and m doubles until the step-doubling estimate of the
-    relative error of (Y, Y') is at most ``rtol``.  The step size does
-    not shrink with the local frequency.  Once every step turns the
+    puts 24 points on the wavelength 2*pi/sqrt(lam), takes m = 4, 8,
+    16, ... equal steps, and m doubles until the step-doubling estimate
+    of the relative error of (Y, Y') is at most ``rtol``.  The step size
+    does not shrink with the local frequency.  Once every step turns the
     solution by at most pi, a doubling that cuts the estimate less than
     fourfold means roundoff has the upper hand, and raises
     NumericalError.  The physical displacement is recovered on the same
@@ -626,13 +620,13 @@ def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10, seed=(0.0, 1.0),
         raise ValidationError(
             f"X_max = {X_max} reaches past the finite image "
             f"[0, {form.X_surface}) of this bounded transform")
-    n_out = max(1000, int(points_per_wave * X_max * math.sqrt(lam) / (2.0 * math.pi)))
+    n_out = max(1000, int(24 * X_max * math.sqrt(lam) / (2.0 * math.pi)))
     grid = np.linspace(0.0, X_max, n_out)
     H = X_max / (n_out - 1)
     m, prev_est, prev_turn = 4, math.inf, math.inf
-    coarse, turn = _propagate(form, lam, seed, H, n_out - 1, m)
+    coarse, turn = _propagate(form, lam, H, n_out - 1, m)
     while True:
-        fine, fine_turn = _propagate(form, lam, seed, H, n_out - 1, 2 * m)
+        fine, fine_turn = _propagate(form, lam, H, n_out - 1, 2 * m)
         est = _doubling_estimate(coarse, fine)
         if not math.isfinite(est):
             raise NumericalError(
@@ -690,23 +684,23 @@ def _envelope_fields(eos, amp_Y, amp_Yp, x, D):
 ENVELOPE_DEPTH = 1e-8
 
 
-def extend_trace_asymptotic(trace, form, depth_min=ENVELOPE_DEPTH, n=500, tail_frac=0.2):
+def extend_trace_asymptotic(trace, form, depth_min=ENVELOPE_DEPTH):
     """Extend the trace by envelope bounds down to depth_min*R_star.
 
-    The Y and Y' amplitudes are read off the last ``tail_frac`` of the
-    trace (assumed in the bounded-solution regime, so the amplitudes
-    have settled); the envelopes carry |y| <= amp_Y/(pw)**(1/4) and
-    the two chain-rule terms of y' outward on a log-depth grid.
+    The Y and Y' amplitudes are read off the last fifth of the trace
+    (assumed in the bounded-solution regime, so the amplitudes have
+    settled); the envelopes carry |y| <= amp_Y/(pw)**(1/4) and the two
+    chain-rule terms of y' outward on a 500-point log-depth grid.
     """
     eos = form.eos
-    k = int((1.0 - tail_frac) * trace.X_grid.size)
+    k = int(0.8 * trace.X_grid.size)
     amp_Y = float(np.max(np.abs(trace.Y[k:])))
     amp_Yp = float(np.max(np.abs(trace.Y_prime[k:])))
     d_hi = float(eos.R_star - trace.x_grid[-1])
     if depth_min * eos.R_star >= d_hi:
         raise ValidationError(
             f"trace already reaches depth {d_hi!r}, below depth_min")
-    D = np.geomspace(depth_min * eos.R_star, d_hi, n)[::-1]
+    D = np.geomspace(depth_min * eos.R_star, d_hi, 500)[::-1]
     x = eos.R_star - D
     env_y, env_yp, env_dr, env_R = _envelope_fields(eos, amp_Y, amp_Yp, x, D)
     return TailEnvelope(x=x, depth=D, amp_Y=amp_Y, amp_Yp=amp_Yp, env_y=env_y,
@@ -743,14 +737,13 @@ def _tail_slope(X, f):
     return float(coef[0])
 
 
-def wkb_fit(trace, form, split=None, tail_frac=0.5, lambda_convention="linear"):
+def wkb_fit(trace, form, split=None):
     """Fit the trace tail to alpha*u+ + beta*u-, u+- = exp(+-i*phi).
 
-    phi' = sqrt(lam - V2) with the envelope factor (lam - V2)**(-1/4)
-    (``lambda_convention="squared"`` puts lam**2 under the root, the
-    other convention in circulation).  ``split`` chooses V2: None
-    picks Q when the potential still matters at the window end and 0
-    otherwise; explicit choices are {"V2": "zero"}, {"V2": "q0"} or
+    phi' = sqrt(lam - V2) with the envelope factor (lam - V2)**(-1/4),
+    fitted over the second half of the trace.  ``split`` chooses V2:
+    None picks Q when the potential still matters at the window end and
+    0 otherwise; explicit choices are {"V2": "zero"}, {"V2": "q0"} or
     {"V2": callable}; V1 is always Q - V2.  Y and Y' are fitted
     jointly by least squares and the stacked relative residual is
     reported.
@@ -759,12 +752,10 @@ def wkb_fit(trace, form, split=None, tail_frac=0.5, lambda_convention="linear"):
     over the tail, and either V2 -> 0 with V2' integrable or, for
     unbounded V2, the two WKB correction integrals convergent; a split
     that fails these quadrature slopes is refused.  A window where
-    lam - V2 (lam**2 - V2 under the squared convention) does not stay
-    positive is refused first; the correction quadratures use the same
-    difference.
+    lam - V2 does not stay positive is refused first.
     """
     lam = trace.lam
-    k = int((1.0 - tail_frac) * trace.X_grid.size)
+    k = int(0.5 * trace.X_grid.size)
     X = trace.X_grid[k:]
     if X[0] <= 0.0:
         keep = X > 0.0
@@ -786,8 +777,7 @@ def wkb_fit(trace, form, split=None, tail_frac=0.5, lambda_convention="linear"):
     else:
         raise ValidationError(f"split V2 must be zero, q0 or callable, got {v2!r}")
 
-    base = lam if lambda_convention == "linear" else lam * lam
-    under = base - V2
+    under = lam - V2
     if np.any(under <= 0.0):
         raise ValidationError("lam - V2 must stay positive over the fit window")
 
@@ -817,7 +807,7 @@ def wkb_fit(trace, form, split=None, tail_frac=0.5, lambda_convention="linear"):
 
     k_loc = np.sqrt(under)
     phi = np.concatenate([[0.0], np.cumsum(0.5 * (k_loc[1:] + k_loc[:-1]) * np.diff(X))])
-    amp = (under / base) ** -0.25
+    amp = (under / lam) ** -0.25
     # stacked system: Y ~ amp(a cos + b sin), Y' ~ amp k(-a sin + b cos)
     A = np.vstack([np.concatenate([amp * np.cos(phi), -amp * k_loc * np.sin(phi)]),
                    np.concatenate([amp * np.sin(phi), amp * k_loc * np.cos(phi)])]).T
@@ -839,7 +829,6 @@ class DecayReport:
     analytic_power: float
     lower_bound: float
     monotone: bool
-    R_last: float
     envelope_ratio: float
 
     @property
@@ -879,7 +868,7 @@ def regularity_check(trace, eos, envelope=None):
     lower bound for the polytropic layer (3/4 for the two-term layer
     with a weak second source).
     """
-    form = liouville(eos)
+    form = CanonicalForm(eos)
     if trace.X_grid.size < 200:
         raise ValidationError("trace too short for a tail fit")
     if envelope is None:
@@ -905,7 +894,7 @@ def regularity_check(trace, eos, envelope=None):
     bound = 0.75 if weak_source else (eos.a + 1.0) / 2.0
     return DecayReport(fitted_power=float(coef[0]), analytic_power=float(analytic),
                        lower_bound=float(bound), monotone=monotone,
-                       R_last=float(R[np.argmin(D)]), envelope_ratio=ratio)
+                       envelope_ratio=ratio)
 
 
 @dataclass(frozen=True)

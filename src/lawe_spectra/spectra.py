@@ -8,9 +8,9 @@ sweep at ``lambda_k -+ tol``, which must place exactly the claimed
 eigenvalue index inside ``[lambda_k - tol, lambda_k + tol)``; a window
 must also hold as many values as the Sturm counts at its ends say.  A
 result that fails the certificate raises :class:`NumericalError` (the
-CLI exits 2); there is no silent fallback.  The pure-NumPy bisection
-solver is kept as an independent reference.  Eigenvectors come from
-inverse iteration with a banded LU solve.
+CLI exits 2); there is no silent fallback.  ``tol`` defaults to
+:func:`default_tol`.  Eigenvectors come from inverse iteration with a
+banded LU solve.
 """
 
 from __future__ import annotations
@@ -93,65 +93,6 @@ def _check_query(n, window, indices):
         raise ValidationError(f"indices out of range for n={n}: {indices!r}")
 
 
-def eigenvalues_bisect(op_or_diag, offdiag=None, *, window=None, indices=None,
-                       tol=None, threads=1, max_rounds=120):
-    """Eigenvalues of a symmetric tridiagonal section by index bisection.
-
-    window=(a, b]
-        Return the eigenvalues in the half-open interval.
-    indices=(k_lo, k_hi)
-        Return eigenvalues k_lo..k_hi inclusive (0-based, ascending).
-
-    All requested eigenvalues are bisected simultaneously, one Sturm count
-    per round over the vector of active midpoints.  This is the
-    independent reference for :func:`eigenvalues_tridiagonal`; no library
-    route calls it.
-    """
-    diag, off = _as_diagonals(op_or_diag, offdiag)
-    n = diag.shape[0]
-    off2 = off * off
-    glo, ghi = gershgorin_interval(diag, off)
-    if tol is None:
-        tol = default_tol(glo, ghi)
-    span = max(ghi - glo, 1e-30)
-    glo, ghi = glo - 1e-12 * span, ghi + 1e-12 * span
-
-    _check_query(n, window, indices)
-    b_lo, b_hi = glo, ghi
-    if window is not None:
-        a, b = window
-        c = sturm_counts(diag, off2, np.array([a, b]), threads)
-        k_lo, k_hi = int(c[0]), int(c[1]) - 1
-        b_lo, b_hi = a, b
-    elif indices is not None:
-        k_lo, k_hi = int(indices[0]), int(indices[1])
-    else:
-        k_lo, k_hi = 0, n - 1
-    m = k_hi - k_lo + 1
-    if m <= 0:
-        return np.empty(0)
-
-    ks = np.arange(k_lo, k_hi + 1)
-    lo = np.full(m, b_lo)
-    hi = np.full(m, b_hi)
-    for _ in range(max_rounds):
-        live = (hi - lo) > tol
-        if not np.any(live):
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        cnt = sturm_counts(diag, off2, mid, threads)
-        go_up = cnt <= ks[live]
-        lo_live = lo[live]
-        hi_live = hi[live]
-        lo_live[go_up] = mid[go_up]
-        hi_live[~go_up] = mid[~go_up]
-        lo[live] = lo_live
-        hi[live] = hi_live
-    else:
-        raise NumericalError("bisection failed to converge; tol too small?")
-    return 0.5 * (lo + hi)
-
-
 def eigenvalues_tridiagonal(op_or_diag, offdiag=None, *, window=None, indices=None,
                             tol=None, threads=1):
     """Eigenvalues of a symmetric tridiagonal section, certified by Sturm counts.
@@ -167,9 +108,8 @@ def eigenvalues_tridiagonal(op_or_diag, offdiag=None, *, window=None, indices=No
     One Sturm sweep at every value -+ ``tol`` then certifies that the
     k-th eigenvalue lies in [value_k - tol, value_k + tol), and that a
     window holds as many values as the counts at its ends.  ``tol``
-    defaults to :func:`default_tol`, the accuracy of
-    :func:`eigenvalues_bisect`; ``threads`` splits the sweep.  Raises
-    NumericalError naming the first index that fails.
+    defaults to :func:`default_tol`; ``threads`` splits the sweep.
+    Raises NumericalError naming the first index that fails.
     """
     diag, off = _as_diagonals(op_or_diag, offdiag)
     n = diag.shape[0]
@@ -220,13 +160,13 @@ def eigenvalues_tridiagonal(op_or_diag, offdiag=None, *, window=None, indices=No
     return vals
 
 
-def eigenvectors_inverse_iteration(diag, offdiag, values, *, iters=3, seed=7,
-                                   residual_factor=1e-8):
+def eigenvectors_inverse_iteration(diag, offdiag, values):
     """Eigenvectors by inverse iteration with a banded LU solve.
 
-    Eigenvalues closer than 1e-8 of the spectral span are treated as a
-    cluster and re-orthogonalized every sweep.  Raises NumericalError if
-    a residual ||A v - lambda v|| exceeds residual_factor times the span.
+    Three solves from a seeded random start per vector.  Eigenvalues
+    closer than 1e-8 of the spectral span are treated as a cluster and
+    re-orthogonalized every sweep.  Raises NumericalError if a residual
+    ||A v - lambda v|| exceeds 1e-8 times the span.
     """
     diag = np.asarray(diag, float)
     off = np.asarray(offdiag, float)
@@ -234,7 +174,7 @@ def eigenvectors_inverse_iteration(diag, offdiag, values, *, iters=3, seed=7,
     n = diag.shape[0]
     glo, ghi = gershgorin_interval(diag, off)
     span = max(ghi - glo, 1e-30)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     vecs = np.empty((n, values.size))
 
     order = np.argsort(values)
@@ -261,7 +201,7 @@ def eigenvectors_inverse_iteration(diag, offdiag, values, *, iters=3, seed=7,
                 ab[2, :-1] = off
                 v = rng.standard_normal(n)
                 try:
-                    for _ in range(iters):
+                    for _ in range(3):
                         v = solve_banded((1, 1), ab, v,
                                          overwrite_ab=False, check_finite=False)
                         nv = float(np.linalg.norm(v))
@@ -285,32 +225,11 @@ def eigenvectors_inverse_iteration(diag, offdiag, values, *, iters=3, seed=7,
         av[:-1] += off * v[1:]
         av[1:] += off * v[:-1]
         res = float(np.linalg.norm(av - values[j] * v))
-        if res > residual_factor * span:
+        if res > 1e-8 * span:
             raise NumericalError(
                 f"inverse iteration residual {res:.3e} exceeds "
-                f"{residual_factor:.1e} * span for eigenvalue {values[j]!r}")
+                f"1e-8 * span for eigenvalue {values[j]!r}")
     return vecs
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    values: np.ndarray = field(repr=False)
-    vectors: object = field(repr=False, default=None)
-
-    @property
-    def count(self):
-        return int(self.values.size)
-
-
-def truncation_eigenvalues(op, *, window=None, indices=None, tol=None,
-                           vectors=False, threads=1):
-    """Windowed or full spectrum of a :class:`JacobiOperator` section."""
-    vals = eigenvalues_tridiagonal(op, window=window, indices=indices,
-                                   tol=tol, threads=threads)
-    vecs = None
-    if vectors and vals.size:
-        vecs = eigenvectors_inverse_iteration(op.diag, op.offdiag, vals)
-    return EigenResult(values=vals, vectors=vecs)
 
 
 @dataclass(frozen=True)
@@ -330,7 +249,7 @@ class FillReport:
         return self.n_outliers == 0 and self.max_gap < self.pad
 
 
-def spectrum_fill_report(op, interval=None, *, pad=0.05, tol=None, threads=1):
+def spectrum_fill_report(op, interval=None, *, pad=0.05, threads=1):
     """Full spectrum of the section and its coverage of ``interval``.
 
     The maximal gap is measured between consecutive eigenvalues inside
@@ -341,7 +260,7 @@ def spectrum_fill_report(op, interval=None, *, pad=0.05, tol=None, threads=1):
     if interval is None:
         interval = op.scaling.interval
     lo, hi = float(interval[0]), float(interval[1])
-    vals = eigenvalues_tridiagonal(op, tol=tol, threads=threads)
+    vals = eigenvalues_tridiagonal(op, threads=threads)
     inside = vals[(vals >= lo - pad) & (vals <= hi + pad)]
     outliers = vals[(vals < lo - pad) | (vals > hi + pad)]
     knots = np.concatenate([[lo], np.sort(np.clip(inside, lo, hi)), [hi]])
@@ -397,7 +316,7 @@ def _tail_solution(d, e, lam, theta):
     return X
 
 
-def jost_verify(op, lam, *, fit_start=None, fit_stop=None):
+def jost_verify(op, lam):
     """Propagate a complex tail solution and compare it to e^{i*theta*I}.
 
     In the tail the three-term recurrence has constant limits (centre z,
@@ -405,11 +324,11 @@ def jost_verify(op, lam, *, fit_start=None, fit_stop=None):
     bounded oscillatory solutions.  The recurrence is seeded with the
     plane-wave pair (1, e^{i*theta}) and run forward as one triangular
     band solve (the same sequential substitution, in compiled code); over
-    the fit window the envelope peaks of |X| must be flat and the
-    unwrapped phase must advance by theta per shell, up to the
-    (geometrically decaying) coefficient transients.  A vanishing
-    coupling makes the recurrence singular and raises
-    :class:`NumericalError`.
+    the fit window, the last three quarters of the section, the envelope
+    peaks of |X| must be flat and the unwrapped phase must advance by
+    theta per shell, up to the (geometrically decaying) coefficient
+    transients.  A vanishing coupling makes the recurrence singular and
+    raises :class:`NumericalError`.
     """
     sp = op.scaling
     z = sp.centre
@@ -420,15 +339,12 @@ def jost_verify(op, lam, *, fit_start=None, fit_stop=None):
     theta = math.acos(x)
 
     n = op.n
-    if fit_start is None:
-        fit_start = n // 4
-    if fit_stop is None:
-        fit_stop = n
-    if not (0 <= fit_start < fit_stop - 8 <= n - 8):
+    fit_start = n // 4
+    if fit_start >= n - 8:
         raise ValidationError("fit window too small")
     # gauge with positive couplings
     X = _tail_solution(op.diag, np.abs(op.offdiag), lam, theta)
-    w = np.abs(X[fit_start:fit_stop])
+    w = np.abs(X[fit_start:])
 
     interior = (w[1:-1] >= w[:-2]) & (w[1:-1] >= w[2:])
     peaks = w[1:-1][interior]
@@ -436,7 +352,7 @@ def jost_verify(op, lam, *, fit_start=None, fit_stop=None):
         peaks = w  # theta near 0 or pi: period exceeds the window
     flat = float((np.max(peaks) - np.min(peaks)) / np.mean(peaks))
 
-    phi = np.unwrap(np.angle(X[fit_start:fit_stop]))
+    phi = np.unwrap(np.angle(X[fit_start:]))
     kk = np.arange(phi.size, dtype=float)
     A = np.vstack([kk, np.ones_like(kk)]).T
     coef, _, _, _ = np.linalg.lstsq(A, phi, rcond=None)

@@ -167,7 +167,7 @@ def test_negated_band_structure(stiff_pd):
     assert bs.e2 == pytest.approx(12.0)
     assert bs.e_minus == pytest.approx(0.4559963, abs=1e-6)
     assert bs.e_plus == pytest.approx(17.5440037, abs=1e-6)
-    neg = -spectra.eigenvalues_bisect(sys.operator())
+    neg = -spectra.eigenvalues_tridiagonal(sys.operator())
     rep = spectra.band_report(neg, bs, pad=0.05)
     # finitely many discrete strays survive outside the essential bands
     assert rep.n_off_band == 4
@@ -181,6 +181,17 @@ def test_local_frequency_slope(stiff_sys):
     # nonzero lam only perturbs the tail fit at the 1e-7 level
     lf1 = polytrans.local_frequencies(stiff_sys, -1.0, i_min=2)
     assert lf1.slope() == pytest.approx(HALF_LOG2, rel=1e-5)
+
+
+def test_local_frequencies_start_at_the_first_admissible_shell(stiff_sys):
+    # shell 1 is evanescent at lam = 0 (see the guard test below)
+    lf = polytrans.local_frequencies(stiff_sys, 0.0)
+    assert int(lf.shells[0]) == 2
+    ref = polytrans.local_frequencies(stiff_sys, 0.0, i_min=2)
+    assert np.array_equal(lf.log_omega, ref.log_omega)
+    # far above every beta term no shell is admissible
+    with pytest.raises(ValidationError, match="no shell is admissible"):
+        polytrans.local_frequencies(stiff_sys, 1e6)
 
 
 def test_local_frequency_evanescent_guard(stiff_sys):
@@ -246,8 +257,6 @@ def test_delta_r_growth_outside_band(stiff_sys):
 
 
 def test_delta_r_growth_guards(stiff_sys):
-    with pytest.raises(ValidationError, match="seed must not be identically zero"):
-        polytrans.delta_r_growth(stiff_sys, 0.0, i_min=2, seed=(0.0, 0.0))
     with pytest.raises(ValidationError, match="i_min leaves too short"):
         polytrans.delta_r_growth(stiff_sys, 0.0, i_min=stiff_sys.n)
     dist = model.build_mass_distribution(0.5, 2.0, N=1200)
