@@ -7,6 +7,11 @@ across runs with the same effective configuration: floats are written in
 shortest round-trip form, JSON keys are sorted, and every CSV opens with a
 comment line carrying the sha256 hash of the effective config.
 
+Each subcommand's handler computes and returns its artifacts as data,
+``{file name: content}``; ``main`` is the only writer.  It renders every
+artifact, which checks each number bound for it, before it opens the
+first file, so a job that exits 1 or 2 writes no artifact.
+
 Exit codes: 0 success, 1 validation failure (message names the violated
 precondition), 2 numerical failure (message includes the location).
 """
@@ -166,21 +171,20 @@ def _fmt(v):
     return repr(float(v))
 
 
-def _write_csv(path, header, columns, h):
-    cols = [np.asarray(c) for c in columns]
+def _render_csv(name, table, h):
+    """Text of the CSV artifact ``name`` from its ``{header: column}`` table."""
+    cols = [np.asarray(c) for c in table.values()]
     if len({c.shape[0] for c in cols}) > 1:
         raise ValidationError("CSV columns must share a length")
-    for name, col in zip(header, cols):
+    for header, col in zip(table, cols):
         bad = np.flatnonzero(~np.isfinite(col)) if col.dtype.kind == "f" else ()
         if len(bad):
             raise NumericalError(
                 f"non-finite value {float(col[bad[0]])!r} in artifact "
-                f"{os.path.basename(path)}, column {name}, row {int(bad[0])}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config sha256: {h}\n")
-        fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+                f"{name}, column {header}, row {int(bad[0])}")
+    lines = [f"# config sha256: {h}", ",".join(table)]
+    lines += [",".join(_fmt(v) for v in row) for row in zip(*cols)]
+    return "\n".join(lines) + "\n"
 
 
 #: fields whose documented value may be infinite; written as "inf"/"-inf"
@@ -210,12 +214,16 @@ def _jsonable(v, artifact, field):
     return v
 
 
-def _write_json(path, obj, h):
-    payload = {"config_sha256": h}
-    payload.update(_jsonable(obj, os.path.basename(path), ""))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+def _render_json(name, obj, h):
+    """Text of the JSON artifact ``name``, stamped with the config hash."""
+    payload = {"config_sha256": h, **_jsonable(obj, name, "")}
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+#: artifact renderers by file suffix: (name, content, config hash) -> text.
+#: A CSV's content is a ``{header: column}`` mapping, a JSON artifact's a
+#: mapping, and ``report.md``'s its text.
+_RENDER = {".csv": _render_csv, ".json": _render_json, ".md": lambda name, text, h: text}
 
 
 def _build_pd(eff, *, n_trunc, i_start):
@@ -281,18 +289,16 @@ def _shell_section(eff):
     return discrete.assemble_jacobi(pd, n_trunc, i_start=i_start)
 
 
-def _run_spectrum(eff, outdir, h, threads):
+def _run_spectrum(eff, threads):
     op = _shell_section(eff)
     _refuse_graded(op)
     rep = spectra.spectrum_fill_report(op, pad=eff["analysis"]["pad"], threads=threads)
-    _write_csv(os.path.join(outdir, "eigenvalues.csv"), ["lambda"],
-               [rep.values], h)
-    _write_json(os.path.join(outdir, "fill_report.json"), {
-        "interval": list(rep.interval), "n_values": int(rep.values.size),
-        **_fields(rep, "pad n_inside n_outliers max_gap fills")}, h)
     print(f"spectrum: n={rep.values.size} inside={rep.n_inside} "
           f"outliers={rep.n_outliers} max_gap={rep.max_gap:.3e} fills={rep.fills}")
-    return 0
+    return {"eigenvalues.csv": {"lambda": rep.values},
+            "fill_report.json": {
+                "interval": list(rep.interval), "n_values": int(rep.values.size),
+                **_fields(rep, "pad n_inside n_outliers max_gap fills")}}
 
 
 #: jost artifact columns and the JostFit attributes they hold
@@ -301,21 +307,19 @@ _JOST_FIELDS = (("lambda", "lam"), ("theta", "theta"), ("theta_fit", "theta_fit"
                 ("phase_residual", "phase_residual"), ("n_peaks", "n_peaks"))
 
 
-def _run_jost(eff, outdir, h, threads):
+def _run_jost(eff, threads):
     op = _shell_section(eff)
     fits = [spectra.jost_verify(op, lam)
             for lam in _or(eff["analysis"]["lambdas"], [-1.6, 0.0, 1.6])]
-    _write_csv(os.path.join(outdir, "jost.csv"), [col for col, _ in _JOST_FIELDS],
-               [[getattr(f, attr) for f in fits] for _, attr in _JOST_FIELDS], h)
-    _write_json(os.path.join(outdir, "jost.json"), {"fits": [
-        {col: getattr(f, attr) for col, attr in _JOST_FIELDS} for f in fits]}, h)
     for f in fits:
         print(f"jost: lambda={f.lam:+.4g} theta_err={f.theta_error:.3e} "
               f"flatness={f.amplitude_flatness:.3e}")
-    return 0
+    table = {col: [getattr(f, attr) for f in fits] for col, attr in _JOST_FIELDS}
+    return {"jost.csv": table,
+            "jost.json": {"fits": [dict(zip(table, row)) for row in zip(*table.values())]}}
 
 
-def _run_ppmodes(eff, outdir, h, threads):
+def _run_ppmodes(eff, threads):
     ana = eff["analysis"]
     m = eff["model"]
     n_trunc = _or(ana["n_trunc"], 20000)
@@ -326,20 +330,18 @@ def _run_ppmodes(eff, outdir, h, threads):
     modes = ppmodes.detect_edge_eigenvalues(
         op, dsp, edge=ana["edge"], window=ana["window"], tol=ana["tol"], threads=threads)
     slope, r2 = modes.ladder_fit()
-    _write_csv(os.path.join(outdir, "ppmodes.csv"),
-               ["value", "depth", "block", "in_block", "dr_bounded"],
-               [modes.values, modes.depths, modes.blocks, modes.in_block,
-                modes.dr_bounded], h)
-    _write_json(os.path.join(outdir, "ppmodes.json"), {
-        "edge": modes.edge, "count": modes.count, "ladder_slope": slope,
-        "ladder_r_squared": r2,
-        "n_localized": int(np.count_nonzero(modes.in_block >= 0.9)),
-        "n_dr_bounded": int(np.count_nonzero(modes.dr_bounded))}, h)
     print(f"ppmodes: count={modes.count} ladder_slope={slope:.4f} r2={r2:.4f}")
-    return 0
+    return {"ppmodes.csv": {"value": modes.values, "depth": modes.depths,
+                            "block": modes.blocks, "in_block": modes.in_block,
+                            "dr_bounded": modes.dr_bounded},
+            "ppmodes.json": {
+                "edge": modes.edge, "count": modes.count, "ladder_slope": slope,
+                "ladder_r_squared": r2,
+                "n_localized": int(np.count_nonzero(modes.in_block >= 0.9)),
+                "n_dr_bounded": int(np.count_nonzero(modes.dr_bounded))}}
 
 
-def _run_transform_check(eff, outdir, h, threads):
+def _run_transform_check(eff, threads):
     ana = eff["analysis"]
     n_instances = _or(ana["n_instances"], 50)
     rational = ana["rational"]
@@ -365,17 +367,16 @@ def _run_transform_check(eff, outdir, h, threads):
         raise NumericalError(
             f"grading identity violated in rational arithmetic: "
             f"residual {worst} over {n_instances} instances")
-    _write_json(os.path.join(outdir, "transform_check.json"), {
-        "rational": rational, "n_instances": n_instances,
-        "max_residual": str(worst), "exact": rational and worst == 0}, h)
     if rational:
         print(f"residual: exact zero, n={n_instances}")
     else:
         print(f"residual: {float(worst):.3e} (float), n={n_instances}")
-    return 0
+    return {"transform_check.json": {
+        "rational": rational, "n_instances": n_instances,
+        "max_residual": str(worst), "exact": rational and worst == 0}}
 
 
-def _run_scaled(eff, outdir, h, threads):
+def _run_scaled(eff, threads):
     ana = eff["analysis"]
     n_trunc = _or(ana["n_trunc"], 2000)
     pd = _build_pd(eff, n_trunc=n_trunc, i_start=1)
@@ -387,8 +388,7 @@ def _run_scaled(eff, outdir, h, threads):
     system = polytrans.build_scaled_system(pd, n_trunc)
     vals = spectra.eigenvalues_tridiagonal(system.operator(), threads=threads)
     bs = system.limit_band_structure()
-    brep = spectra.band_report(np.sort(-vals), bs, pad=ana["pad"],
-                               gap_margin=ana["pad"])
+    brep = spectra.band_report(np.sort(-vals), bs, pad=ana["pad"])
     per_lam = []
     for lam in _or(ana["lambdas"], [0.0]):
         lf = polytrans.local_frequencies(system, lam, i_min=ana["i_min"])
@@ -398,23 +398,20 @@ def _run_scaled(eff, outdir, h, threads):
                         "omega_slope": lf.slope(),
                         **_fields(gr, "solution_rate displacement_rate "
                                       "theory_displacement_rate")})
-    _write_csv(os.path.join(outdir, "scaled.csv"),
-               ["I", "mu", "beta", "t", "diag"],
-               [np.arange(1, system.n + 1), system.mu, system.beta, system.t,
-                system.diag], h)
-    _write_json(os.path.join(outdir, "scaled.json"), {
-        "nu": system.nu, "mu_inf": system.mu_inf, "beta_inf": system.beta_inf,
-        "bands": [list(b) for b in bs.bands], "gap": list(bs.gap),
-        "negated_band_report": _fields(brep, "n_values n_off_band n_gap_interior"),
-        "frequencies": per_lam}, h)
     for row in per_lam:
         print(f"scaled: lambda={row['lambda']:+.4g} omega_slope={row['omega_slope']:.6f} "
               f"delta_r_rate={row['displacement_rate']:.6f} "
               f"(theory {row['theory_displacement_rate']:.6f})")
-    return 0
+    return {"scaled.csv": {"I": np.arange(1, system.n + 1), "mu": system.mu,
+                           "beta": system.beta, "t": system.t, "diag": system.diag},
+            "scaled.json": {
+                "nu": system.nu, "mu_inf": system.mu_inf, "beta_inf": system.beta_inf,
+                "bands": [list(b) for b in bs.bands], "gap": list(bs.gap),
+                "negated_band_report": _fields(brep, "n_values n_off_band n_gap_interior"),
+                "frequencies": per_lam}}
 
 
-def _run_sl(eff, outdir, h, threads):
+def _run_sl(eff, threads):
     ana = eff["analysis"]
     eos = _sl_eos(eff)
     form = slform.CanonicalForm(eos)
@@ -431,10 +428,10 @@ def _run_sl(eff, outdir, h, threads):
             f"analysis.x_max must be below {x_top:.6g} for this layer, where its depth "
             f"falls to {depth:g} R_star; got {ana['x_max']!r}")
     case = slform.classify_sl_case(eos)
-    _write_json(os.path.join(outdir, "sl_case.json"), {
+    artifacts = {"sl_case.json": {
         "route": case.route, "applies": case.applies, "notes": case.notes,
         "checks": [_fields(c, "name exponent fitted integrable tail_ratio consistent")
-                   for c in case.checks]}, h)
+                   for c in case.checks]}}
     print(f"sl: route={case.route} applies={case.applies}")
 
     results = []
@@ -453,10 +450,9 @@ def _run_sl(eff, outdir, h, threads):
         except ValidationError as exc:
             raise ValidationError(
                 f"sl at lambda {lam!r} with analysis.x_max {ana['x_max']!r}: {exc}") from None
-        _write_csv(os.path.join(outdir, f"trace_{k}.csv"),
-                   ["X", "Y", "Y_prime", "x", "xi", "delta_r"],
-                   [trace.X_grid, trace.Y, trace.Y_prime, trace.x_grid, trace.y,
-                    trace.delta_r], h)
+        artifacts[f"trace_{k}.csv"] = {
+            "X": trace.X_grid, "Y": trace.Y, "Y_prime": trace.Y_prime,
+            "x": trace.x_grid, "xi": trace.y, "delta_r": trace.delta_r}
         results.append({
             "lambda": trace.lam,
             "propagator": {"method": "magnus4", "substeps": trace.substeps,
@@ -471,11 +467,12 @@ def _run_sl(eff, outdir, h, threads):
               f"(analytic {reg.analytic_power:.4f}) F_slope={gr.slope:.4g} "
               f"diverges={gr.diverges}")
     if results:
-        _write_json(os.path.join(outdir, "sl.json"), {"traces": results}, h)
-    return 0
+        artifacts["sl.json"] = {"traces": results}
+    return artifacts
 
 
-def _run_report(eff, outdir, h, threads):
+def _run_report(eff, threads):
+    outdir = eff["output"]["directory"]
     names = sorted(f for f in os.listdir(outdir)
                    if f.endswith(".json") and f != "report.json")
     sections = {}
@@ -485,17 +482,12 @@ def _run_report(eff, outdir, h, threads):
                 sections[name] = json.load(fh)
             except ValueError as exc:   # not JSON, or not UTF-8
                 raise ValidationError(f"{name} in {outdir} is not JSON: {exc}") from None
-    _write_json(os.path.join(outdir, "report.json"),
-                {"artifacts": sections}, h)
-    lines = ["# run report", "", f"config sha256: `{h}`", ""]
+    lines = ["# run report", "", f"config sha256: `{config_hash(eff)}`", ""]
     for name in names:
         lines += [f"## {name}", "", "```json",
                   json.dumps(sections[name], sort_keys=True, indent=2), "```", ""]
-    with open(os.path.join(outdir, "report.md"), "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write("\n".join(lines))
     print(f"report: aggregated {len(names)} artifact(s)")
-    return 0
+    return {"report.json": {"artifacts": sections}, "report.md": "\n".join(lines)}
 
 
 _HANDLERS = {
@@ -550,14 +542,21 @@ def main(argv=None):
                 f"subcommand must be one of {sorted(_HANDLERS)}, got {sub!r}")
         if args.rational and sub != "transform-check":
             raise ValidationError("--rational applies to transform-check only")
-        h = config_hash(eff)
         outdir = eff["output"]["directory"]
         try:
             os.makedirs(outdir, exist_ok=True)
         except OSError as exc:
             raise ValidationError(
                 f"output.directory {outdir!r} cannot be created: {exc}") from None
-        return _HANDLERS[sub](eff, outdir, h, _or(eff["analysis"]["threads"], 1))
+        artifacts = _HANDLERS[sub](eff, _or(eff["analysis"]["threads"], 1))
+        h = config_hash(eff)
+        # every artifact is rendered, and so checked, before the first opens
+        texts = {name: _RENDER[os.path.splitext(name)[1]](name, content, h)
+                 for name, content in artifacts.items()}
+        for name, text in texts.items():
+            with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

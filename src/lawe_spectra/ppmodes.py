@@ -221,7 +221,6 @@ class EdgeModes:
     blocks: np.ndarray = field(repr=False)
     in_block: np.ndarray = field(repr=False)
     dr_bounded: np.ndarray = field(repr=False)
-    vectors: object = field(repr=False, default=None)
 
     @property
     def count(self):
@@ -265,8 +264,7 @@ class EdgeModes:
         return float(coef[0]), r2
 
 
-def detect_edge_eigenvalues(op, dsp, *, edge=None, window=None, tol=None,
-                            threads=1, keep_vectors=False):
+def detect_edge_eigenvalues(op, dsp, *, edge=None, window=None, tol=None, threads=1):
     """Find the modes in [edge - window, edge) and profile each one.
 
     ``edge`` defaults to the model's lower essential edge and ``window``
@@ -295,5 +293,4 @@ def detect_edge_eigenvalues(op, dsp, *, edge=None, window=None, tol=None,
     bounded = np.array([delta_r_from_X(vecs[:, j], op.pd.dist, i_start=op.i_start)[1]
                         for j in range(vals.size)], dtype=bool)
     return EdgeModes(edge=float(edge), values=vals, blocks=blocks,
-                     in_block=in_block, dr_bounded=bounded,
-                     vectors=vecs if keep_vectors else None)
+                     in_block=in_block, dr_bounded=bounded)

@@ -433,18 +433,18 @@ class BandReport:
     max_band_distance: float
 
 
-def band_report(values, bs, *, pad=0.05, gap_margin=0.05):
+def band_report(values, bs, *, pad=0.05):
     """Count section eigenvalues against the limit bands.
 
     Dirichlet truncation may shed a handful of states into the spectral
-    gap; ``n_gap_interior`` counts those farther than ``gap_margin`` from
-    either inner edge, ``n_off_band`` those farther than ``pad`` from the
-    band union.
+    gap; ``n_gap_interior`` counts those farther than ``pad`` from either
+    inner edge, ``n_off_band`` those farther than ``pad`` from the band
+    union.
     """
     values = np.asarray(values, dtype=float)
     dist = bs.distance(values)
     g_lo, g_hi = bs.gap
-    in_gap = (values > g_lo + gap_margin) & (values < g_hi - gap_margin)
+    in_gap = (values > g_lo + pad) & (values < g_hi - pad)
     return BandReport(n_values=int(values.size),
                       n_off_band=int(np.count_nonzero(dist > pad)),
                       n_gap_interior=int(np.count_nonzero(in_gap)),

@@ -153,7 +153,7 @@ def test_criterion_06_two_periodic_bands():
     bs = spectra.band_structure(2.0, 1.0, 0.5)
     op = spectra.build_two_periodic(2.0, 1.0, 0.5, 2000)
     vals = spectra.eigenvalues_tridiagonal(op)
-    rep = spectra.band_report(vals, bs, pad=0.05, gap_margin=0.05)
+    rep = spectra.band_report(vals, bs, pad=0.05)
     dt = time.perf_counter() - t0
     ok = rep.n_off_band == 0 and rep.n_gap_interior <= 4 and dt < 30.0
     _line(6, ok, f"off_band={rep.n_off_band} gap_interior={rep.n_gap_interior} "

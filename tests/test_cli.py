@@ -353,21 +353,21 @@ def test_nan_bound_for_an_artifact_exits_numerical(tmp_path, capsys):
         assert cli.run("jost", cfg) == 2
     assert ("non-finite value nan in artifact jost.csv, column theta_fit"
             in capsys.readouterr().err)
-    assert not (out / "jost.csv").exists()
+    # jost.json would have been finite; no artifact of the job is written
+    assert list(out.iterdir()) == []
 
 
-def test_json_infinity_only_under_sentinels(tmp_path):
-    path = tmp_path / "a.json"
-    cli._write_json(str(path), {"checks": [{"tail_ratio": np.inf}],
-                                "l2_growth": {"max_growth_factor": -np.inf}}, "h")
-    art = json.loads(path.read_text())
+def test_json_infinity_only_under_sentinels():
+    text = cli._render_json("a.json", {"checks": [{"tail_ratio": np.inf}],
+                                       "l2_growth": {"max_growth_factor": -np.inf}}, "h")
+    art = json.loads(text)
+    assert art["config_sha256"] == "h"
     assert art["checks"][0]["tail_ratio"] == "inf"
     assert art["l2_growth"]["max_growth_factor"] == "-inf"
     for bad, field in (({"slope": np.inf}, "slope"),
                        ({"traces": [{"tail_ratio": np.nan}]}, "traces[0].tail_ratio")):
         with pytest.raises(NumericalError, match=re.escape(f"b.json, field {field}")):
-            cli._write_json(str(tmp_path / "b.json"), bad, "h")
-    assert not (tmp_path / "b.json").exists()
+            cli._render_json("b.json", bad, "h")
 
 
 def _sl_config(tmp_path, **analysis):
@@ -417,7 +417,8 @@ def test_sl_unreachable_rtol_exits_numerical(tmp_path, capsys):
     assert time.perf_counter() - t0 < 5.0
     err = capsys.readouterr().err
     assert "analysis.rtol 1e-15" in err and "stalls" in err
-    assert not (tmp_path / "out" / "sl.json").exists()
+    # sl_case.json was ready before the trace failed; it is not written
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_sl_short_trace_names_x_max(tmp_path, capsys):
@@ -431,7 +432,10 @@ def test_sl_short_trace_names_x_max(tmp_path, capsys):
     assert "sl at lambda 1.0 with analysis.x_max 0.5" in err
     assert "lam - V2 must stay positive" in err
     assert "RuntimeWarning" not in err and "Traceback" not in err
-    assert not (tmp_path / "out" / "sl.json").exists()
+    assert list((tmp_path / "out").iterdir()) == []
+    # so a report on that directory finds nothing of the failed job
+    assert cli.run("report", _sl_config(tmp_path)) == 0
+    assert "report: aggregated 0 artifact(s)" in capsys.readouterr().out
 
 
 def test_report_aggregates_artifacts(tmp_path, capsys):

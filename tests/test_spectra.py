@@ -417,7 +417,7 @@ def test_two_periodic_section_fills_bands():
 def test_band_report_counts_gap_states():
     bs = spectra.band_structure(2.0, 1.0, 0.5)
     vals = np.array([1.0, 3.0, 2.01, 5.0, 7.0])
-    rep = spectra.band_report(vals, bs, pad=0.05, gap_margin=0.05)
+    rep = spectra.band_report(vals, bs, pad=0.05)
     # 3.0 is deep in the gap; 2.01 is within the margin of the band edge
     assert rep.n_gap_interior == 1
     assert rep.n_off_band == 2  # 3.0 and 7.0
