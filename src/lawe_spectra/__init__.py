@@ -38,6 +38,7 @@ from .discrete import (
     assemble_jacobi,
     classify_tail,
     coupling_values,
+    delta_r_bounded,
     delta_r_from_X,
     delta_r_log,
     predict_spectrum,

@@ -10,7 +10,8 @@ comment line carrying the sha256 hash of the effective config.
 Each subcommand's handler computes and returns its artifacts as data,
 ``{file name: content}``; ``main`` is the only writer.  It renders every
 artifact, which checks each number bound for it, before it opens the
-first file, so a job that exits 1 or 2 writes no artifact.
+first file, and then writes them all or none, so a job that exits 1 or 2
+writes no artifact.
 
 Exit codes: 0 success, 1 validation failure (message names the violated
 precondition), 2 numerical failure (message includes the location).
@@ -19,6 +20,8 @@ precondition), 2 numerical failure (message includes the location).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -163,19 +166,26 @@ def config_hash(eff):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _fmt(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+_BOOL_CELL = {True: "true", False: "false"}
+
+
+def _cells(col):
+    # one conversion per column: floats in shortest round-trip form,
+    # integers in decimal, booleans as true/false
+    if col.dtype.kind == "b":
+        return map(_BOOL_CELL.__getitem__, col.tolist())
+    if col.dtype.kind in "iu":
+        return map(str, col.tolist())
+    return map(repr, col.astype(float, copy=False).tolist())
 
 
 def _render_csv(name, table, h):
     """Text of the CSV artifact ``name`` from its ``{header: column}`` table."""
     cols = [np.asarray(c) for c in table.values()]
     if len({c.shape[0] for c in cols}) > 1:
-        raise ValidationError("CSV columns must share a length")
+        lengths = ", ".join(f"{header} {c.shape[0]}" for header, c in zip(table, cols))
+        raise ValidationError(
+            f"CSV columns of artifact {name} must share a length, got {lengths}")
     for header, col in zip(table, cols):
         bad = np.flatnonzero(~np.isfinite(col)) if col.dtype.kind == "f" else ()
         if len(bad):
@@ -183,7 +193,7 @@ def _render_csv(name, table, h):
                 f"non-finite value {float(col[bad[0]])!r} in artifact "
                 f"{name}, column {header}, row {int(bad[0])}")
     lines = [f"# config sha256: {h}", ",".join(table)]
-    lines += [",".join(_fmt(v) for v in row) for row in zip(*cols)]
+    lines += map(",".join, zip(*map(_cells, cols)))
     return "\n".join(lines) + "\n"
 
 
@@ -501,6 +511,34 @@ _HANDLERS = {
 }
 
 
+def _write_all(outdir, texts):
+    """Write every artifact of ``texts`` into ``outdir``, or none of them.
+
+    Each text goes to a hidden partial file whose name ends in neither
+    ``.json`` nor ``.csv``, so ``report`` never reads one.  The partials
+    replace their targets only once all are written; on any failure they
+    are removed and the job exits 1.
+    """
+    partials = {}
+    try:
+        for name, text in texts.items():
+            path = os.path.join(outdir, name)
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            tmp = os.path.join(outdir, f".{name}.partial")
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                partials[name] = tmp
+                fh.write(text)
+        for name, tmp in partials.items():
+            os.replace(tmp, os.path.join(outdir, name))
+    except OSError as exc:
+        for tmp in partials.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise ValidationError(
+            f"output.directory {outdir!r}: cannot write {name}: {exc}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValidationError(message)
@@ -553,9 +591,7 @@ def main(argv=None):
         # every artifact is rendered, and so checked, before the first opens
         texts = {name: _RENDER[os.path.splitext(name)[1]](name, content, h)
                  for name, content in artifacts.items()}
-        for name, text in texts.items():
-            with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+        _write_all(outdir, texts)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -286,6 +286,19 @@ def delta_r_log(X, dist, i_start=1):
         return np.log(np.abs(X)) - 0.5 * dist.log_shell_mass(idx)
 
 
+def _dr_bounded(abs_x, log_dr):
+    amax = float(np.max(abs_x))
+    if amax == 0.0:
+        return True
+    stop = int(np.where(abs_x > 1e-13 * amax)[0][-1]) + 1
+    y = log_dr[:stop]
+    y = y[np.isfinite(y)]
+    k = max(1, (3 * y.size) // 4)
+    early = float(np.max(y[:k]))
+    late = float(np.max(y[k:])) if y.size > k else -np.inf
+    return late <= early + 1e-6 * max(1.0, abs(early))
+
+
 def delta_r_from_X(X, dist, i_start=1):
     """Displacement field dr(I) = X(I)/sqrt(M(I)) and a boundedness verdict.
 
@@ -302,14 +315,20 @@ def delta_r_from_X(X, dist, i_start=1):
     log_dr = delta_r_log(X, dist, i_start)
     with np.errstate(over="ignore"):
         dr = np.sign(X) * np.exp(log_dr)
-    amax = float(np.max(np.abs(X)))
-    if amax == 0.0:
-        return dr, True
-    stop = int(np.where(np.abs(X) > 1e-13 * amax)[0][-1]) + 1
-    y = log_dr[:stop]
-    y = y[np.isfinite(y)]
-    k = max(1, (3 * y.size) // 4)
-    early = float(np.max(y[:k]))
-    late = float(np.max(y[k:])) if y.size > k else -np.inf
-    bounded = late <= early + 1e-6 * max(1.0, abs(early))
-    return dr, bool(bounded)
+    return dr, _dr_bounded(np.abs(X), log_dr)
+
+
+def delta_r_bounded(V, dist, i_start=1):
+    """The verdicts of :func:`delta_r_from_X` for every column of ``V``.
+
+    The shell masses are evaluated once for all columns, and no field is
+    built; each column costs one pass over its own rows.
+    """
+    V = np.asarray(V, dtype=float)
+    half_log_m = 0.5 * dist.log_shell_mass(np.arange(i_start, i_start + V.shape[0]))
+    out = np.empty(V.shape[1], dtype=bool)
+    with np.errstate(divide="ignore"):
+        for j in range(V.shape[1]):
+            abs_x = np.abs(V[:, j])
+            out[j] = _dr_bounded(abs_x, np.log(abs_x) - half_log_m)
+    return out

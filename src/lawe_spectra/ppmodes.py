@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ValidationError
 from .model import (build_mass_distribution, build_pd_distribution,
                     coupling_constant, gamma_profile, profile_constant)
-from .discrete import delta_r_from_X
+from .discrete import delta_r_bounded
 from .spectra import (eigenvalues_tridiagonal, eigenvectors_inverse_iteration,
                       gershgorin_interval)
 
@@ -271,7 +271,7 @@ def detect_edge_eigenvalues(op, dsp, *, edge=None, window=None, tol=None, thread
     to everything below it.  Each eigenvector is assigned to the block
     holding the largest share of its mass (fraction measured over the
     block widened by two shells) and its displacement field is judged
-    bounded or not via delta_r_from_X.
+    bounded or not via delta_r_bounded.
     """
     if edge is None:
         edge = op.scaling.interval[0]
@@ -290,7 +290,5 @@ def detect_edge_eigenvalues(op, dsp, *, edge=None, window=None, tol=None, thread
 
     vecs = eigenvectors_inverse_iteration(op.diag, op.offdiag, vals)
     blocks, in_block = dsp.block_of(op.shells, vecs)
-    bounded = np.array([delta_r_from_X(vecs[:, j], op.pd.dist, i_start=op.i_start)[1]
-                        for j in range(vals.size)], dtype=bool)
-    return EdgeModes(edge=float(edge), values=vals, blocks=blocks,
-                     in_block=in_block, dr_bounded=bounded)
+    return EdgeModes(edge=float(edge), values=vals, blocks=blocks, in_block=in_block,
+                     dr_bounded=delta_r_bounded(vecs, op.pd.dist, i_start=op.i_start))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lawe_spectra import cli
-from lawe_spectra.errors import NumericalError
+from lawe_spectra.errors import NumericalError, ValidationError
 
 
 def write_config(path, **blocks):
@@ -368,6 +368,135 @@ def test_json_infinity_only_under_sentinels():
                        ({"traces": [{"tail_ratio": np.nan}]}, "traces[0].tail_ratio")):
         with pytest.raises(NumericalError, match=re.escape(f"b.json, field {field}")):
             cli._render_json("b.json", bad, "h")
+
+
+# --- CSV rendering: column by column, byte for byte the per-cell format
+
+
+def _reference_cell(v):
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
+def reference_csv(table, h):
+    """The CSV text as formatted one cell at a time."""
+    cols = [np.asarray(c) for c in table.values()]
+    lines = [f"# config sha256: {h}", ",".join(table)]
+    lines += [",".join(_reference_cell(v) for v in row) for row in zip(*cols)]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 2.0, -3.0,
+               1.7976931348623157e308, -1.7976931348623157e308]
+INT64_LIMITS = [-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+
+
+def _column(elements, dtype):
+    return lambda n: st.lists(elements, min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=dtype))
+
+
+COLUMNS = {
+    "float64": _column(st.one_of(st.sampled_from(EDGE_FLOATS),
+                                 st.floats(allow_nan=False, allow_infinity=False)),
+                       np.float64),
+    "float32": _column(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                       np.float32),
+    "int64": _column(st.one_of(st.sampled_from(INT64_LIMITS),
+                               st.integers(-2**63, 2**63 - 1)), np.int64),
+    "bool": _column(st.booleans(), bool),
+    # handlers may hand over lists of Python numbers, as the jost table does
+    "list": lambda n: st.lists(st.one_of(st.integers(-10**6, 10**6),
+                                         st.floats(allow_nan=False, allow_infinity=False)),
+                               min_size=n, max_size=n),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1, max_size=6))
+    return {f"{kind}_{i}": draw(COLUMNS[kind](n)) for i, kind in enumerate(kinds)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=csv_tables())
+def test_csv_matches_per_cell_format(table):
+    assert cli._render_csv("t.csv", table, "h") == reference_csv(table, "h")
+
+
+def test_csv_edge_values_match_per_cell_format():
+    table = {"f64": np.array(EDGE_FLOATS),
+             "f32": np.array([2.0, 1e16, 1e-5, 0.1, -0.0, 3.4028234663852886e38,
+                              1.401298464324817e-45, 1.0, -2.5, 7.0], dtype=np.float32),
+             "i64": np.array(INT64_LIMITS + [42, -42, 10**18], dtype=np.int64),
+             "b": np.arange(10) % 3 == 0,
+             "py": [True, 2, -0.0, 2.0, 5e-324, 1e16, 1e-5, 3, 0.5, -1]}
+    text = cli._render_csv("t.csv", table, "h")
+    assert text == reference_csv(table, "h")
+    rows = text.splitlines()[2:]
+    assert rows[0] == "-0.0,2.0,-9223372036854775808,true,1.0"
+    assert rows[1] == "0.0,1.0000000272564224e+16,-9223372036854775807,false,2.0"
+    assert rows[2] == "5e-324,9.999999747378752e-06,-1,false,-0.0"
+    assert rows[5] == "1e+16,3.4028234663852886e+38,9223372036854775806,false,1e+16"
+    assert rows[9] == "-1.7976931348623157e+308,7.0,1000000000000000000,true,-1.0"
+    # no rows: the hash line and the header alone
+    empty = {"a": np.empty(0), "b": np.empty(0, dtype=np.int64), "c": []}
+    assert cli._render_csv("e.csv", empty, "h") == "# config sha256: h\na,b,c\n"
+    assert reference_csv(empty, "h") == "# config sha256: h\na,b,c\n"
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_csv_non_finite_guard_names_artifact_column_and_row(dtype, bad):
+    col = np.arange(6, dtype=dtype)
+    col[3] = bad
+    table = {"i": np.arange(6), "ok": np.ones(6), "y": col}
+    with pytest.raises(NumericalError, match=re.escape(
+            f"non-finite value {float(bad)!r} in artifact t.csv, column y, row 3")):
+        cli._render_csv("t.csv", table, "h")
+
+
+def test_csv_length_guard_names_artifact_and_lengths():
+    table = {"X": np.zeros(4), "Y": [1.0, 2.0, 3.0], "ok": np.zeros(4, dtype=bool)}
+    with pytest.raises(ValidationError, match=re.escape(
+            "CSV columns of artifact trace_0.csv must share a length, "
+            "got X 4, Y 3, ok 4")):
+        cli._render_csv("trace_0.csv", table, "h")
+
+
+# --- the write: every artifact or none
+
+
+def test_unwritable_artifact_exits_1_without_traceback(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "transform_check.json").mkdir(parents=True)
+    cfg = write_config(tmp_path / "cfg.json", output={"directory": str(out)})
+    assert cli.run("transform-check", cfg, argv_extra=["--rational"]) == 1
+    err = capsys.readouterr().err
+    assert "output.directory" in err and "cannot write transform_check.json" in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(out)) == ["transform_check.json"]
+    assert os.listdir(out / "transform_check.json") == []
+
+
+@pytest.mark.parametrize("blocker", ["fill_report.json", ".fill_report.json.partial"])
+def test_failed_write_leaves_no_artifact(tmp_path, spectrum_cfg, capsys, blocker):
+    # eigenvalues.csv comes first and could be written; the set is whole or absent
+    out = tmp_path / "out"
+    (out / blocker).mkdir(parents=True)
+    assert cli.run("spectrum", spectrum_cfg, argv_extra=["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"output.directory {str(out)!r}: cannot write fill_report.json" in err
+    assert sorted(os.listdir(out)) == [blocker]
+    # once the blocker is gone the same job writes both, and no partial
+    (out / blocker).rmdir()
+    assert cli.run("spectrum", spectrum_cfg, argv_extra=["--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["eigenvalues.csv", "fill_report.json"]
+    capsys.readouterr()
 
 
 def _sl_config(tmp_path, **analysis):

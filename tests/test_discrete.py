@@ -255,6 +255,21 @@ def test_delta_r_floor_masks_roundoff_tail(canonical_op):
     assert discrete.delta_r_from_X(np.zeros(12), dist, i_start=1)[1]
 
 
+def test_batched_verdicts_match_single_vector_calls(canonical_op):
+    dist = canonical_op.pd.dist
+    idx = np.arange(3, 43, dtype=float)
+    decaying = np.exp(0.5 * dist.log_shell_mass(idx) + idx * math.log(0.9))
+    masked = decaying.copy()
+    masked[-6:] = 1e-15 * np.max(masked)
+    holed = -decaying.copy()
+    holed[[0, 7, 20]] = 0.0
+    V = np.column_stack([decaying, np.ones(40), masked, np.zeros(40), holed])
+    ref = [discrete.delta_r_from_X(x, dist, i_start=3)[1] for x in V.T]
+    assert ref == [True, False, True, True, True]
+    assert discrete.delta_r_bounded(V, dist, i_start=3).tolist() == ref
+    assert discrete.delta_r_bounded(V[:, :0], dist, i_start=3).shape == (0,)
+
+
 def test_delta_r_sign_preserved(canonical_op):
     dist = canonical_op.pd.dist
     X = np.array([1.0, -1.0, 1.0, -1.0, 0.0, 1.0])

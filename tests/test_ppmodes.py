@@ -201,3 +201,20 @@ def test_block_of_matches_per_mode_loop(n):
         zb, zf = dsp.block_of(op.shells, zeroed)
     assert zb[1] == 0 and zf[1] == 0.0
     assert np.array_equal(zb[[0, 2, 3]], blocks[[0, 2, 3]])
+
+
+@pytest.mark.parametrize("n", [2500, 6000])
+def test_batched_dr_verdicts_match_per_mode_calls(n):
+    # a shallow model whose ladder holds both verdicts
+    dsp = ppmodes.construct_dsp(0.7, 0.45, 5.0, n=n)
+    op = discrete.assemble_jacobi(ppmodes.theorem_model(dsp, eta=0.7, gamma=1.5),
+                                  dsp.extent, i_start=1)
+    em = ppmodes.detect_edge_eigenvalues(op, dsp)
+    vecs = spectra.eigenvectors_inverse_iteration(op.diag, op.offdiag, em.values)
+    ref = [discrete.delta_r_from_X(vecs[:, j], op.pd.dist, i_start=op.i_start)[1]
+           for j in range(vecs.shape[1])]
+    assert len(ref) >= 30 and True in ref and False in ref
+    batched = discrete.delta_r_bounded(vecs, op.pd.dist, i_start=op.i_start)
+    assert batched.dtype == bool
+    assert batched.tolist() == ref
+    assert em.dr_bounded.tolist() == ref
