@@ -73,7 +73,7 @@ from .polytrans import (
     TransformCheck,
     build_scaled_system,
     delta_r_growth,
-    diag_transform,
+    grading_exponents,
     local_frequencies,
     similarity_check,
 )

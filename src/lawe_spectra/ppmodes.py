@@ -230,28 +230,19 @@ class EdgeModes:
     def depths(self):
         return np.abs(self.values - self.edge)
 
-    def ladder_fit(self, indexing="block"):
+    def ladder_fit(self):
         """Log-log slope and r**2 of depth against the ladder index.
 
-        ``indexing="block"`` takes the deepest mode per assigned block
-        and fits depth against the block index, matching the per-well
-        depth bound; ``"detected"`` fits against position in the sorted
-        sequence instead, which at finite truncation steepens the tail
-        (the shallowest wells lose their modes to the boundary).
+        Takes the deepest mode per assigned block and fits its depth
+        against the block index, matching the per-well depth bound.
         """
-        if indexing == "block":
-            best = {}
-            for v, m in zip(self.values, self.blocks):
-                d = abs(v - self.edge)
-                if m not in best or d > best[m]:
-                    best[m] = d
-            ms = np.array(sorted(best), dtype=float)
-            depths = np.array([best[int(m)] for m in ms])
-        elif indexing == "detected":
-            depths = self.depths
-            ms = np.arange(1, depths.size + 1, dtype=float)
-        else:
-            raise ValidationError(f"indexing must be block or detected, got {indexing!r}")
+        best = {}
+        for v, m in zip(self.values, self.blocks):
+            d = abs(v - self.edge)
+            if m not in best or d > best[m]:
+                best[m] = d
+        ms = np.array(sorted(best), dtype=float)
+        depths = np.array([best[int(m)] for m in ms])
         keep = ms >= 1      # block 0 holds modes that no block claims
         ms, depths = ms[keep], depths[keep]
         if ms.size < 3:

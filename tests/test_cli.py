@@ -40,7 +40,7 @@ def test_transform_check_rational_prints_exact(tmp_path, capsys):
 
 def test_transform_check_float_mode_cannot_certify(tmp_path, capsys):
     # graded factors overflow doubles on deep instances; only the exact
-    # rational route certifies the identity, which is the whole point
+    # exponent certificate of the rational mode certifies the identity
     cfg = write_config(tmp_path / "cfg.json", output={"directory": str(tmp_path / "out")})
     assert cli.run("transform-check", cfg) == 0
     out = capsys.readouterr().out
@@ -64,6 +64,45 @@ def test_rational_mode_exact_for_every_seed(tmp_path, capsys):
     # the seed is part of the effective config, so provenance differs
     assert len(hashes) == 3
     capsys.readouterr()
+
+
+def test_consecutive_runs_do_not_share_options(tmp_path, capsys):
+    # main parses every job with one parser built at import; no option of
+    # one job may reach the next
+    cfg = write_config(tmp_path / "cfg.json", analysis={"n_instances": 2},
+                       output={"directory": str(tmp_path / "cfg_out")})
+    flagged = tmp_path / "flag_out"
+    assert cli.run("transform-check", cfg,
+                   argv_extra=["--rational", "--seed", "7", "--out", str(flagged)]) == 0
+    assert cli.run("transform-check", cfg) == 0
+    first = json.loads((flagged / "transform_check.json").read_text())
+    second = json.loads((tmp_path / "cfg_out" / "transform_check.json").read_text())
+    assert os.listdir(flagged) == ["transform_check.json"]
+    assert first["rational"] is True and second["rational"] is False
+    # the second job hashes the config's own seed and no --rational
+    args = cli._PARSER.parse_args(["transform-check", "--config", cfg])
+    assert (args.seed, args.out, args.rational) == (None, None, False)
+    eff = cli.effective_config(cli.load_config(cfg), args)
+    assert second["config_sha256"] == cli.config_hash(eff)
+    assert first["config_sha256"] != second["config_sha256"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("sub, blocks, keys", [
+    ("spectrum", {"model": {"eta": 0.5, "gamma": 3000}}, ["model.eta", "model.gamma"]),
+    ("spectrum", {"model": {"eta": 1e-300, "gamma": 4}}, ["model.eta", "model.gamma"]),
+    ("ppmodes", {"model": {"gamma": 3000}}, ["model.eta", "model.gamma"]),
+    ("scaled", {"eos": {"variant": "polytrope", "Gamma": 2000}}, ["eos.Gamma"]),
+], ids=["spectrum-gamma", "spectrum-eta", "ppmodes-gamma", "scaled-Gamma"])
+def test_steep_power_law_exits_1(tmp_path, capsys, sub, blocks, keys):
+    # eta**-gamma, 1/eta or eta**-e3 beyond the float range would raise an
+    # OverflowError in the library; the config is refused up front instead
+    cfg = write_config(tmp_path / "cfg.json", **blocks,
+                       output={"directory": str(tmp_path / "out")})
+    assert cli.run(sub, cfg) == 1
+    err = capsys.readouterr().err
+    assert all(key in err for key in keys)
+    assert "Traceback" not in err
 
 
 def test_spectrum_artifacts_byte_identical_across_runs(tmp_path, spectrum_cfg, capsys):

@@ -1,6 +1,7 @@
 """Grading transform, scaled stiff systems and displacement growth."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from lawe_spectra import discrete, model, polytrans, spectra
 from lawe_spectra.errors import ValidationError
+
+import grading_oracle
 
 HALF_LOG2 = 0.5 * math.log(2.0)
 
@@ -30,23 +33,35 @@ def stiff_sys(stiff_pd):
 # grading transform
 
 
-def test_diag_transform_values():
-    d = polytrans.diag_transform(2, 3, 5)
-    assert d[0] == 1
-    assert d[1] == Fraction(1, 2) or d[1] == 0.5
-    assert d[2] == pytest.approx(3 / 4)
-    assert d[3] == pytest.approx(9 / 16)
-    assert polytrans.diag_transform(1, 1, 7) == [1] * 7
+def test_grading_exponents_values():
+    p, q = polytrans.grading_exponents(5)
+    assert p.tolist() == [0, -1, -2, -4, -6]
+    assert q.tolist() == [0, 0, 1, 2, 4]
+    x, y = Fraction(2), Fraction(3)
+    assert [x ** int(a) * y ** int(b) for a, b in zip(p, q)] == [
+        1, Fraction(1, 2), Fraction(3, 4), Fraction(9, 16), Fraction(81, 64)]
     with pytest.raises(ValidationError, match="need n >= 1"):
-        polytrans.diag_transform(2, 3, 0)
+        polytrans.grading_exponents(0)
+
+
+@pytest.mark.parametrize("x, y", [(Fraction(2), Fraction(3)),
+                                  (Fraction(-7, 4), Fraction(5, 9))])
+def test_oracle_matches_exponents(x, y):
+    # the running products of the rational oracle are the monomials
+    # x**p * y**q, for every size the CLI draws
+    for n in range(1, 65):
+        p, q = polytrans.grading_exponents(n)
+        assert grading_oracle.diag_transform(x, y, n) == [
+            x ** int(a) * y ** int(b) for a, b in zip(p, q)]
 
 
 def test_two_sided_product_pattern():
     # D(y,x)*D(x,y) entrywise equals (x*y)**-floor(j/2)
+    p, q = polytrans.grading_exponents(64)
+    assert np.array_equal(p + q, -(np.arange(1, 65) // 2))
     x, y = Fraction(2), Fraction(3)
-    dl = polytrans.diag_transform(y, x, 4)
-    dr = polytrans.diag_transform(x, y, 4)
-    prod = [l * r for l, r in zip(dl, dr)]
+    prod = [l * r for l, r in zip(grading_oracle.diag_transform(y, x, 4),
+                                  grading_oracle.diag_transform(x, y, 4))]
     assert prod == [1, Fraction(1, 6), Fraction(1, 6), Fraction(1, 36)]
 
 
@@ -55,9 +70,10 @@ def test_similarity_check_rational_exact():
     a = [Fraction(k + 1, 3) for k in range(n)]
     b = [Fraction(2 - k, 5) or Fraction(1, 5) for k in range(n - 1)]
     c = [Fraction(k + 2, 7) for k in range(n - 1)]
-    chk = polytrans.similarity_check(a, b, c, Fraction(3, 2), Fraction(5, 7))
+    x, y = Fraction(3, 2), Fraction(5, 7)
+    chk = polytrans.similarity_check(a, b, c, x, y)
     assert chk.exact
-    assert chk.max_residual == 0
+    assert grading_oracle.residual(a, b, c, x, y) == 0
     assert chk.n == n
 
 
@@ -66,8 +82,37 @@ def test_similarity_check_float_near_exact():
     n = 10
     a, b, c = rng.uniform(0.5, 2, n), rng.uniform(0.5, 2, n - 1), rng.uniform(0.5, 2, n - 1)
     chk = polytrans.similarity_check(list(a), list(b), list(c), 1.25, 0.8)
-    assert not chk.exact
+    # the exponent certificate depends on n only, so float inputs pass it
+    assert chk.exact
     assert chk.max_residual < 1e-12
+    # doubles are rationals: evaluated exactly, the identity leaves nothing
+    assert grading_oracle.residual(a, b, c, 1.25, 0.8) == 0
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["p", "q"])
+def test_mutated_exponent_fails_certificate(monkeypatch, which):
+    n = 9
+    exact_exponents = polytrans.grading_exponents
+    for k in range(n):
+        def mutated(m, k=k):
+            pq = list(exact_exponents(m))
+            pq[which][k] += 1
+            return tuple(pq)
+
+        monkeypatch.setattr(polytrans, "grading_exponents", mutated)
+        chk = polytrans.similarity_check([1.0] * n, [1.0] * (n - 1), [1.0] * (n - 1),
+                                         1.5, 0.5)
+        assert not chk.exact, k
+
+
+def test_similarity_check_float_overflow_is_quiet():
+    # x**-1024 overflows; the residual reads inf without a numpy warning,
+    # and inf*0 entries (NaN) stay out of the maximum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chk = polytrans.similarity_check([1.0] * 64, [1.0] * 63, [1.0] * 63, 0.3, 1.7)
+    assert chk.exact
+    assert chk.max_residual == math.inf
 
 
 def test_similarity_check_validation():
@@ -89,9 +134,10 @@ def test_similarity_identity_exact_on_rationals(seed):
     a = [frac(-9) for _ in range(n)]
     b = [frac() for _ in range(n - 1)]
     c = [frac() for _ in range(n - 1)]
-    chk = polytrans.similarity_check(a, b, c, frac(), frac())
+    x, y = frac(), frac()
+    chk = polytrans.similarity_check(a, b, c, x, y)
     assert chk.exact
-    assert chk.max_residual == 0
+    assert grading_oracle.residual(a, b, c, x, y) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -101,12 +101,6 @@ def test_ladder_fit(edge_modes):
     slope, r2 = em.ladder_fit()
     assert slope == pytest.approx(-1.4467, abs=2e-3)
     assert r2 == pytest.approx(0.9869, abs=2e-3)
-    # sorting by detection order instead of block steepens the tail
-    slope_det, r2_det = em.ladder_fit(indexing="detected")
-    assert slope_det < slope
-    assert 0.9 < r2_det <= 1.0
-    with pytest.raises(ValidationError, match="indexing must be"):
-        em.ladder_fit(indexing="sorted")
 
 
 def test_mode_localization(edge_modes):
