@@ -55,8 +55,6 @@ _NUMS = (lambda v: isinstance(v, list) and all(map(_is_number, v)),
 _BOOL = (lambda v: isinstance(v, bool), "true or false")
 _STR = (lambda v: isinstance(v, str), "a string")
 
-_SHELL_EOS = {"profile": (_STR, "geometric"), "Gamma": (_NUM, 2.0), "c": (_NUM, None)}
-
 #: Every config key: block -> key -> (kind, default).  A key may be null
 #: exactly where its default is null; a default of ``...`` marks a key
 #: the config must give.  A range appears only where the library does
@@ -66,11 +64,10 @@ _SHELL_EOS = {"profile": (_STR, "geometric"), "Gamma": (_NUM, 2.0), "c": (_NUM, 
 #: defaults of ``slform.Polytropic``/``LinearThermal``.
 _SCHEMA = {
     "model": {"eta": (_NUM, 0.5), "gamma": (_NUM, 2.0), "M_star": (_NUM, 1.0),
-              "R_star": (_NUM, 1.0), "G": (_NUM, 1.0), "zeta": (_NUM, 0.0),
-              "N": (_SIZE, None)},
+              "R_star": (_NUM, 1.0), "G": (_NUM, 1.0), "zeta": (_NUM, 0.0)},
     "eos": {
-        "limit": _SHELL_EOS,
-        "hse": _SHELL_EOS,
+        "limit": {},
+        "hse": {},
         "polytrope": {"Gamma": (_NUM, 2.0), "C_star": (_NUM, None)},
         "polytropic": {"a": (_NUM, ...), "b": (_NUM, ...), "K": (_NUM, None),
                        "R_delta": (_NUM, None)},
@@ -86,9 +83,6 @@ _SCHEMA = {
         "seed": (_INT, 0), "threads": (_POS_INT, None), "rational": (_BOOL, False),
         "n_instances": (_COUNT, None), "x_max": (_POS, 2000.0), "rtol": (_POS, 1e-10),
         "alpha": (_NUM, 0.8), "p": (_NUM, 0.5), "spacing": (_NUM, 5.0), "b": (_NUM, None),
-        "binding": (_STR, "attractive"),
-        # ppmodes: window is the width of the search below the edge
-        "edge": (_NUM, None), "window": (_NUM, None), "tol": (_POS, None),
     },
     "output": {"directory": (_STR, "out")},
 }
@@ -260,10 +254,10 @@ def _build_pd(eff, *, n_trunc, i_start):
     eos = {**_defaults(_SCHEMA["eos"][variant]), **eff["eos"]}
     dist = model.build_mass_distribution(m["eta"], m["gamma"], M_star=m["M_star"],
                                          R_star=m["R_star"], G=m["G"],
-                                         N=_or(m["N"], n_trunc + i_start + 4))
-    # a polytrope has a constant exponent; the variant names the pressure law
-    prof = model.gamma_profile(dist, eos.get("profile", "constant"), c=eos.get("c"),
-                               value=eos["Gamma"], zeta=m["zeta"])
+                                         N=n_trunc + i_start + 4)
+    # the variant fixes the profile: constant for a polytrope, else geometric
+    prof = (model.gamma_profile(dist, "constant", value=eos["Gamma"])
+            if variant == "polytrope" else None)
     return model.build_pd_distribution(dist, prof, zeta=m["zeta"],
                                        pressure_mode=variant, C_star=eos.get("C_star"))
 
@@ -350,10 +344,9 @@ def _run_ppmodes(eff, threads):
     n_trunc = _or(ana["n_trunc"], 20000)
     dsp = ppmodes.construct_dsp(ana["alpha"], ana["p"], ana["spacing"], n=n_trunc)
     pd = ppmodes.theorem_model(dsp, eta=m["eta"], gamma=m["gamma"], b=ana["b"],
-                               zeta=m["zeta"], binding=ana["binding"])
+                               zeta=m["zeta"])
     op = discrete.assemble_jacobi(pd, dsp.extent, i_start=1)
-    modes = ppmodes.detect_edge_eigenvalues(
-        op, dsp, edge=ana["edge"], window=ana["window"], tol=ana["tol"], threads=threads)
+    modes = ppmodes.detect_edge_eigenvalues(op, dsp, threads=threads)
     slope, r2 = modes.ladder_fit()
     print(f"ppmodes: count={modes.count} ladder_slope={slope:.4f} r2={r2:.4f}")
     return {"ppmodes.csv": {"value": modes.values, "depth": modes.depths,
@@ -396,12 +389,12 @@ def _run_scaled(eff, threads):
     ana = eff["analysis"]
     n_trunc = _or(ana["n_trunc"], 2000)
     pd = _build_pd(eff, n_trunc=n_trunc, i_start=1)
-    if pd.gamma.kind == "geometric":
+    if pd.pressure_mode != "polytrope":
         raise ValidationError(
             "scaled analysis needs a constant adiabatic exponent "
             "(eos variant polytrope); geometric profiles scale to the "
             "trivial zero-coupling limit")
-    if pd.pressure_mode == "polytrope" and not pd.e3 < 0.0:  # else eta**-e3 may overflow
+    if not pd.e3 < 0.0:  # else eta**-e3 may overflow
         raise ValidationError(
             f"scaled analysis needs (model.gamma - 1)*(eos.Gamma - 1) < 2 for a scaling "
             f"base nu = eta**-e3 below 1; eos.Gamma {pd.gamma.c!r} gives e3 = {pd.e3:.6g}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import FOUR_PI, scaling_params
+from .model import FOUR_PI
 
 #: ordering of coefficient-convergence classes, weakest first
 CONVERGENCE_ORDER = ("none", "limit_only", "l2", "l1", "l1_weighted")
@@ -64,7 +64,7 @@ class JacobiOperator:
     def scaling(self):
         if self.pd is None:
             raise ValidationError("operator carries no model data")
-        return scaling_params(self.pd.dist, self.pd.zeta)
+        return self.pd.scaling
 
     def matvec(self, x):
         y = self.diag * x

@@ -159,11 +159,7 @@ class ScalingParams:
 
     lambda_star: float
     kappa: float
-    zeta: float
-
-    @property
-    def centre(self):
-        return -self.zeta * self.lambda_star
+    centre: float
 
     @property
     def half_width(self):
@@ -181,7 +177,7 @@ def scaling_params(dist, zeta=0.0):
     return ScalingParams(
         lambda_star=dist.lambda_star,
         kappa=coupling_constant(dist.eta, dist.gamma, zeta),
-        zeta=float(zeta),
+        centre=-float(zeta) * dist.lambda_star,
     )
 
 
@@ -199,7 +195,6 @@ class GammaProfile:
     kind: str
     scaled: np.ndarray = field(repr=False)
     c: float = np.nan
-    b: float = 0.0
 
     def value(self, dist, i):
         """Raw Gamma(i); may underflow for geometric profiles at large i."""
@@ -210,18 +205,17 @@ class GammaProfile:
         return g
 
 
-def gamma_profile(dist, kind="geometric", *, c=None, value=None, zeta=0.0, perturbation=None):
+def gamma_profile(dist, kind="geometric", *, value=None, zeta=0.0, perturbation=None):
     """Build a :class:`GammaProfile` over shells 0..N.
 
-    For ``kind="geometric"`` the scaled part is c + perturbation(I) with c
-    defaulting to :func:`profile_constant`; ``perturbation`` may be an
-    array over 0..N (e.g. a sparse bump field).  For ``kind="constant"``
-    pass the constant adiabatic exponent through ``value``.
+    For ``kind="geometric"`` the scaled part is c + perturbation(I) with
+    c = :func:`profile_constant`; ``perturbation`` may be an array over
+    0..N (e.g. a sparse bump field).  For ``kind="constant"`` pass the
+    constant adiabatic exponent through ``value``.
     """
     n = dist.N
     if kind == "geometric":
-        if c is None:
-            c = profile_constant(dist.eta, dist.gamma, zeta)
+        c = profile_constant(dist.eta, dist.gamma, zeta)
         scaled = np.full(n + 1, float(c))
         if perturbation is not None:
             perturbation = np.asarray(perturbation, dtype=float)
@@ -261,7 +255,19 @@ class PressureDensityDistribution:
 
     @property
     def scaling(self):
-        return scaling_params(self.dist, self.zeta)
+        """Limit data of the operators this model assembles.
+
+        Under "hse" (P/M) tends to q/(1-q) of the limit law's, q = eta**gamma,
+        which scales the coupling by q/(1-q) and moves the centre to
+        Lambda_star*(4 - (4+zeta)*q/(1-q)).
+        """
+        sp = scaling_params(self.dist, self.zeta)
+        if self.pressure_mode != "hse":
+            return sp
+        log_q = self.dist.gamma * math.log(self.dist.eta)
+        ratio = math.exp(log_q) / -math.expm1(log_q)
+        return ScalingParams(lambda_star=sp.lambda_star, kappa=sp.kappa * ratio,
+                             centre=sp.lambda_star * (4.0 - (4.0 + self.zeta) * ratio))
 
     def pressure(self, i):
         """Raw P(i) = (P/M)(i) * M(i); underflows at large i."""
@@ -284,8 +290,12 @@ def _pressure_hse(dist):
     (P/M)(I) = eta**gamma * [ (P/M)(I+1) + G*Mfrak(I)/(4*pi*r(I)**4) ].
     Evaluated by direct tail summation; the series converges like
     eta**(gamma*k) so ~40/ (gamma*log(1/eta)) terms give machine accuracy.
+    A model whose series needs more than 1e5 terms is refused.
     """
     eta, gamma = dist.eta, dist.gamma
+    if not gamma * -math.log(eta) * 1e5 >= 40.0 * math.log(10.0):
+        raise ValidationError(f"the hse tail sum at gamma {gamma!r}, eta {eta!r} "
+                              f"needs more than 1e5 terms")
     n_terms = max(8, int(math.ceil(-40.0 * math.log(10.0) / (gamma * math.log(eta)))))
     n = dist.N
     out = np.zeros(n + 1)
@@ -310,8 +320,6 @@ def _pressure_power_law(dist, gamma_prof, C_star):
     (gamma-1)*(Gamma-1) = 1 the scaled couplings become I-independent up
     to surface curvature factors.
     """
-    if gamma_prof.kind != "constant":
-        raise ValidationError('pressure_mode="polytrope" requires a constant Gamma profile')
     Gamma = gamma_prof.c
     e3 = (dist.gamma - 1.0) * (Gamma - 1.0) - 2.0
     if C_star is None:
@@ -335,12 +343,13 @@ def build_pd_distribution(dist, gamma_prof=None, *, zeta=0.0, pressure_mode="lim
     """Attach a pressure law and adiabatic profile to a mass distribution.
 
     pressure_mode
-        "limit"     -- (P/M)(I) = Lambda_star*(1+zeta/4)*(1+eta**I)/(4 pi R_star),
+        "limit"     -- (P/M)(I) = Lambda_star*(1+eta**I)/(4 pi R_star),
                        geometric approach to the tail value.
         "hse"       -- unique bounded solution of the discrete hydrostatic
                        balance; admissible to machine precision.
         "polytrope" -- exact power law in P*rho/M**2 with amplitude C_star,
                        used with constant Gamma profiles.
+    "limit" and "hse" take geometric profiles, whose constant carries zeta.
     rho_scale
         Optional array over 0..N multiplying the canonical density; it
         enters the operator through the mass-consistency factor.
@@ -349,6 +358,9 @@ def build_pd_distribution(dist, gamma_prof=None, *, zeta=0.0, pressure_mode="lim
         gamma_prof = gamma_profile(dist, "geometric", zeta=zeta)
     if gamma_prof.scaled.shape != (dist.N + 1,):
         raise ValidationError("gamma profile and mass distribution sizes differ")
+    kind = "constant" if pressure_mode == "polytrope" else "geometric"
+    if gamma_prof.kind != kind:
+        raise ValidationError(f'pressure_mode="{pressure_mode}" requires a {kind} Gamma profile')
     C_out, e3 = np.nan, np.nan
     if pressure_mode == "limit":
         p_over_m = _pressure_limit(dist)

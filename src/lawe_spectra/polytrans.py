@@ -141,16 +141,14 @@ class ScaledSystem:
 
     @property
     def mu_inf(self):
-        """Limit coupling; finite and nonzero only when the pressure is a
-        power law and the scaling base absorbs it (nu = eta**-e3)."""
+        """Limit coupling: zero for a geometric profile, finite for the
+        polytrope, whose scaling base absorbs its pressure (nu = eta**-e3)."""
         pd = self.pd
-        if pd.gamma.kind == "geometric":
+        if pd.pressure_mode != "polytrope":
             return 0.0
-        if pd.pressure_mode == "polytrope":
-            dist = pd.dist
-            return (16.0 * math.pi**2 * pd.C_star * pd.gamma.c * dist.R_star**4
-                    * dist.eta ** (-dist.gamma / 2.0))
-        return math.nan
+        dist = pd.dist
+        return (16.0 * math.pi**2 * pd.C_star * pd.gamma.c * dist.R_star**4
+                * dist.eta ** (-dist.gamma / 2.0))
 
     @property
     def beta_inf(self):
@@ -201,27 +199,24 @@ def build_scaled_system(pd, n):
     idx = np.arange(1, n + 1)
     r = dist.radius
 
-    if pd.gamma.kind == "geometric":
-        nu = eta
-    elif pd.pressure_mode == "polytrope":
+    # g3_scaled is eta**I * G3 for the polytrope's constant profile and the
+    # O(1) cancelled coupling for a geometric one; mu = nu**I * G3
+    if pd.pressure_mode == "polytrope":
         nu = eta ** (-pd.e3)
         if not 0.0 < nu < 1.0:
             raise ValidationError(
                 f"scaling base nu = eta**-e3 must lie in (0, 1); "
                 f"e3 = {pd.e3} gives nu = {nu}")
+        rebase = math.log(nu) - math.log(eta)
     else:
         nu = eta
+        rebase = math.log(nu)
     log_nu = math.log(nu)
 
     g3_scaled = (FOUR_PI * pd.gamma.scaled[idx] * pd.P_over_M[idx] * pd.mc[idx]
                  * r[idx + 1] ** 2 * eta ** (1.0 - gamma / 2.0)
                  / (dist.R_star * (1.0 - eta)))
-    if pd.gamma.kind == "geometric":
-        # g3_scaled is the O(1) cancelled coupling here; mu = nu**I * G3
-        mu = g3_scaled * np.exp(idx * log_nu)
-    else:
-        # g3_scaled already equals eta**I * G3; rebase to nu**I * G3
-        mu = g3_scaled * np.exp(idx * (log_nu - math.log(eta)))
+    mu = g3_scaled * np.exp(idx * rebase)
 
     theta = 4.0 * dist.lambda_star
     # t(I) = nu**I * (4 G Mfrak(I)/r(I)**3 - theta), via exact mass fractions

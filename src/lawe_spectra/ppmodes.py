@@ -255,24 +255,20 @@ class EdgeModes:
         return float(coef[0]), r2
 
 
-def detect_edge_eigenvalues(op, dsp, *, edge=None, window=None, tol=None, threads=1):
-    """Find the modes in [edge - window, edge) and profile each one.
+def detect_edge_eigenvalues(op, dsp, *, threads=1):
+    """Find every mode below the model's lower essential edge and profile it.
 
-    ``edge`` defaults to the model's lower essential edge and ``window``
-    to everything below it.  Each eigenvector is assigned to the block
-    holding the largest share of its mass (fraction measured over the
-    block widened by two shells) and its displacement field is judged
-    bounded or not via delta_r_bounded.
+    Each eigenvector is assigned to the block holding the largest share
+    of its mass (fraction measured over the block widened by two shells)
+    and its displacement field is judged bounded or not via
+    delta_r_bounded.
     """
-    if edge is None:
-        edge = op.scaling.interval[0]
+    edge = op.scaling.interval[0]
     glo, ghi = gershgorin_interval(op.diag, op.offdiag)
     span = max(ghi - glo, 1.0)
-    if window is None:
-        window = edge - glo + 1e-6 * span
-    lo = edge - window
+    lo = glo - 1e-6 * span
     hi = edge - 1e-9 * span
-    vals = eigenvalues_tridiagonal(op, window=(lo, hi), tol=tol, threads=threads)
+    vals = eigenvalues_tridiagonal(op, window=(lo, hi), threads=threads)
     if vals.size == 0:
         empty = np.empty(0)
         return EdgeModes(edge=float(edge), values=vals,

@@ -674,7 +674,7 @@ def _envelope_fields(eos, amp_Y, amp_Yp, x, D):
     pw4 = (eos.p(x) * eos.w(x)) ** 0.25
     env_y = amp_Y / pw4
     # y' = Y'*W/(pw)^(1/4) + Y*((pw)^(-1/4))'; both terms kept
-    dpw4 = _pw_quarter_log_deriv(eos, x, D)
+    dpw4 = _pw_minus_quarter_log_deriv(eos, x, D)
     env_yp = amp_Yp * eos.W(x) / pw4 + amp_Y * np.abs(dpw4) / pw4
     env_R = eos.gamma_P(x) * (3.0 * env_y + x * env_yp)
     return env_y, env_yp, x * env_y, env_R
@@ -707,8 +707,8 @@ def extend_trace_asymptotic(trace, form, depth_min=ENVELOPE_DEPTH):
                         env_yp=env_yp, env_delta_r=env_dr, env_R=env_R)
 
 
-def _pw_quarter_log_deriv(eos, x, D):
-    """d/dx ln (pw)**(1/4) = (ab+a)/(4D) - 2/x, exact for the power laws."""
+def _pw_minus_quarter_log_deriv(eos, x, D):
+    """d/dx ln (pw)**(-1/4) = (ab+a)/(4D) - 2/x, exact for the power laws."""
     return (eos.ab + eos.a) / (4.0 * D) - 2.0 / x
 
 
@@ -851,7 +851,7 @@ def trace_regularity(trace, eos):
     D = eos.depth(x)
     pw4 = (eos.p(x) * eos.w(x)) ** 0.25
     yp = trace.Y_prime * eos.W(x) / pw4 \
-        + trace.Y * _pw_quarter_log_deriv(eos, x, D) / pw4
+        + trace.Y * _pw_minus_quarter_log_deriv(eos, x, D) / pw4
     return eos.gamma_P(x) * (3.0 * trace.y + x * yp)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -201,7 +202,6 @@ PROBES = {
     "lambdas-string": ("jost", {"analysis": {"lambdas": ["a"]}}, [], "analysis.lambdas"),
     "lambdas-nan": ("scaled", {"analysis": {"lambdas": [float("nan")]}}, [],
                     "analysis.lambdas"),
-    "window-string": ("ppmodes", {"analysis": {"window": "x"}}, [], "analysis.window"),
     "pad-string": ("spectrum", {"analysis": {"pad": "x"}}, [], "analysis.pad"),
     "i_min-string": ("scaled", {"analysis": {"i_min": "q"}}, [], "analysis.i_min"),
     "threads-string": ("spectrum", {"analysis": {"threads": "two"}}, [],
@@ -228,8 +228,6 @@ PROBES = {
                      "analysis.n_trunc must be at most 1000000, got 10000000000"),
     "i_start-huge": ("spectrum", {"analysis": {"i_start": 10**7}}, [],
                      "analysis.i_start must be at most 1000000, got 10000000"),
-    "N-huge": ("spectrum", {"model": {"N": 10**7}}, [],
-               "model.N must be at most 1000000, got 10000000"),
     "n_instances-huge": ("transform-check", {"analysis": {"n_instances": 10**6}}, [],
                          "analysis.n_instances must be at most 10000, got 1000000"),
     # on this shifted-potential layer the depth falls like exp(-sqrt(3)*X), so
@@ -241,6 +239,24 @@ PROBES = {
                                    "analysis": {"lambdas": [1.0, -0.5]}}, [],
                             "analysis.lambdas must be positive for sl"),
 }
+
+
+def _removed_key_probe(sub, block, key, value, variant=None):
+    fields = {key: value} if variant is None else {"variant": variant, key: value}
+    where = block if variant is None else f"eos ({variant})"
+    name = f"removed-{block}.{key}" if variant is None else f"removed-eos.{variant}.{key}"
+    return name, (sub, {block: fields}, [], f"unknown key(s) ['{key}'] in {where} block")
+
+
+# keys that no longer exist: the eos variant alone fixes the shell model,
+# the section fixes its shell count, and ppmodes searches below the model
+# edge at the default certificate tolerance
+PROBES.update(_removed_key_probe(*probe) for probe in [
+    ("spectrum", "model", "N", 5000),
+    *(("spectrum", "eos", key, value, variant) for variant in ("limit", "hse")
+      for key, value in (("profile", "constant"), ("Gamma", 2.0), ("c", 1.0))),
+    *(("ppmodes", "analysis", key, value) for key, value in
+      (("tol", 1e-6), ("edge", -1.0), ("window", 1.0), ("binding", "repulsive")))])
 
 
 @pytest.mark.parametrize("probe", sorted(PROBES))
@@ -271,6 +287,62 @@ def test_jost_smoke(tmp_path, capsys):
     art = json.loads((tmp_path / "out" / "jost.json").read_text())
     assert [f["lambda"] for f in art["fits"]] == [0.0, 1.6]
     assert all(f["theta_error"] < 1e-3 for f in art["fits"])
+
+
+@pytest.mark.parametrize("model_block, interval", [
+    ({}, (1.6, 3.2 + 8.0 / 15.0)),
+    ({"eta": 0.4, "gamma": 2.7, "zeta": 2.0}, None),
+], ids=["eta0.5", "eta0.4-zeta2"])
+def test_hse_spectrum_fills_its_interval(tmp_path, capsys, model_block, interval):
+    # the hse specific pressure tends to q/(1-q) of the limit law's,
+    # q = eta**gamma, which moves and narrows the essential interval
+    cfg = write_config(tmp_path / "cfg.json", model=model_block, eos={"variant": "hse"},
+                       analysis={"n_trunc": 600, "i_start": 16},
+                       output={"directory": str(tmp_path / "out")})
+    assert cli.run("spectrum", cfg) == 0
+    art = json.loads((tmp_path / "out" / "fill_report.json").read_text())
+    assert art["fills"] is True and art["n_outliers"] == 0
+    if interval is not None:
+        assert art["interval"] == pytest.approx(interval, rel=1e-14)
+    capsys.readouterr()
+
+
+def test_hse_jost_matches_the_plane_wave(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", eos={"variant": "hse"},
+                       analysis={"n_trunc": 2000, "i_start": 16,
+                                 "lambdas": [2.0, 2.667, 3.5]},
+                       output={"directory": str(out)})
+    assert cli.run("jost", cfg) == 0
+    art = json.loads((out / "jost.json").read_text())
+    assert [f["lambda"] for f in art["fits"]] == [2.0, 2.667, 3.5]
+    assert all(f["theta_error"] < 1e-9 for f in art["fits"])
+    # the default energies lie in the limit law's interval, not in this one
+    cfg = write_config(tmp_path / "default.json", eos={"variant": "hse"},
+                       analysis={"n_trunc": 2000, "i_start": 16},
+                       output={"directory": str(tmp_path / "default")})
+    capsys.readouterr()
+    assert cli.run("jost", cfg) == 1
+    err = capsys.readouterr().err
+    assert "lam=-1.6 is not interior to (1.6" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eta, gamma", [(0.5, 1e-300), (0.5, 1e-7), (0.9999, 5e-324)])
+def test_slow_hse_tail_sum_exits_1(tmp_path, capsys, eta, gamma):
+    # the tail sum needs ~92/(gamma*ln(1/eta)) terms; more than 1e5 are
+    # refused before anything of that size is allocated, also where
+    # gamma*ln(1/eta) underflows to zero
+    cfg = write_config(tmp_path / "cfg.json", model={"eta": eta, "gamma": gamma},
+                       eos={"variant": "hse"},
+                       output={"directory": str(tmp_path / "out")})
+    t0 = time.perf_counter()
+    with np.errstate(all="ignore"):
+        assert cli.run("spectrum", cfg) == 1
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert f"gamma {gamma!r}, eta {eta!r}" in err
+    assert "Traceback" not in err
 
 
 def test_ppmodes_smoke(tmp_path, capsys):
@@ -379,20 +451,20 @@ def test_scaled_overflow_exits_numerical(tmp_path, capsys):
     assert "non-finite entry in row" in capsys.readouterr().err
 
 
-def test_nan_bound_for_an_artifact_exits_numerical(tmp_path, capsys):
-    # a sub-unit constant exponent makes the tail recurrence overflow, so
-    # the Jost fits come back NaN; no artifact may carry them
+def test_nan_bound_for_an_artifact_exits_numerical(tmp_path, capsys, monkeypatch):
+    # a Jost fit that comes back NaN (an overflowing tail recurrence does
+    # that) must not reach an artifact
+    real = cli.spectra.jost_verify
+    monkeypatch.setattr(cli.spectra, "jost_verify", lambda op, lam: dataclasses.replace(
+        real(op, lam), theta_fit=math.nan))
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json",
-                       model={"eta": 0.1, "gamma": 0.75},
-                       eos={"variant": "limit", "profile": "constant", "Gamma": 0.835},
-                       analysis={"i_start": 12, "lambdas": [0.8]},
+                       analysis={"n_trunc": 200, "i_start": 16, "lambdas": [0.8]},
                        output={"directory": str(out)})
-    with np.errstate(all="ignore"):
-        assert cli.run("jost", cfg) == 2
+    assert cli.run("jost", cfg) == 2
     assert ("non-finite value nan in artifact jost.csv, column theta_fit"
             in capsys.readouterr().err)
-    # jost.json would have been finite; no artifact of the job is written
+    # no artifact of the job is written
     assert list(out.iterdir()) == []
 
 
@@ -643,17 +715,15 @@ def cli_configs(draw, sub):
     eos, ana = {}, {}
     if sub in ("spectrum", "jost"):
         eos = {"variant": draw(st.sampled_from(["limit", "hse", "polytrope"]))}
-        if eos["variant"] != "polytrope" and draw(st.booleans()):
-            eos.update(profile="constant", Gamma=draw(_num(0.5, 4.0)))
+        if eos["variant"] == "polytrope":
+            eos["Gamma"] = draw(_num(0.5, 4.0))
         ana = {"n_trunc": draw(st.integers(2, 200)), "i_start": draw(st.integers(1, 20)),
                "pad": draw(_num(0.0, 0.2)),
                "lambdas": draw(st.lists(_num(-2.5, 2.5), max_size=3))}
     elif sub == "ppmodes":
         ana = {"n_trunc": draw(st.integers(2, 200)), "alpha": draw(_num(0.55, 0.95)),
                "p": draw(_num(0.34, 0.6)), "spacing": draw(_num(0.5, 8.0)),
-               "edge": draw(_opt(_num(-3.0, 0.0))), "window": draw(_opt(_num(-1.0, 5.0))),
-               "tol": draw(_opt(_num(1e-12, 1e-2))),
-               "binding": draw(st.sampled_from(["attractive", "repulsive"]))}
+               "b": draw(_opt(_num(0.0, 2.0)))}
     elif sub == "transform-check":
         ana = {"n_instances": draw(st.integers(1, 4)), "rational": draw(st.booleans()),
                "seed": draw(st.integers(0, 2**31))}

@@ -61,6 +61,23 @@ def test_coupling_limit(canonical_op):
         discrete.coupling_values(pd, 1, pd.dist.N)
 
 
+@pytest.mark.parametrize("mode", ["limit", "hse"])
+@given(eta=st.floats(0.2, 0.8), gamma=st.floats(1.0, 3.0),
+       zeta=st.sampled_from([0.0, -1.0, 2.0]))
+@settings(max_examples=10, deadline=None)
+def test_section_tail_reaches_the_scaling_limits(mode, eta, gamma, zeta):
+    # the interval every verdict is measured against must be the limit of
+    # this pressure law's coefficients: under hse the specific pressure
+    # tends to q/(1-q) of the limit law's, q = eta**gamma
+    dist = model.build_mass_distribution(eta, gamma, N=500)
+    op = discrete.assemble_jacobi(
+        model.build_pd_distribution(dist, zeta=zeta, pressure_mode=mode), 480, i_start=16)
+    sp = op.scaling
+    assert sp == op.pd.scaling
+    assert op.diag[-1] == pytest.approx(sp.centre, rel=1e-9, abs=1e-9)
+    assert -op.offdiag[-1] == pytest.approx(sp.kappa * sp.lambda_star, rel=1e-9)
+
+
 def test_assembly_validation(canonical_op):
     pd = canonical_op.pd
     with pytest.raises(ValidationError, match="need n >= 2"):

@@ -175,6 +175,13 @@ def test_polytrope_requires_constant_profile(canonical):
         model.build_pd_distribution(canonical, pressure_mode="polytrope")
 
 
+@pytest.mark.parametrize("mode", ["limit", "hse"])
+def test_shell_pressure_laws_require_geometric_profile(canonical, mode):
+    gp = model.gamma_profile(canonical, "constant", value=2.0)
+    with pytest.raises(ValidationError, match=f'"{mode}" requires a geometric Gamma'):
+        model.build_pd_distribution(canonical, gp, pressure_mode=mode)
+
+
 def test_pd_validation(canonical):
     with pytest.raises(ValidationError, match="unknown pressure_mode"):
         model.build_pd_distribution(canonical, pressure_mode="isothermal")

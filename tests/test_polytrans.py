@@ -187,10 +187,11 @@ def test_limit_coupling_by_profile_kind():
     s_geo = polytrans.build_scaled_system(pd_geo, 1190)
     assert s_geo.mu_inf == 0.0
     assert s_geo.mu[-1] == 0.0  # true underflow to the limit
-    pd_hse = model.build_pd_distribution(
-        dist, model.gamma_profile(dist, "constant", value=2.0), pressure_mode="hse")
-    s_hse = polytrans.build_scaled_system(pd_hse, 100)
-    assert math.isnan(s_hse.mu_inf)
+    # a constant profile goes with the polytrope only; under hse it once
+    # gave a scaled system with a NaN limit coupling
+    with pytest.raises(ValidationError, match='"hse" requires a geometric Gamma profile'):
+        model.build_pd_distribution(
+            dist, model.gamma_profile(dist, "constant", value=2.0), pressure_mode="hse")
 
 
 # ---------------------------------------------------------------------------
