@@ -24,6 +24,7 @@ from .model import (
     build_mass_distribution,
     build_pd_distribution,
     check_admissibility,
+    check_power_law,
     coupling_constant,
     gamma_profile,
     hse_residual_array,
@@ -51,6 +52,7 @@ from .spectra import (
     band_report,
     band_structure,
     build_two_periodic,
+    eigenpairs_tridiagonal,
     eigenvalues_tridiagonal,
     eigenvectors_inverse_iteration,
     gershgorin_interval,

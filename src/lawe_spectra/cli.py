@@ -229,23 +229,9 @@ def _render_json(name, obj, h):
 _RENDER = {".csv": _render_csv, ".json": _render_json, ".md": lambda name, text, h: text}
 
 
-#: a power below e**709 stays inside the float range (at most e**709.78)
-_LOG_MAX = 709.0
-
-
-def _check_power_law(m):
-    # the library forms eta**-gamma and 1/eta, where a Python power raises
-    eta, gamma = m["eta"], m["gamma"]
-    if 0.0 < eta < 1.0 and max(gamma, 1.0) * -math.log(eta) >= _LOG_MAX:
-        raise ValidationError(
-            f"model.eta {eta!r} with model.gamma {gamma!r} puts the shell mass "
-            f"ratio eta**-gamma or 1/eta beyond the float range; "
-            f"max(gamma, 1)*ln(1/eta) must stay below {_LOG_MAX:g}")
-
-
 def _build_pd(eff, *, n_trunc, i_start):
     m = eff["model"]
-    _check_power_law(m)
+    model.check_power_law(m["eta"], m["gamma"], prefix="model.")
     variant = eff["eos"]["variant"]
     if variant not in ("limit", "hse", "polytrope"):
         raise ValidationError(
@@ -327,8 +313,10 @@ _JOST_FIELDS = (("lambda", "lam"), ("theta", "theta"), ("theta_fit", "theta_fit"
 
 def _run_jost(eff, threads):
     op = _shell_section(eff)
-    fits = [spectra.jost_verify(op, lam)
-            for lam in _or(eff["analysis"]["lambdas"], [-1.6, 0.0, 1.6])]
+    # by default the centre and the midpoints of the model's own interval
+    sp = op.scaling
+    default = [sp.centre + f * sp.half_width for f in (-0.5, 0.0, 0.5)]
+    fits = [spectra.jost_verify(op, lam) for lam in _or(eff["analysis"]["lambdas"], default)]
     for f in fits:
         print(f"jost: lambda={f.lam:+.4g} theta_err={f.theta_error:.3e} "
               f"flatness={f.amplitude_flatness:.3e}")
@@ -340,7 +328,13 @@ def _run_jost(eff, threads):
 def _run_ppmodes(eff, threads):
     ana = eff["analysis"]
     m = eff["model"]
-    _check_power_law(m)
+    variant = eff["eos"]["variant"]
+    if variant != "limit":
+        # theorem_model builds the limit pressure law; it reads no eos key
+        raise ValidationError(
+            f"ppmodes needs eos.variant limit, the pressure law of its "
+            f"theorem model, got {variant!r}")
+    model.check_power_law(m["eta"], m["gamma"], prefix="model.")
     n_trunc = _or(ana["n_trunc"], 20000)
     dsp = ppmodes.construct_dsp(ana["alpha"], ana["p"], ana["spacing"], n=n_trunc)
     pd = ppmodes.theorem_model(dsp, eta=m["eta"], gamma=m["gamma"], b=ana["b"],
@@ -394,7 +388,7 @@ def _run_scaled(eff, threads):
             "scaled analysis needs a constant adiabatic exponent "
             "(eos variant polytrope); geometric profiles scale to the "
             "trivial zero-coupling limit")
-    if not pd.e3 < 0.0:  # else eta**-e3 may overflow
+    if not pd.e3 < 0.0:  # refused here to name the config key
         raise ValidationError(
             f"scaled analysis needs (model.gamma - 1)*(eos.Gamma - 1) < 2 for a scaling "
             f"base nu = eta**-e3 below 1; eos.Gamma {pd.gamma.c!r} gives e3 = {pd.e3:.6g}")

@@ -31,10 +31,27 @@ from .errors import ValidationError
 
 FOUR_PI = 4.0 * math.pi
 
+#: a power below e**709 stays inside the float range (at most e**709.78)
+_LOG_MAX = 709.0
+
 
 def _check_positive(name, value):
     if not (value > 0.0) or not math.isfinite(value):
         raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_power_law(eta, gamma, *, prefix=""):
+    """Refuse an (eta, gamma) whose mass ratio eta**-gamma or 1/eta leaves
+    the float range, where a Python power would raise OverflowError.
+
+    ``prefix`` qualifies the two names in the message (the CLI passes
+    ``"model."``).
+    """
+    if 0.0 < eta < 1.0 and max(gamma, 1.0) * -math.log(eta) >= _LOG_MAX:
+        raise ValidationError(
+            f"{prefix}eta {eta!r} with {prefix}gamma {gamma!r} puts the shell mass "
+            f"ratio eta**-gamma or 1/eta beyond the float range; "
+            f"max(gamma, 1)*ln(1/eta) must stay below {_LOG_MAX:g}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +127,7 @@ def build_mass_distribution(eta, gamma, *, M_star=1.0, R_star=1.0, G=1.0, N=64):
     _check_positive("G", G)
     if int(N) != N or N < 2:
         raise ValidationError(f"N must be an integer >= 2, got {N!r}")
+    check_power_law(eta, gamma)
     N = int(N)
 
     idx = np.arange(N + 1, dtype=float)
@@ -120,9 +138,10 @@ def build_mass_distribution(eta, gamma, *, M_star=1.0, R_star=1.0, G=1.0, N=64):
     shell_mass = M_star * (1.0 - eta**gamma) * np.exp(gamma * idx * math.log(eta))
     enclosed_mass = M_star * (-np.expm1(gamma * (idx + 1.0) * math.log(eta)))
     rho = np.full(N + 1, np.nan)
-    # mass and width both underflow in the deep tail; 0/0 -> nan is fine
-    # there, log_rho stays exact
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # mass and width both underflow in the deep tail; 0/0 -> nan, or inf
+    # where the mass outlives a subnormal width, is fine there: log_rho
+    # stays exact, and no operator or artifact reads rho
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rho[1:] = shell_mass[1:] / (FOUR_PI * radius[1:] ** 2 * width[1:])
 
     return MassDistribution(
@@ -140,6 +159,7 @@ def coupling_constant(eta, gamma, zeta=0.0):
     _check_positive("gamma", gamma)
     if 4.0 + zeta <= 0.0:
         raise ValidationError(f"zeta must exceed -4, got {zeta!r}")
+    check_power_law(eta, gamma)
     return (4.0 + zeta) / (eta ** (-gamma / 2.0) + eta ** (gamma / 2.0))
 
 
@@ -149,6 +169,9 @@ def profile_constant(eta, gamma, zeta=0.0):
     K = (1 + eta**-gamma) / (eta**-1 - 1) ties the adiabatic amplitude to
     the target diagonal offset zeta; with eta=1/2, gamma=2 one gets K=5.
     """
+    if not (0.0 < eta < 1.0):
+        raise ValidationError(f"eta must lie in (0,1), got {eta!r}")
+    check_power_law(eta, gamma)
     K = (1.0 + eta ** (-gamma)) / (1.0 / eta - 1.0)
     return (4.0 + zeta) / K
 

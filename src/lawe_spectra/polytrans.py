@@ -202,11 +202,13 @@ def build_scaled_system(pd, n):
     # g3_scaled is eta**I * G3 for the polytrope's constant profile and the
     # O(1) cancelled coupling for a geometric one; mu = nu**I * G3
     if pd.pressure_mode == "polytrope":
-        nu = eta ** (-pd.e3)
+        # e3 is tested before the power: past e3 of about 1000, eta**-e3
+        # overflows
+        nu = eta ** (-pd.e3) if pd.e3 < 0.0 else math.nan
         if not 0.0 < nu < 1.0:
             raise ValidationError(
-                f"scaling base nu = eta**-e3 must lie in (0, 1); "
-                f"e3 = {pd.e3} gives nu = {nu}")
+                f"scaling base nu = eta**-e3 must lie in (0, 1); eta {eta!r} with "
+                f"gamma {gamma!r} and Gamma {pd.gamma.c!r} give e3 = {pd.e3}")
         rebase = math.log(nu) - math.log(eta)
     else:
         nu = eta

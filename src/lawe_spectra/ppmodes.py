@@ -27,8 +27,7 @@ from .errors import ValidationError
 from .model import (build_mass_distribution, build_pd_distribution,
                     coupling_constant, gamma_profile, profile_constant)
 from .discrete import delta_r_bounded
-from .spectra import (eigenvalues_tridiagonal, eigenvectors_inverse_iteration,
-                      gershgorin_interval)
+from .spectra import eigenpairs_tridiagonal, gershgorin_interval
 
 
 @dataclass(frozen=True)
@@ -268,14 +267,13 @@ def detect_edge_eigenvalues(op, dsp, *, threads=1):
     span = max(ghi - glo, 1.0)
     lo = glo - 1e-6 * span
     hi = edge - 1e-9 * span
-    vals = eigenvalues_tridiagonal(op, window=(lo, hi), threads=threads)
+    vals, vecs = eigenpairs_tridiagonal(op, window=(lo, hi), threads=threads)
     if vals.size == 0:
         empty = np.empty(0)
         return EdgeModes(edge=float(edge), values=vals,
                          blocks=np.empty(0, int), in_block=empty,
                          dr_bounded=np.empty(0, bool))
 
-    vecs = eigenvectors_inverse_iteration(op.diag, op.offdiag, vals)
     blocks, in_block = dsp.block_of(op.shells, vecs)
     return EdgeModes(edge=float(edge), values=vals, blocks=blocks, in_block=in_block,
                      dr_bounded=delta_r_bounded(vecs, op.pd.dist, i_start=op.i_start))

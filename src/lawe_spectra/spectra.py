@@ -1,16 +1,17 @@
-"""Spectra of truncated sections: certified LAPACK eigenvalues and diagnostics.
+"""Spectra of truncated sections: certified LAPACK eigenpairs and diagnostics.
 
-Eigenvalues come from LAPACK: the full spectrum from root-free QR
-(``sterf``), windows and index ranges from bisection in compiled code
-(``stebz``).
-Every returned value is then certified by one vectorized Sturm-count
-sweep at ``lambda_k -+ tol``, which must place exactly the claimed
-eigenvalue index inside ``[lambda_k - tol, lambda_k + tol)``; a window
-must also hold as many values as the Sturm counts at its ends say.  A
-result that fails the certificate raises :class:`NumericalError` (the
-CLI exits 2); there is no silent fallback.  ``tol`` defaults to
-:func:`default_tol`.  Eigenvectors come from inverse iteration with a
-banded LU solve.
+The full spectrum comes from LAPACK root-free QR (``sterf``).  A window
+or an index range comes with its eigenvectors: LAPACK bisection in
+compiled code (``stebz``) brackets each value only to the certificate's
+width ``tol``, inverse iteration at those values gives the vectors (one
+tridiagonal LU factorisation per shift), and a Rayleigh-Ritz step per
+cluster polishes the values from the vectors.  Every returned value is
+then certified by one vectorized Sturm-count sweep at ``lambda_k -+
+tol``, which must place exactly the claimed eigenvalue index inside
+``[lambda_k - tol, lambda_k + tol)``; a window must also hold as many
+values as the Sturm counts at its ends.  A result that fails the
+certificate raises :class:`NumericalError` (the CLI exits 2); there is no
+silent fallback.  ``tol`` defaults to :func:`default_tol`.
 """
 
 from __future__ import annotations
@@ -20,14 +21,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs, dtbtrs
 
 from .errors import NumericalError, ValidationError
 from .discrete import JacobiOperator
 
 #: default eigenvalue tolerance, relative to the Gershgorin span
 DEFAULT_RTOL = 1e-10
+
+#: eigenvalues closer than this fraction of the span form one cluster
+_CLUSTER_RTOL = 1e-8
 
 
 def default_tol(glo, ghi):
@@ -84,61 +88,21 @@ def sturm_counts(diag, off2, shifts, threads=1):
     return count
 
 
-def _check_query(n, window, indices):
-    if window is not None and indices is not None:
-        raise ValidationError("pass either window or indices, not both")
-    if window is not None and not window[0] < window[1]:
-        raise ValidationError(f"empty window {window!r}")
-    if indices is not None and not (0 <= int(indices[0]) <= int(indices[1]) < n):
-        raise ValidationError(f"indices out of range for n={n}: {indices!r}")
-
-
-def eigenvalues_tridiagonal(op_or_diag, offdiag=None, *, window=None, indices=None,
-                            tol=None, threads=1):
-    """Eigenvalues of a symmetric tridiagonal section, certified by Sturm counts.
-
-    window=(a, b]
-        Return the eigenvalues in the half-open interval (LAPACK ``stebz``).
-    indices=(k_lo, k_hi)
-        Return eigenvalues k_lo..k_hi inclusive (0-based, ascending;
-        LAPACK ``stebz``).
-    neither
-        Return the full spectrum (LAPACK root-free QR, ``sterf``).
-
-    One Sturm sweep at every value -+ ``tol`` then certifies that the
-    k-th eigenvalue lies in [value_k - tol, value_k + tol), and that a
-    window holds as many values as the counts at its ends.  ``tol``
-    defaults to :func:`default_tol`; ``threads`` splits the sweep.
-    Raises NumericalError naming the first index that fails.
-    """
+def _diagonals_and_tol(op_or_diag, offdiag, tol):
+    """(diag, offdiag, glo, ghi, tol) of a finite section; ``tol`` defaults
+    to :func:`default_tol`."""
     diag, off = _as_diagonals(op_or_diag, offdiag)
-    n = diag.shape[0]
-    _check_query(n, window, indices)
     glo, ghi = gershgorin_interval(diag, off)
     if not (math.isfinite(glo) and math.isfinite(ghi)):
         row = np.flatnonzero(~np.isfinite(diag + np.append(off, 0.0)))[0]
         raise NumericalError(f"tridiagonal section has a non-finite entry in row {row}")
-    if tol is None:
-        tol = default_tol(glo, ghi)
+    return diag, off, glo, ghi, default_tol(glo, ghi) if tol is None else tol
 
-    k_lo = 0
-    try:
-        if window is not None:
-            vals = eigvalsh_tridiagonal(diag, off, select="v", select_range=window,
-                                        check_finite=False, lapack_driver="stebz")
-        elif indices is not None:
-            k_lo = int(indices[0])
-            vals = eigvalsh_tridiagonal(diag, off, select="i",
-                                        select_range=(k_lo, int(indices[1])),
-                                        check_finite=False, lapack_driver="stebz")
-        else:
-            # sterf, not stemr: the stemr wrapper allocates an n x n
-            # eigenvector array even for eigenvalues only
-            vals = eigvalsh_tridiagonal(diag, off, check_finite=False,
-                                        lapack_driver="sterf")
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"LAPACK tridiagonal eigensolver failed: {exc}") from None
 
+def _certify(diag, off, vals, tol, threads, window=None, k_lo=0):
+    """Raise NumericalError unless one Sturm sweep places eigenvalue k_lo + j
+    in [vals_j - tol, vals_j + tol) for every j, and a window holds as many
+    values as the counts at its ends."""
     m = vals.size
     ends = [] if window is None else [window[0], window[1]]
     c = sturm_counts(diag, off * off, np.concatenate([vals - tol, vals + tol, ends]),
@@ -157,55 +121,126 @@ def eigenvalues_tridiagonal(op_or_diag, offdiag=None, *, window=None, indices=No
             f"Sturm certificate failed at eigenvalue index {int(ks[j])}: "
             f"value {float(vals[j])!r} with tol {tol:.3e} has {int(c[j])} eigenvalues "
             f"below value - tol and {int(c[m + j])} below value + tol")
+
+
+def eigenvalues_tridiagonal(op_or_diag, offdiag=None, *, tol=None, threads=1):
+    """Full spectrum of a symmetric tridiagonal section, certified by Sturm counts.
+
+    LAPACK root-free QR (``sterf``) gives the values; one Sturm sweep at
+    every value -+ ``tol`` then certifies that the k-th eigenvalue lies
+    in [value_k - tol, value_k + tol).  ``tol`` defaults to
+    :func:`default_tol`; ``threads`` splits the sweep.  Raises
+    NumericalError naming the first index that fails.
+    """
+    diag, off, _, _, tol = _diagonals_and_tol(op_or_diag, offdiag, tol)
+    try:
+        # sterf, not stemr: the stemr wrapper allocates an n x n
+        # eigenvector array even for eigenvalues only
+        vals = eigvalsh_tridiagonal(diag, off, check_finite=False, lapack_driver="sterf")
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK tridiagonal eigensolver failed: {exc}") from None
+    _certify(diag, off, vals, tol, threads)
     return vals
 
 
-def eigenvectors_inverse_iteration(diag, offdiag, values):
-    """Eigenvectors by inverse iteration with a banded LU solve.
+def _check_query(n, window, indices):
+    if (window is None) == (indices is None):
+        raise ValidationError("pass either window or indices, not both or neither")
+    if window is not None and not window[0] < window[1]:
+        raise ValidationError(f"empty window {window!r}")
+    if indices is not None and not (0 <= int(indices[0]) <= int(indices[1]) < n):
+        raise ValidationError(f"indices out of range for n={n}: {indices!r}")
 
-    Three solves from a seeded random start per vector.  Eigenvalues
+
+def eigenpairs_tridiagonal(op_or_diag, offdiag=None, *, window=None, indices=None,
+                           tol=None, threads=1):
+    """Certified eigenpairs (values, vectors) of a window or an index range.
+
+    window=(a, b]
+        The eigenpairs whose values lie in the half-open interval.
+    indices=(k_lo, k_hi)
+        Eigenpairs k_lo..k_hi inclusive (0-based, ascending).
+
+    LAPACK ``stebz`` bisects each value only to the certificate's width
+    ``tol``; inverse iteration at those values gives the vectors, and a
+    Rayleigh-Ritz step per cluster (values closer than 1e-8 of the span)
+    polishes the values to |rho - lambda| <= ||r||**2 / gap.  The
+    polished values then pass the Sturm certificate of
+    :func:`eigenvalues_tridiagonal`, and a window must hold as many values
+    as the counts at its ends.  Values ascend; vectors are orthonormal
+    columns.
+    """
+    diag, off, glo, ghi, tol = _diagonals_and_tol(op_or_diag, offdiag, tol)
+    _check_query(diag.shape[0], window, indices)
+    k_lo = 0
+    try:
+        if window is not None:
+            raw = eigvalsh_tridiagonal(diag, off, select="v", select_range=window,
+                                       check_finite=False, tol=tol, lapack_driver="stebz")
+        else:
+            k_lo = int(indices[0])
+            raw = eigvalsh_tridiagonal(diag, off, select="i",
+                                       select_range=(k_lo, int(indices[1])),
+                                       check_finite=False, tol=tol, lapack_driver="stebz")
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"LAPACK tridiagonal eigensolver failed: {exc}") from None
+    if np.any(np.diff(raw) < 0.0):
+        raise NumericalError("LAPACK stebz returned eigenvalues out of ascending order")
+    vecs = eigenvectors_inverse_iteration(diag, off, raw)
+    vals = _rayleigh_ritz(diag, off, raw, vecs, _CLUSTER_RTOL * max(ghi - glo, 1e-30))
+    _certify(diag, off, vals, tol, threads, window, k_lo)
+    return vals, vecs
+
+
+def _clusters(ascending, cluster_tol):
+    """(start, stop) of each run of ``ascending`` values whose neighbours
+    lie at most ``cluster_tol`` apart."""
+    if ascending.size == 0:
+        return []
+    cuts = (np.flatnonzero(np.diff(ascending) > cluster_tol) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, ascending.size]))
+
+
+def eigenvectors_inverse_iteration(diag, offdiag, values):
+    """Eigenvectors by inverse iteration with a tridiagonal LU factorisation.
+
+    Each shift is factored once (LAPACK ``gttrf``) and applied in three
+    solves (``gttrs``) from a seeded random start per vector; a singular
+    factor or a non-finite iterate escalates the shift.  Eigenvalues
     closer than 1e-8 of the spectral span are treated as a cluster and
-    re-orthogonalized every sweep.  Raises NumericalError if a residual
-    ||A v - lambda v|| exceeds 1e-8 times the span.
+    re-orthogonalized.  Raises NumericalError if a residual
+    ||A v - lambda v|| exceeds 1e-8 times the span.  Needs n >= 3.
     """
     diag = np.asarray(diag, float)
     off = np.asarray(offdiag, float)
     values = np.atleast_1d(np.asarray(values, float))
     n = diag.shape[0]
+    if n < 3:
+        raise ValidationError(f"inverse iteration needs at least 3 rows, got {n}")
     glo, ghi = gershgorin_interval(diag, off)
     span = max(ghi - glo, 1e-30)
     rng = np.random.default_rng(7)
     vecs = np.empty((n, values.size))
 
     order = np.argsort(values)
-    cluster_tol = 1e-8 * span
-    groups, cur = [], [order[0]] if values.size else []
-    for j in order[1:]:
-        if values[j] - values[cur[-1]] <= cluster_tol:
-            cur.append(j)
-        else:
-            groups.append(cur)
-            cur = [j]
-    if cur:
-        groups.append(cur)
-
-    ab = np.zeros((3, n))
-    for group in groups:
+    cluster_tol = _CLUSTER_RTOL * span
+    for a, b in _clusters(values[order], cluster_tol):
+        group = order[a:b]
         block = np.empty((n, len(group)))
         for pos, j in enumerate(group):
             lam = values[j] + (pos - len(group) / 2) * 1e-3 * cluster_tol
             shift = 1e-13 * span
             for attempt in range(4):
-                ab[0, 1:] = off
-                ab[1, :] = diag - (lam + shift)
-                ab[2, :-1] = off
                 v = rng.standard_normal(n)
                 try:
+                    dl, d, du, du2, ipiv, info = dgttrf(off, diag - (lam + shift), off,
+                                                        overwrite_d=1)
+                    if info != 0:
+                        raise np.linalg.LinAlgError
                     for _ in range(3):
-                        v = solve_banded((1, 1), ab, v,
-                                         overwrite_ab=False, check_finite=False)
+                        v, info = dgttrs(dl, d, du, du2, ipiv, v, overwrite_b=1)
                         nv = float(np.linalg.norm(v))
-                        if not math.isfinite(nv) or nv == 0.0:
+                        if info != 0 or not math.isfinite(nv) or nv == 0.0:
                             raise np.linalg.LinAlgError
                         v /= nv
                     break
@@ -215,8 +250,7 @@ def eigenvectors_inverse_iteration(diag, offdiag, values):
         # re-orthogonalize degenerate directions
         if len(group) > 1:
             block, _ = np.linalg.qr(block)
-        for pos, j in enumerate(group):
-            vecs[:, j] = block[:, pos]
+        vecs[:, group] = block
 
     # residual check against the requested values
     for j in range(values.size):
@@ -230,6 +264,29 @@ def eigenvectors_inverse_iteration(diag, offdiag, values):
                 f"inverse iteration residual {res:.3e} exceeds "
                 f"1e-8 * span for eigenvalue {values[j]!r}")
     return vecs
+
+
+def _rayleigh_ritz(diag, off, values, vecs, cluster_tol):
+    """Polished values of ascending ``values``; rotates ``vecs`` in place.
+
+    A singleton takes its Rayleigh quotient v'Av / v'v.  A cluster takes
+    the eigenvalues of its projected k x k matrix V'AV, and its block of
+    orthonormal columns is rotated onto the Ritz vectors.  The products
+    run as three-operand ``einsum`` over ``vecs`` and its row-shifted
+    views, so no n x m temporary is formed.
+    """
+    lo, hi = vecs[:-1], vecs[1:]
+    vals = ((np.einsum("i,ij,ij->j", diag, vecs, vecs)
+             + 2.0 * np.einsum("i,ij,ij->j", off, lo, hi))
+            / np.einsum("ij,ij->j", vecs, vecs))
+    for a, b in _clusters(values, cluster_tol):
+        if b - a > 1:
+            V = vecs[:, a:b]
+            C = np.einsum("i,ij,ik->jk", off, lo[:, a:b], hi[:, a:b])
+            w, Q = np.linalg.eigh(np.einsum("i,ij,ik->jk", diag, V, V) + C + C.T)
+            vals[a:b] = w
+            vecs[:, a:b] = V @ Q
+    return vals
 
 
 @dataclass(frozen=True)

@@ -317,10 +317,21 @@ def test_hse_jost_matches_the_plane_wave(tmp_path, capsys):
     art = json.loads((out / "jost.json").read_text())
     assert [f["lambda"] for f in art["fits"]] == [2.0, 2.667, 3.5]
     assert all(f["theta_error"] < 1e-9 for f in art["fits"])
-    # the default energies lie in the limit law's interval, not in this one
+    # the default energies are the centre and the midpoints of this
+    # model's interval [1.6, 3.733]
     cfg = write_config(tmp_path / "default.json", eos={"variant": "hse"},
                        analysis={"n_trunc": 2000, "i_start": 16},
                        output={"directory": str(tmp_path / "default")})
+    capsys.readouterr()
+    assert cli.run("jost", cfg) == 0
+    art = json.loads((tmp_path / "default" / "jost.json").read_text())
+    assert [f["lambda"] for f in art["fits"]] == pytest.approx([32 / 15, 8 / 3, 3.2],
+                                                               abs=1e-12)
+    assert all(f["theta_error"] < 1e-9 for f in art["fits"])
+    # an energy of the limit law's interval lies outside this one
+    cfg = write_config(tmp_path / "limit.json", eos={"variant": "hse"},
+                       analysis={"n_trunc": 2000, "i_start": 16, "lambdas": [-1.6]},
+                       output={"directory": str(tmp_path / "limit")})
     capsys.readouterr()
     assert cli.run("jost", cfg) == 1
     err = capsys.readouterr().err
@@ -357,6 +368,37 @@ def test_ppmodes_smoke(tmp_path, capsys):
     rows = (tmp_path / "out" / "ppmodes.csv").read_text().splitlines()
     assert rows[1] == "value,depth,block,in_block,dr_bounded"
     assert len(rows) == 2 + 25
+
+
+@pytest.mark.parametrize("eos", [{"variant": "polytrope", "Gamma": 3.0}, {"variant": "hse"},
+                                 {"variant": "polytropic", "a": 2, "b": 4}],
+                         ids=["polytrope", "hse", "sl-polytropic"])
+def test_ppmodes_refuses_a_foreign_eos(tmp_path, capsys, eos):
+    # the theorem model carries the limit pressure law; another variant
+    # would silently run that same model
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", eos=eos, analysis={"n_trunc": 1200},
+                       output={"directory": str(out)})
+    assert cli.run("ppmodes", cfg) == 1
+    err = capsys.readouterr().err
+    assert "eos.variant limit" in err and repr(eos["variant"]) in err
+    assert "Traceback" not in err
+    assert not os.listdir(out)
+
+
+def test_hse_shell_with_subnormal_widths_runs_quietly(tmp_path, capsys):
+    # at gamma 0.00133 a shell mass outlives its width, which underflows to
+    # a subnormal past shell 1040: rho overflows, silently, and reaches no
+    # artifact
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", eos={"variant": "hse"},
+                       model={"gamma": 0.00133}, analysis={"n_trunc": 1100, "i_start": 16},
+                       output={"directory": str(out)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run("spectrum", cfg) == 0
+    assert capsys.readouterr().err == ""
+    assert_artifacts_finite(out)
 
 
 @pytest.mark.parametrize("n_trunc", [2, 8])

@@ -88,6 +88,18 @@ def test_validation_messages():
         model.coupling_constant(0.5, 2.0, zeta=-4.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: model.profile_constant(0.5, 3000),
+    lambda: model.coupling_constant(0.5, 3000),
+    lambda: model.build_mass_distribution(0.5, 3000),
+    lambda: model.build_mass_distribution(1e-309, 1.0),
+], ids=["profile_constant", "coupling_constant", "mass_distribution", "tiny-eta"])
+def test_steep_power_law_is_a_validation_error(call):
+    # eta**-gamma or 1/eta beyond e**709 used to raise a bare OverflowError
+    with pytest.raises(ValidationError, match="eta .* with gamma .* beyond the float range"):
+        call()
+
+
 def test_canonical_scaling_constants(canonical):
     assert canonical.lambda_star == pytest.approx(1.0, abs=0)
     assert model.coupling_constant(0.5, 2.0) == pytest.approx(1.6, abs=1e-15)

@@ -181,6 +181,17 @@ def test_scaled_system_validation(stiff_pd):
         polytrans.build_scaled_system(pd3, 100)
 
 
+def test_scaled_system_refuses_an_overflowing_base(stiff_pd):
+    # Gamma 2000 at gamma 2 gives e3 = 1997, and eta**-e3 used to raise a
+    # bare OverflowError
+    dist = stiff_pd.dist
+    gp = model.gamma_profile(dist, "constant", value=2000.0)
+    pd = model.build_pd_distribution(dist, gp, pressure_mode="polytrope")
+    with pytest.raises(ValidationError, match=r"eta 0.5 with gamma 2.0 and Gamma 2000.0 "
+                                              r"give e3 = 1997.0"):
+        polytrans.build_scaled_system(pd, 100)
+
+
 def test_limit_coupling_by_profile_kind():
     dist = model.build_mass_distribution(0.5, 2.0, N=1200)
     pd_geo = model.build_pd_distribution(dist, pressure_mode="limit")

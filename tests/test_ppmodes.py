@@ -171,7 +171,12 @@ def test_block_of_matches_per_mode_loop(n):
     dsp = ppmodes.construct_dsp(n=n)
     op = discrete.assemble_jacobi(ppmodes.theorem_model(dsp), dsp.extent, i_start=1)
     em = ppmodes.detect_edge_eigenvalues(op, dsp)
-    vecs = spectra.eigenvectors_inverse_iteration(op.diag, op.offdiag, em.values)
+    # the window of detect_edge_eigenvalues, span floored at one
+    glo, ghi = spectra.gershgorin_interval(op.diag, op.offdiag)
+    span = max(ghi - glo, 1.0)
+    vals, vecs = spectra.eigenpairs_tridiagonal(
+        op, window=(glo - 1e-6 * span, em.edge - 1e-9 * span))
+    assert np.array_equal(vals, em.values)
     assert vecs.shape[1] >= 30
     ref = [_block_of_per_mode(dsp, op.shells, vecs[:, j] ** 2)
            for j in range(vecs.shape[1])]

@@ -35,8 +35,9 @@ def _eigenvalues_bisect(op_or_diag, offdiag=None, *, window=None, indices=None,
     All requested eigenvalues are bisected simultaneously, one Sturm count
     per round over the vector of active midpoints (Barth, Martin &
     Wilkinson 1967).  This is the independent reference for
-    :func:`spectra.eigenvalues_tridiagonal`: it shares the Sturm
-    count and the default tolerance with it, not LAPACK.
+    :func:`spectra.eigenvalues_tridiagonal` and
+    :func:`spectra.eigenpairs_tridiagonal`: it shares the Sturm count
+    and the default tolerance with them, not LAPACK.
     """
     if offdiag is None:
         diag, off = np.asarray(op_or_diag.diag, float), np.asarray(op_or_diag.offdiag, float)
@@ -122,11 +123,13 @@ def test_windowed_and_indexed_queries():
 def test_query_validation():
     d, e = np.zeros(10), np.ones(9)
     with pytest.raises(ValidationError, match="not both"):
-        spectra.eigenvalues_tridiagonal(d, e, window=(0, 1), indices=(0, 1))
+        spectra.eigenpairs_tridiagonal(d, e, window=(0, 1), indices=(0, 1))
+    with pytest.raises(ValidationError, match="or neither"):
+        spectra.eigenpairs_tridiagonal(d, e)
     with pytest.raises(ValidationError, match="empty window"):
-        spectra.eigenvalues_tridiagonal(d, e, window=(1.0, 1.0))
+        spectra.eigenpairs_tridiagonal(d, e, window=(1.0, 1.0))
     with pytest.raises(ValidationError, match="indices out of range"):
-        spectra.eigenvalues_tridiagonal(d, e, indices=(0, 10))
+        spectra.eigenpairs_tridiagonal(d, e, indices=(0, 10))
 
 
 def test_threaded_counts_agree():
@@ -183,7 +186,10 @@ def test_lapack_route_matches_bisection(case, canonical_op):
         op, window = _ppmodes_window()
     glo, ghi = spectra.gershgorin_interval(op.diag, op.offdiag)
     tol = 1e-10 * (ghi - glo)
-    vals = spectra.eigenvalues_tridiagonal(op, window=window)
+    if window is None:
+        vals = spectra.eigenvalues_tridiagonal(op)
+    else:
+        vals, _ = spectra.eigenpairs_tridiagonal(op, window=window)
     ref = _eigenvalues_bisect(op, window=window)
     assert vals.size == ref.size > 0
     assert np.max(np.abs(vals - ref)) <= tol
@@ -211,7 +217,7 @@ def test_default_tolerance_floor_on_a_nearly_scalar_section():
 def test_lapack_indices_match_sturm_counts(canonical_op):
     d, e = canonical_op.diag, canonical_op.offdiag
     tol = 1e-9
-    vals = spectra.eigenvalues_tridiagonal(canonical_op, indices=(100, 139), tol=tol)
+    vals, _ = spectra.eigenpairs_tridiagonal(canonical_op, indices=(100, 139), tol=tol)
     assert vals.size == 40
     ks = np.arange(100, 140)
     assert np.array_equal(spectra.sturm_counts(d, e * e, vals - tol), ks)
@@ -224,25 +230,89 @@ def _lapack_patched(monkeypatch, edit):
                         lambda *a, **k: edit(real(*a, **k)))
 
 
+def _nudged(vals, tol):
+    vals = vals.copy()
+    vals[5] += 10.0 * tol
+    return vals
+
+
 def test_certificate_rejects_nudged_value(canonical_op, monkeypatch):
     tol = 1e-9
-
-    def nudge(vals):
-        vals = vals.copy()
-        vals[5] += 10.0 * tol
-        return vals
-
-    _lapack_patched(monkeypatch, nudge)
+    _lapack_patched(monkeypatch, lambda vals: _nudged(vals, tol))
     with pytest.raises(NumericalError, match="certificate failed at eigenvalue index 5:"):
         spectra.eigenvalues_tridiagonal(canonical_op, tol=tol)
-    with pytest.raises(NumericalError, match="index 105:"):
-        spectra.eigenvalues_tridiagonal(canonical_op, indices=(100, 139), tol=tol)
+
+
+def test_polish_repairs_raw_values_and_the_certificate_checks_the_polished(
+        canonical_op, monkeypatch):
+    # a raw stebz value 10 tol off is restored from its vector; the same
+    # nudge applied after the polish still fails the certificate
+    tol = 1e-9
+    clean, clean_vecs = spectra.eigenpairs_tridiagonal(canonical_op, indices=(100, 139),
+                                                       tol=tol)
+    with monkeypatch.context() as mp:
+        _lapack_patched(mp, lambda vals: _nudged(vals, tol))
+        vals, vecs = spectra.eigenpairs_tridiagonal(canonical_op, indices=(100, 139),
+                                                    tol=tol)
+    glo, ghi = spectra.gershgorin_interval(canonical_op.diag, canonical_op.offdiag)
+    assert np.max(np.abs(vals - clean)) <= 1e-14 * (ghi - glo)
+    assert np.max(np.abs(np.abs(np.sum(vecs * clean_vecs, axis=0)) - 1.0)) < 1e-12
+
+    real = spectra._rayleigh_ritz
+    monkeypatch.setattr(spectra, "_rayleigh_ritz",
+                        lambda *a: _nudged(real(*a), tol))
+    with pytest.raises(NumericalError, match="certificate failed at eigenvalue index 105:"):
+        spectra.eigenpairs_tridiagonal(canonical_op, indices=(100, 139), tol=tol)
 
 
 def test_certificate_rejects_window_count_mismatch(canonical_op, monkeypatch):
     _lapack_patched(monkeypatch, lambda vals: vals[1:])
     with pytest.raises(NumericalError, match="LAPACK finds 17 eigenvalues in the window"):
-        spectra.eigenvalues_tridiagonal(canonical_op, window=(-0.3, 0.0))
+        spectra.eigenpairs_tridiagonal(canonical_op, window=(-0.3, 0.0))
+
+
+@pytest.mark.parametrize("case", ["ppmodes_window", "limit_indices"])
+def test_polished_values_match_full_precision_bisection(case, canonical_op):
+    # stebz stops at the certificate's width; the Rayleigh-Ritz polish
+    # restores what stebz at machine precision (tol=0) returns
+    if case == "ppmodes_window":
+        op, window = _ppmodes_window()
+        query, select = {"window": window}, {"select": "v", "select_range": window}
+    else:
+        op = canonical_op
+        query, select = {"indices": (0, 9)}, {"select": "i", "select_range": (0, 9)}
+    vals, vecs = spectra.eigenpairs_tridiagonal(op, **query)
+    ref = scipy.linalg.eigvalsh_tridiagonal(op.diag, op.offdiag, tol=0.0,
+                                            lapack_driver="stebz", **select)
+    glo, ghi = spectra.gershgorin_interval(op.diag, op.offdiag)
+    assert vals.size == ref.size >= 10
+    assert np.max(np.abs(vals - ref)) <= 1e-14 * (ghi - glo)
+    assert vecs.shape == (op.n, vals.size)
+
+
+@pytest.mark.parametrize("coupling", [1e-13, 1e-9])
+def test_near_degenerate_cluster_gets_certified_ritz_pairs(coupling):
+    # two identical halves joined by a weak coupling: every eigenvalue
+    # comes as a pair far inside the 1e-8 cluster width.  At 1e-13 the
+    # pairs are degenerate to rounding; at 1e-9 they split by up to about
+    # 1e-10 (nearly free halves keep the end components of their modes
+    # large), so only the rotation of each cluster onto its Ritz vectors
+    # resolves them
+    rng = np.random.default_rng(21)
+    d_half, e_half = 0.1 * rng.standard_normal(30), 1.0 + 0.1 * rng.standard_normal(29)
+    d = np.concatenate([d_half, d_half])
+    e = np.concatenate([e_half, [coupling], e_half])
+    glo, ghi = spectra.gershgorin_interval(d, e)
+    span = ghi - glo
+    vals, V = spectra.eigenpairs_tridiagonal(d, e, indices=(0, 59))
+    assert np.max(np.diff(vals)[::2]) < 1e-8 * span
+    ref = scipy.linalg.eigvalsh_tridiagonal(d, e)
+    assert np.max(np.abs(vals - ref)) <= 1e-14 * span
+    assert np.max(np.abs(V.T @ V - np.eye(60))) < 1e-12
+    AV = d[:, None] * V
+    AV[:-1] += e[:, None] * V[1:]
+    AV[1:] += e[:, None] * V[:-1]
+    assert np.max(np.linalg.norm(AV - V * vals, axis=0)) < 1e-12 * span
 
 
 def test_lapack_route_refuses_non_finite_section():
@@ -254,7 +324,7 @@ def test_lapack_route_refuses_non_finite_section():
 
 
 def test_inverse_iteration_residuals(canonical_op):
-    vals = spectra.eigenvalues_tridiagonal(canonical_op, indices=(0, 9))
+    vals, _ = spectra.eigenpairs_tridiagonal(canonical_op, indices=(0, 9))
     assert vals.size == 10
     V = spectra.eigenvectors_inverse_iteration(canonical_op.diag, canonical_op.offdiag,
                                                vals)
@@ -271,6 +341,12 @@ def test_inverse_iteration_rejects_fake_eigenvalue():
     d, e = np.zeros(30), np.ones(29)
     with pytest.raises(NumericalError, match="residual"):
         spectra.eigenvectors_inverse_iteration(d, e, np.array([50.0]))
+
+
+def test_inverse_iteration_needs_three_rows():
+    # LAPACK gttrf has no wrapper for fewer than three rows
+    with pytest.raises(ValidationError, match="at least 3 rows, got 2"):
+        spectra.eigenvectors_inverse_iteration(np.zeros(2), np.ones(1), [1.0])
 
 
 # ---------------------------------------------------------------------------
