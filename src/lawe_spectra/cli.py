@@ -233,10 +233,6 @@ def _build_pd(eff, *, n_trunc, i_start):
     m = eff["model"]
     model.check_power_law(m["eta"], m["gamma"], prefix="model.")
     variant = eff["eos"]["variant"]
-    if variant not in ("limit", "hse", "polytrope"):
-        raise ValidationError(
-            f"this subcommand needs a shell-model eos variant "
-            f"(limit, hse or polytrope), got {variant!r}")
     eos = {**_defaults(_SCHEMA["eos"][variant]), **eff["eos"]}
     dist = model.build_mass_distribution(m["eta"], m["gamma"], M_star=m["M_star"],
                                          R_star=m["R_star"], G=m["G"],
@@ -251,22 +247,15 @@ def _build_pd(eff, *, n_trunc, i_start):
 _SL_EOS = {"polytropic": slform.Polytropic, "linear_thermal": slform.LinearThermal}
 
 
-def _sl_eos(eff):
-    params = {k: v for k, v in eff["eos"].items() if v is not None}
-    variant = params.pop("variant")
-    if variant not in _SL_EOS:
-        raise ValidationError(
-            f"sl analysis needs eos variant polytropic or linear_thermal, "
-            f"got {variant!r}")
-    return _SL_EOS[variant](R_star=eff["model"]["R_star"], **params)
-
-
 def _fields(obj, names):
     return {name: getattr(obj, name) for name in names.split()}
 
 
 def _or(value, default):
     return default if value is None else value
+
+
+_TO_SCALED = "run the scaled subcommand, which analyses the rescaled operator"
 
 
 def _refuse_graded(op):
@@ -282,8 +271,7 @@ def _refuse_graded(op):
         raise ValidationError(
             f"the section is graded: row scales run from {np.min(scale):.3e} to "
             f"{np.max(scale):.3e}, so the certificate tolerance {tol:.3e} "
-            f"exceeds 1e-6 of the smallest; run the scaled subcommand, which "
-            f"analyses the rescaled operator")
+            f"exceeds 1e-6 of the smallest; {_TO_SCALED}")
 
 
 def _shell_section(eff):
@@ -294,8 +282,18 @@ def _shell_section(eff):
 
 
 def _run_spectrum(eff, threads):
-    op = _shell_section(eff)
-    _refuse_graded(op)
+    # a polytrope's raw couplings scale like eta**(e3*I) over shell widths
+    # that underflow; where its entries or row scales leave the float range
+    # the section is graded past any certificate, and no inf or NaN of it
+    # may reach the solver
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            op = _shell_section(eff)
+            _refuse_graded(op)
+    except FloatingPointError:
+        raise ValidationError(f"the section is graded past any certificate: its "
+                              f"entries or row scales leave the float range; "
+                              f"{_TO_SCALED}") from None
     rep = spectra.spectrum_fill_report(op, pad=eff["analysis"]["pad"], threads=threads)
     print(f"spectrum: n={rep.values.size} inside={rep.n_inside} "
           f"outliers={rep.n_outliers} max_gap={rep.max_gap:.3e} fills={rep.fills}")
@@ -328,12 +326,6 @@ def _run_jost(eff, threads):
 def _run_ppmodes(eff, threads):
     ana = eff["analysis"]
     m = eff["model"]
-    variant = eff["eos"]["variant"]
-    if variant != "limit":
-        # theorem_model builds the limit pressure law; it reads no eos key
-        raise ValidationError(
-            f"ppmodes needs eos.variant limit, the pressure law of its "
-            f"theorem model, got {variant!r}")
     model.check_power_law(m["eta"], m["gamma"], prefix="model.")
     n_trunc = _or(ana["n_trunc"], 20000)
     dsp = ppmodes.construct_dsp(ana["alpha"], ana["p"], ana["spacing"], n=n_trunc)
@@ -383,11 +375,6 @@ def _run_scaled(eff, threads):
     ana = eff["analysis"]
     n_trunc = _or(ana["n_trunc"], 2000)
     pd = _build_pd(eff, n_trunc=n_trunc, i_start=1)
-    if pd.pressure_mode != "polytrope":
-        raise ValidationError(
-            "scaled analysis needs a constant adiabatic exponent "
-            "(eos variant polytrope); geometric profiles scale to the "
-            "trivial zero-coupling limit")
     if not pd.e3 < 0.0:  # refused here to name the config key
         raise ValidationError(
             f"scaled analysis needs (model.gamma - 1)*(eos.Gamma - 1) < 2 for a scaling "
@@ -420,7 +407,8 @@ def _run_scaled(eff, threads):
 
 def _run_sl(eff, threads):
     ana = eff["analysis"]
-    eos = _sl_eos(eff)
+    params = {k: v for k, v in eff["eos"].items() if v is not None}
+    eos = _SL_EOS[params.pop("variant")](R_star=eff["model"]["R_star"], **params)
     form = slform.CanonicalForm(eos)
     lambdas = _or(ana["lambdas"], [])
     if any(lam <= 0.0 for lam in lambdas):
@@ -496,6 +484,12 @@ def _run_report(eff, threads):
     print(f"report: aggregated {len(names)} artifact(s)")
     return {"report.json": {"artifacts": sections}, "report.md": "\n".join(lines)}
 
+
+#: the eos variants each subcommand runs on; the others read no eos key.
+#: ppmodes' theorem model is the limit law, and geometric profiles scale
+#: to zero couplings
+_EOS_VARIANTS = {"spectrum": ("limit", "hse", "polytrope"), "jost": ("limit", "hse"),
+                 "ppmodes": ("limit",), "scaled": ("polytrope",), "sl": tuple(_SL_EOS)}
 
 _HANDLERS = {
     "spectrum": _run_spectrum,
@@ -586,6 +580,10 @@ def main(argv=None):
         except OSError as exc:
             raise ValidationError(
                 f"output.directory {outdir!r} cannot be created: {exc}") from None
+        variant, allowed = eff["eos"]["variant"], _EOS_VARIANTS.get(sub)
+        if allowed and variant not in allowed:
+            raise ValidationError(
+                f"{sub} needs eos.variant {' or '.join(allowed)}, got {variant!r}")
         artifacts = _HANDLERS[sub](eff, _or(eff["analysis"]["threads"], 1))
         h = config_hash(eff)
         # every artifact is rendered, and so checked, before the first opens

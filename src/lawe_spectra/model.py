@@ -339,9 +339,13 @@ def _pressure_hse(dist):
 def _pressure_power_law(dist, gamma_prof, C_star):
     """(P/M)(I) = 4*pi*C_star*r(I)**2*width(I)*eta**(e3*I) for the stiff family.
 
-    e3 = (gamma-1)*(Gamma-1) - 2 makes P*rho/M**2 an exact power law; for
-    (gamma-1)*(Gamma-1) = 1 the scaled couplings become I-independent up
-    to surface curvature factors.
+    e3 = (gamma-1)*(Gamma-1) - 2 makes P*rho/M**2 an exact power law.  For
+    every e3 < 0 the scaled couplings nu**I*G3(I), nu = eta**-e3, are then
+    I-independent up to the surface curvature factor r(I)**2*r(I+1)**2
+    (see ``polytrans``), not only at (gamma-1)*(Gamma-1) = 1.  For e3 < -1
+    P/M grows like eta**((e3+1)*I) and overflows to inf in deep shells,
+    quietly: the scaled system never reads it, and the CLI refuses a raw
+    section that would.
     """
     Gamma = gamma_prof.c
     e3 = (dist.gamma - 1.0) * (Gamma - 1.0) - 2.0
@@ -356,7 +360,8 @@ def _pressure_power_law(dist, gamma_prof, C_star):
         + dist.log_width(idx[1:])
         + e3 * idx[1:] * math.log(dist.eta)
     )
-    out = FOUR_PI * C_star * np.exp(log_term)
+    with np.errstate(over="ignore"):
+        out = FOUR_PI * C_star * np.exp(log_term)
     out[0] = np.nan
     return out, float(C_star), float(e3)
 

@@ -1,12 +1,13 @@
 """Diagonal rescaling of stiff (non-decaying) profile operators.
 
-For constant adiabatic exponents the couplings G3(I) grow like nu**-I
-for a scaling base nu in (0, 1) set by the pressure power law (nu =
-eta for the balanced case P*rho/M**2 ~ eta**-I), and the raw matrix is
-useless beyond a thousand shells.  Conjugating by
-H = diag(nu**floor(I/2)) tames it: with
+For the polytrope's constant adiabatic exponent the couplings G3(I)
+grow like nu**-I for the scaling base nu = eta**-e3 in (0, 1) set by
+its pressure power law (nu = eta for the balanced case P*rho/M**2 ~
+eta**-I), and the raw matrix is useless beyond a thousand shells.
+Conjugating by H = diag(nu**floor(I/2)) tames it: with
 
-    mu(I)   = nu**I * G3(I),
+    mu(I)   = nu**I * G3(I)
+            = 16*pi**2*C_star*Gamma*mc(I)*r(I)**2*r(I+1)**2*eta**(-gamma/2),
     beta(I) = nu**I * (4*Lambda_star - G2(I))
             = mu(I)*Rp(I) + nu*mu(I-1)*Rm(I) - t(I),
     t(I)    = 4*Lambda_star*nu**I * [ Mfrak(I)/(Mfrak_inf*(1-eta**I)**3) - 1 ],
@@ -14,10 +15,15 @@ H = diag(nu**floor(I/2)) tames it: with
 the scaled matrix has O(1) couplings mu(I) and diagonal
 4*Lambda_star*nu**(2*alpha(I)) - beta(I)*nu**(2*alpha(I)-I),
 alpha(I) = floor(I/2), whose tail alternates between -beta/nu and
--beta.  The exact mechanism behind the scaling is the grading identity
-checked by :func:`similarity_check`: conjugating a tridiagonal matrix
-with geometrically graded entries by the diagonal built from the
-mirrored exponent pattern strips the powers off both off-diagonals and
+-beta.  Every power of eta cancels in mu, since (P/M)(I) =
+4*pi*C_star*r(I)**2*width(I)*eta**(e3*I) and G3 divides it by width(I):
+mu is evaluated in that closed form and tends to mu_inf, the same
+expression at r = R_star, mc = 1.  Geometric profiles (the limit and hse
+laws) scale to the trivial zero-coupling limit and are refused.  The
+exact mechanism behind the scaling is the grading identity checked by
+:func:`similarity_check`: conjugating a tridiagonal matrix with
+geometrically graded entries by the diagonal built from the mirrored
+exponent pattern strips the powers off both off-diagonals and
 moves them onto the diagonal as (x*y)**-floor(j/2).  Each entry of
 that diagonal is a monomial x**p * y**q (:func:`grading_exponents`), so
 the identity is certified exactly in integer exponent sums, for all
@@ -44,7 +50,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .discrete import JacobiOperator
-from .model import FOUR_PI
 
 
 def grading_exponents(n):
@@ -111,9 +116,15 @@ def similarity_check(diag, sub, sup, x, y):
     return TransformCheck(max_residual=worst, n=n, exact=exact)
 
 
+def _coupling(pd, Gamma, mc, r_in, r_out):
+    """mu = 16*pi**2*C_star*Gamma*mc*r_in**2*r_out**2*eta**(-gamma/2)."""
+    return (16.0 * math.pi**2 * pd.C_star * Gamma * mc * r_in**2 * r_out**2
+            * pd.dist.eta ** (-pd.dist.gamma / 2.0))
+
+
 @dataclass(frozen=True)
 class ScaledSystem:
-    """Scaled tridiagonal data mu(I), beta(I) for shells I = 1..n."""
+    """Scaled tridiagonal data mu(I), beta(I) of a polytrope, shells I = 1..n."""
 
     pd: object = field(repr=False)
     n: int
@@ -141,14 +152,9 @@ class ScaledSystem:
 
     @property
     def mu_inf(self):
-        """Limit coupling: zero for a geometric profile, finite for the
-        polytrope, whose scaling base absorbs its pressure (nu = eta**-e3)."""
-        pd = self.pd
-        if pd.pressure_mode != "polytrope":
-            return 0.0
-        dist = pd.dist
-        return (16.0 * math.pi**2 * pd.C_star * pd.gamma.c * dist.R_star**4
-                * dist.eta ** (-dist.gamma / 2.0))
+        """Limit coupling: mu at r = R_star and mc = 1."""
+        r = self.pd.dist.R_star
+        return _coupling(self.pd, self.pd.gamma.c, 1.0, r, r)
 
     @property
     def beta_inf(self):
@@ -187,38 +193,28 @@ class ScaledSystem:
 def build_scaled_system(pd, n):
     """Compute mu(I), beta(I), t(I) and the scaled diagonal for I=1..n.
 
-    All quantities are assembled from cancelled closed forms; no power of
-    eta**I is ever formed for decaying factors that matter.  (For
-    geometric adiabatic profiles mu(I) itself decays like eta**I and is
-    allowed to underflow to its true limit 0.)
+    ``pd`` must be a polytrope.  mu comes from its closed form, and t
+    from exact mass fractions, so no power eta**I is ever formed.
     """
+    if pd.pressure_mode != "polytrope":
+        raise ValidationError(
+            f"the scaled system needs the polytrope's constant adiabatic exponent, "
+            f"got pressure_mode {pd.pressure_mode!r}; geometric profiles scale to "
+            f"the trivial zero-coupling limit")
     dist = pd.dist
     if n < 2 or n > dist.N - 1:
         raise ValidationError(f"need 2 <= n <= N-1, got n={n}")
     eta, gamma = dist.eta, dist.gamma
+    # e3 is tested before the power: past e3 of about 1000, eta**-e3 overflows
+    nu = eta ** (-pd.e3) if pd.e3 < 0.0 else math.nan
+    if not 0.0 < nu < 1.0:
+        raise ValidationError(
+            f"scaling base nu = eta**-e3 must lie in (0, 1); eta {eta!r} with "
+            f"gamma {gamma!r} and Gamma {pd.gamma.c!r} give e3 = {pd.e3}")
+    log_nu = math.log(nu)
     idx = np.arange(1, n + 1)
     r = dist.radius
-
-    # g3_scaled is eta**I * G3 for the polytrope's constant profile and the
-    # O(1) cancelled coupling for a geometric one; mu = nu**I * G3
-    if pd.pressure_mode == "polytrope":
-        # e3 is tested before the power: past e3 of about 1000, eta**-e3
-        # overflows
-        nu = eta ** (-pd.e3) if pd.e3 < 0.0 else math.nan
-        if not 0.0 < nu < 1.0:
-            raise ValidationError(
-                f"scaling base nu = eta**-e3 must lie in (0, 1); eta {eta!r} with "
-                f"gamma {gamma!r} and Gamma {pd.gamma.c!r} give e3 = {pd.e3}")
-        rebase = math.log(nu) - math.log(eta)
-    else:
-        nu = eta
-        rebase = math.log(nu)
-    log_nu = math.log(nu)
-
-    g3_scaled = (FOUR_PI * pd.gamma.scaled[idx] * pd.P_over_M[idx] * pd.mc[idx]
-                 * r[idx + 1] ** 2 * eta ** (1.0 - gamma / 2.0)
-                 / (dist.R_star * (1.0 - eta)))
-    mu = g3_scaled * np.exp(idx * rebase)
+    mu = _coupling(pd, pd.gamma.scaled[idx], pd.mc[idx], r[idx], r[idx + 1])
 
     theta = 4.0 * dist.lambda_star
     # t(I) = nu**I * (4 G Mfrak(I)/r(I)**3 - theta), via exact mass fractions
@@ -356,8 +352,8 @@ def delta_r_growth(system, lam=0.0, *, Y=None, i_min=1):
     else:
         if np.any(mu[i_min - 1:n - 1] == 0.0):
             raise ValidationError(
-                "couplings mu underflow to zero on the requested range; "
-                "the weighted tail solve needs a non-decaying profile")
+                "couplings mu underflow to zero on the requested range, "
+                "and the weighted tail solve divides by them")
         rhs = system.theta * np.exp(2.0 * alpha * math.log(nu)) - lam
         y_prev, y_cur = 0.0, 1.0
         log_scale = 0.0

@@ -111,14 +111,13 @@ class BumpField:
         return blocks.reshape(x.shape[1:]), fractions.reshape(x.shape[1:])
 
 
-def construct_dsp(alpha=0.8, p=0.5, spacing=5.0, m_max=None, n=None):
+def construct_dsp(alpha=0.8, p=0.5, spacing=5.0, *, n):
     """Lay out the sparse blocks carrying the I**-alpha field.
 
     L_m = max(4, ceil(m**p) rounded up to even); s_m = ceil(spacing *
     m**(p+1)), strictly beyond spacing*m**(p+1) and pushed right if
-    needed to keep at least two empty shells between blocks.  Give
-    either ``m_max`` or ``n`` (blocks are laid until they would cross
-    shell n - 1).
+    needed to keep at least two empty shells between blocks.  Blocks
+    are laid until they would cross shell n - 1.
     """
     if not (0.5 < alpha < 1.0):
         raise ValidationError(f"need 1/2 < alpha < 1, got {alpha!r}")
@@ -127,23 +126,19 @@ def construct_dsp(alpha=0.8, p=0.5, spacing=5.0, m_max=None, n=None):
             f"need 1/3 < p < alpha*(p+1)/2 = {alpha * (p + 1.0) / 2.0:.4f}, got {p!r}")
     if spacing <= 0.0:
         raise ValidationError(f"spacing must be positive, got {spacing!r}")
-    if m_max is None and n is None:
-        raise ValidationError("give m_max or n")
 
     blocks = []
     prev_end = 0
     m = 0
     while True:
         m += 1
-        if m_max is not None and m > m_max:
-            break
         L = max(4, 2 * int(math.ceil(m**p / 2.0)))
         lo = spacing * m ** (p + 1.0)
         s = int(math.ceil(lo))
         if s <= lo:
             s += 1
         s = max(s, prev_end + 3)
-        if n is not None and s + L > n - 1:
+        if s + L > n - 1:
             break
         blocks.append((s, L))
         prev_end = s + L

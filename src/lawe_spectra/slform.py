@@ -868,11 +868,10 @@ def regularity_check(trace, eos, envelope=None):
     lower bound for the polytropic layer (3/4 for the two-term layer
     with a weak second source).
     """
-    form = CanonicalForm(eos)
     if trace.X_grid.size < 200:
         raise ValidationError("trace too short for a tail fit")
     if envelope is None:
-        envelope = extend_trace_asymptotic(trace, form)
+        envelope = extend_trace_asymptotic(trace, CanonicalForm(eos))
     D, R = envelope.depth, envelope.env_R
 
     # envelope sanity: max |R| over the trace tail vs the bound there

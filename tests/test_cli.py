@@ -370,19 +370,42 @@ def test_ppmodes_smoke(tmp_path, capsys):
     assert len(rows) == 2 + 25
 
 
-@pytest.mark.parametrize("eos", [{"variant": "polytrope", "Gamma": 3.0}, {"variant": "hse"},
-                                 {"variant": "polytropic", "a": 2, "b": 4}],
-                         ids=["polytrope", "hse", "sl-polytropic"])
-def test_ppmodes_refuses_a_foreign_eos(tmp_path, capsys, eos):
-    # the theorem model carries the limit pressure law; another variant
-    # would silently run that same model
+#: the eos variants each subcommand runs on, and a valid eos block of each
+_EOS_OF = {"spectrum": ("limit", "hse", "polytrope"), "jost": ("limit", "hse"),
+           "ppmodes": ("limit",), "scaled": ("polytrope",),
+           "sl": ("polytropic", "linear_thermal")}
+_EOS_BLOCKS = {"limit": {}, "hse": {}, "polytrope": {"Gamma": 3.0},
+               "polytropic": {"a": 2, "b": 4}, "linear_thermal": {"a": 1, "b": 4, "c": 2.5}}
+
+
+@pytest.mark.parametrize("sub, variant", [
+    pytest.param(sub, variant, id=f"{sub}-{variant}")
+    for sub, allowed in _EOS_OF.items() for variant in _EOS_BLOCKS if variant not in allowed])
+def test_subcommand_refuses_a_foreign_eos(tmp_path, capsys, sub, variant):
+    # ppmodes' theorem model carries the limit pressure law, and once ran
+    # it silently under any other variant; jost ran the raw polytrope
     out = tmp_path / "out"
-    cfg = write_config(tmp_path / "cfg.json", eos=eos, analysis={"n_trunc": 1200},
+    cfg = write_config(tmp_path / "cfg.json", eos={"variant": variant, **_EOS_BLOCKS[variant]},
+                       analysis={"n_trunc": 1200, "lambdas": [1.0]},
                        output={"directory": str(out)})
-    assert cli.run("ppmodes", cfg) == 1
+    assert cli.run(sub, cfg) == 1
     err = capsys.readouterr().err
-    assert "eos.variant limit" in err and repr(eos["variant"]) in err
-    assert "Traceback" not in err
+    assert err == f"error: {sub} needs eos.variant {' or '.join(_EOS_OF[sub])}, got {variant!r}\n"
+    assert not os.listdir(out)
+
+
+@pytest.mark.parametrize("n_trunc", [200, 1200])
+def test_jost_refuses_the_raw_polytrope(tmp_path, capsys, n_trunc):
+    # the raw polytrope section is graded: at n_trunc 200 jost once fitted
+    # theta ~ 1e-17 against 2.09, 1.57 and 1.05, and at 1200 it overflowed
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", eos={"variant": "polytrope"},
+                       analysis={"n_trunc": n_trunc}, output={"directory": str(out)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run("jost", cfg) == 1
+    err = capsys.readouterr().err
+    assert "eos.variant" in err and "Traceback" not in err
     assert not os.listdir(out)
 
 
@@ -442,7 +465,7 @@ def test_scaled_smoke_and_profile_guard(tmp_path, capsys):
     cfg = write_config(tmp_path / "geo.json",
                        analysis={"n_trunc": 400})
     assert cli.run("scaled", cfg) == 1
-    assert "needs a constant adiabatic exponent" in capsys.readouterr().err
+    assert "scaled needs eos.variant polytrope, got 'limit'" in capsys.readouterr().err
 
 
 def test_spectrum_refuses_graded_section(tmp_path, capsys):
@@ -480,17 +503,41 @@ def test_spectrum_certifies_a_nearly_scalar_section(tmp_path, capsys):
     assert all(abs(float(r) - 4.0) < 1e-8 for r in rows)
 
 
-def test_scaled_overflow_exits_numerical(tmp_path, capsys):
-    # the stiff pressure factor overflows at this depth; the solver must
-    # refuse the non-finite operator instead of writing NaN frequencies
-    cfg = write_config(tmp_path / "cfg.json",
-                       model={"eta": 0.3, "gamma": 1.5},
-                       eos={"variant": "polytrope", "Gamma": 1.3},
-                       analysis={"n_trunc": 900},
-                       output={"directory": str(tmp_path / "out")})
-    with np.errstate(all="ignore"):
-        assert cli.run("scaled", cfg) == 2
-    assert "non-finite entry in row" in capsys.readouterr().err
+@pytest.mark.parametrize("model_block, Gamma, analysis", [
+    ({"eta": 0.5, "gamma": 2.0}, 2.8, {}),
+    ({"eta": 0.3, "gamma": 1.5}, 1.3, {"n_trunc": 900})], ids=["Gamma2.8", "Gamma1.3"])
+def test_scaled_runs_where_the_raw_coupling_overflows(tmp_path, capsys, model_block, Gamma,
+                                                      analysis):
+    # the raw couplings times nu**I once overflowed (inf, or 0*inf = NaN);
+    # the closed form of mu forms no power of eta at all
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", model=model_block,
+                       eos={"variant": "polytrope", "Gamma": Gamma}, analysis=analysis,
+                       output={"directory": str(out)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run("scaled", cfg) == 0
+    assert capsys.readouterr().err == ""
+    assert_artifacts_finite(out)
+    for row in json.loads((out / "scaled.json").read_text())["frequencies"]:
+        assert row["displacement_rate"] == pytest.approx(row["theory_displacement_rate"],
+                                                         rel=1e-12)
+
+
+def test_default_polytrope_spectrum_points_to_scaled(tmp_path, capsys):
+    # its couplings overflow past shell 1020; the Gershgorin bounds went
+    # NaN, the graded refusal never fired, and the job exited 2 after
+    # seven RuntimeWarnings
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", eos={"variant": "polytrope"},
+                       output={"directory": str(out)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run("spectrum", cfg) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "the section is graded" in err and "run the scaled subcommand" in err
+    assert not os.listdir(out)
 
 
 def test_nan_bound_for_an_artifact_exits_numerical(tmp_path, capsys, monkeypatch):

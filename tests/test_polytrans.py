@@ -195,14 +195,39 @@ def test_scaled_system_refuses_an_overflowing_base(stiff_pd):
 def test_limit_coupling_by_profile_kind():
     dist = model.build_mass_distribution(0.5, 2.0, N=1200)
     pd_geo = model.build_pd_distribution(dist, pressure_mode="limit")
-    s_geo = polytrans.build_scaled_system(pd_geo, 1190)
-    assert s_geo.mu_inf == 0.0
-    assert s_geo.mu[-1] == 0.0  # true underflow to the limit
+    with pytest.raises(ValidationError, match="trivial zero-coupling limit"):
+        polytrans.build_scaled_system(pd_geo, 1190)
     # a constant profile goes with the polytrope only; under hse it once
     # gave a scaled system with a NaN limit coupling
     with pytest.raises(ValidationError, match='"hse" requires a geometric Gamma profile'):
         model.build_pd_distribution(
             dist, model.gamma_profile(dist, "constant", value=2.0), pressure_mode="hse")
+
+
+@pytest.mark.parametrize("eta, gamma, Gamma", [(0.5, 2.0, 2.0), (0.45, 1.8, 2.3),
+                                               (0.3, 1.5, 1.3)])
+def test_closed_form_coupling_matches_the_raw_route(eta, gamma, Gamma):
+    # the raw route reads the model's P/M through the constant-profile
+    # branch of discrete.coupling_values; the closed form reads neither
+    dist = model.build_mass_distribution(eta, gamma, N=2100)
+    pd = model.build_pd_distribution(dist, model.gamma_profile(dist, "constant", value=Gamma),
+                                     pressure_mode="polytrope")
+    s = polytrans.build_scaled_system(pd, 2000)
+    idx = np.arange(1, 201)
+    raw = discrete.coupling_values(pd, 1, 200) * s.nu ** idx.astype(float)
+    assert np.max(np.abs(s.mu[:200] / raw - 1.0)) < 1e-12
+    # r(I) -> R_star: mu approaches its limit from below
+    assert np.all(np.diff(s.mu) >= 0.0)
+    assert s.mu[-1] == pytest.approx(s.mu_inf, rel=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["limit", "hse"])
+def test_scaled_system_refuses_a_geometric_profile(mode):
+    dist = model.build_mass_distribution(0.5, 2.0, N=400)
+    pd = model.build_pd_distribution(dist, pressure_mode=mode)
+    with pytest.raises(ValidationError, match=f"got pressure_mode '{mode}'; geometric "
+                                              f"profiles scale to the trivial zero-coupling"):
+        polytrans.build_scaled_system(pd, 300)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +342,12 @@ def test_delta_r_growth_outside_band(stiff_sys):
 def test_delta_r_growth_guards(stiff_sys):
     with pytest.raises(ValidationError, match="i_min leaves too short"):
         polytrans.delta_r_growth(stiff_sys, 0.0, i_min=stiff_sys.n)
-    dist = model.build_mass_distribution(0.5, 2.0, N=1200)
-    pd_geo = model.build_pd_distribution(dist, pressure_mode="limit")
-    s_geo = polytrans.build_scaled_system(pd_geo, 1190)
+    # the smallest C_star leaves the innermost couplings subnormal or zero
+    dist = model.build_mass_distribution(0.99, 2.0, N=60)
+    pd = model.build_pd_distribution(dist, model.gamma_profile(dist, "constant", value=2.0),
+                                     pressure_mode="polytrope", C_star=5e-324)
     with pytest.raises(ValidationError, match="underflow to zero"):
-        polytrans.delta_r_growth(s_geo, 0.0, i_min=2)
+        polytrans.delta_r_growth(polytrans.build_scaled_system(pd, 50), 0.0, i_min=2)
 
 
 def test_unbalanced_scaling_base():

@@ -38,8 +38,6 @@ def test_construct_validation():
         ppmodes.construct_dsp(p=0.2, n=100)
     with pytest.raises(ValidationError, match="spacing must be positive"):
         ppmodes.construct_dsp(spacing=0.0, n=100)
-    with pytest.raises(ValidationError, match="give m_max or n"):
-        ppmodes.construct_dsp()
     with pytest.raises(ValidationError, match="no block fits"):
         ppmodes.construct_dsp(n=8)
 
