@@ -6,12 +6,23 @@ compiled code (``stebz``) brackets each value only to the certificate's
 width ``tol``, inverse iteration at those values gives the vectors (one
 tridiagonal LU factorisation per shift), and a Rayleigh-Ritz step per
 cluster polishes the values from the vectors.  Every returned value is
-then certified by one vectorized Sturm-count sweep at ``lambda_k -+
-tol``, which must place exactly the claimed eigenvalue index inside
-``[lambda_k - tol, lambda_k + tol)``; a window must also hold as many
-values as the Sturm counts at its ends.  A result that fails the
-certificate raises :class:`NumericalError` (the CLI exits 2); there is no
-silent fallback.  ``tol`` defaults to :func:`default_tol`.
+then certified by one Sturm-count sweep at ``lambda_k -+ tol``, which
+must place exactly the claimed eigenvalue index inside ``[lambda_k - tol,
+lambda_k + tol)``; a window must also hold as many values as the Sturm
+counts at its ends.  A result that fails the certificate raises
+:class:`NumericalError` (the CLI exits 2); there is no silent fallback.
+``tol`` defaults to :func:`default_tol`.
+
+:func:`sturm_counts` counts the IEEE sign bits of the LDL^T pivots, with
+no pivot floor (LAPACK ``dlaneg``; Marques, Riedy & Voemel 2006).  A wide
+shift vector runs the sequential recurrence, one row per interpreted
+step.  A narrow one over a long section is cut into about sqrt(n)
+segments separated by single rows: all segments sweep together, and the
+count adds the separators' Schur complement by inertia additivity
+(Haynsworth 1968), in about 2 sqrt(n) steps.  A shift whose segmented
+count meets a zero, infinite or NaN pivot, whose separator pivots lie
+within their rounding-error bound, or whose count breaks monotonicity
+is recounted by the sequential recurrence.
 """
 
 from __future__ import annotations
@@ -60,31 +71,190 @@ def gershgorin_interval(diag, offdiag):
     return float(np.min(diag - r)), float(np.max(diag + r))
 
 
+#: widest shift vector that the segmented count serves; a wider vector
+#: already fills each row's NumPy call, and the sequential loop does less
+#: work per row-shift than the two segment sweeps
+_SEGMENT_MAX_SHIFTS = 192
+
+#: fewest rows that are cut into segments
+_SEGMENT_MIN_ROWS = 256
+
+#: row-shifts per block of the sequential loop
+_BLOCK = 1 << 15
+
+#: pivots multiplied together before their product is folded into a log
+_FOLD = 8
+
+#: smallest folded pivot product trusted to full precision
+_TINY = 1e-300
+
+#: a separator pivot must exceed its first-order error bound this many
+#: times over, or its shift is recounted by the sequential loop
+_SAFETY = 16.0
+
+
+def _segment_count(n, m):
+    """Segment count P for a count over n rows and m shifts: about sqrt(n)
+    for a narrow shift vector, 1 (the sequential loop) otherwise."""
+    if m > _SEGMENT_MAX_SHIFTS or n < _SEGMENT_MIN_ROWS:
+        return 1
+    return math.isqrt(n)
+
+
+def _sequential_counts(diag, off2, shifts):
+    """Sign bits of the top-down pivots, one row at a time over all shifts."""
+    n, m = diag.shape[0], shifts.size
+    # a coupling of exactly 0 (None) restarts the pivot at d_i - s, so a
+    # zero pivot above it cannot make 0/0
+    e2 = [None] + [x or None for x in off2.tolist()]
+    rows = max(16, _BLOCK // max(m, 1))
+    block = np.empty((min(rows, n), m))
+    f = np.empty(m)
+    count = np.zeros(m, dtype=np.int64)
+    q = None
+    for lo in range(0, n, rows):
+        a = block[:min(rows, n - lo)]
+        np.subtract(diag[lo:lo + a.shape[0], None], shifts, out=a)
+        for ai, ei in zip(a, e2[lo:lo + a.shape[0]]):
+            if ei is not None:
+                np.divide(ei, q, out=f)
+                np.subtract(ai, f, out=ai)
+            q = ai
+        count += np.count_nonzero(np.signbit(a), axis=0)
+        q = q.copy()
+    return count
+
+
+def _segmented_counts(diag, off2, shifts, p):
+    """Counts through p segments and their p - 1 separator rows.
+
+    The first segment runs its top-down pivots, the last its bottom-up
+    pivots, and every other segment both; all sweeps advance together,
+    one row per step.  By inertia additivity the count is the number of
+    negative pivots in each segment's counted sweep plus the count of the
+    separators' tridiagonal Schur complement.  Returns (count, suspect): a
+    suspect shift met a zero, infinite or NaN pivot, or a Schur-complement
+    pivot whose sign its error bound cannot settle.
+    """
+    n, m = diag.shape[0], shifts.size
+    rows = -(-(n + 1) // p) - 1
+    pad = p * (rows + 1) - 1 - n
+    # segment j holds padded rows j*(rows+1) ... + rows - 1, and the row
+    # after it is separator j; the leading pad rows are decoupled and
+    # infinite, so they add no negative pivot
+    d = np.concatenate([np.full(pad, np.inf), diag, [0.0]]).reshape(p, rows + 1)
+    e2 = np.concatenate([np.zeros(pad), off2, [0.0, 0.0]]).reshape(p, rows + 1)
+    # one sweep per row of q: bottom-up through the last segment, top-down
+    # through segments 0..p-2, bottom-up through segments 1..p-2; the
+    # first p sweeps are the counted ones
+    up_d, up_e = d[1:, rows - 1::-1].T, e2[1:, rows - 2::-1].T
+    dk = np.concatenate([up_d[:, -1:], d[:-1, :rows].T, up_d[:, :-1]], axis=1)
+    ek = np.concatenate([up_e[:, -1:], e2[:-1, :rows - 1].T, up_e[:, :-1]], axis=1)
+    q = np.empty((2 * p - 2, m))
+    product = np.ones_like(q)
+    log_det = np.zeros_like(q)
+    sign = np.empty((p, m), dtype=bool)
+    negative = np.zeros((p, m), dtype=np.int32)
+    np.subtract(dk[0, :, None], shifts, out=q)
+    for k in range(rows):
+        if k:
+            np.divide(ek[k - 1, :, None], q, out=q)
+            np.subtract(dk[k, :, None], q, out=q)
+            np.subtract(q, shifts, out=q)
+        np.signbit(q[:p], out=sign)
+        negative += sign
+        product *= q
+        if k % _FOLD == _FOLD - 1 or k == rows - 1:
+            # fold the pivot product into log|det| before it can overflow;
+            # a product that underflowed makes the determinant NaN
+            np.abs(product, out=product)
+            np.copyto(product, np.nan, where=product < _TINY)
+            np.log(product, out=product)
+            log_det += product
+            product.fill(1.0)
+
+    # separator j sits between segments j and j + 1: its Schur complement
+    # row has diagonal d - s - ea/last_j - eb/first_{j+1}, and the squared
+    # coupling to separator j + 1 is eb_j ea_{j+1} prod(e^2) / det(B)^2
+    # over segment j + 1
+    last, first = q[1:p], np.concatenate([q[p:], q[:1]])
+    det_down, det_up = log_det[2:p], log_det[p:]
+    ea, eb = e2[:-1, rows - 1, None], e2[:-1, rows, None]
+    a_sep = d[:-1, rows, None] - shifts
+    t_last, t_first = ea / last, eb / first
+    sigma = a_sep - t_last - t_first
+    log_e2 = np.log(e2[1:-1, :rows - 1]).sum(axis=1)[:, None]
+    tau = np.exp(np.log(eb[:-1]) + np.log(ea[1:]) + log_e2 - 2.0 * det_down)
+    # a middle segment's count, last pivot and determinant come from its
+    # top-down sweep and its first pivot from the bottom-up one; the two
+    # determinants differ by the rounding that separates the two sweeps,
+    # which bounds the error of eb/first; a shift near an eigenvalue of
+    # the segment itself makes it large
+    u = np.finfo(float).eps
+    err = 4.0 * u * (np.abs(a_sep) + np.abs(t_last) + np.abs(t_first))
+    err[:-1] += np.abs(det_down - det_up) * np.abs(t_first[:-1])
+    tau_err = 4.0 * u * rows
+    suspect = np.zeros(m, dtype=bool)
+    for x in (det_down, det_up, sigma, tau, first, last):
+        suspect |= ~np.isfinite(x).all(axis=0)
+    # Sturm count of the complement, with a first-order bound on each
+    # pivot's error; a pivot within its bound makes the shift suspect
+    for j in range(1, p - 1):
+        g = tau[j - 1] / sigma[j - 1]
+        err[j] += np.abs(g) * (err[j - 1] / np.abs(sigma[j - 1]) + tau_err)
+        sigma[j] -= g
+    suspect |= ~(np.abs(sigma) > _SAFETY * err).all(axis=0)
+    count = negative.sum(axis=0) + np.count_nonzero(np.signbit(sigma), axis=0)
+    return count, suspect
+
+
+def _counts(diag, off2, shifts, p):
+    """(count, suspect) of one shift vector through ``p`` segments."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if p == 1:
+            return _sequential_counts(diag, off2, shifts), np.zeros(shifts.size, bool)
+        return _segmented_counts(diag, off2, shifts, p)
+
+
 def sturm_counts(diag, off2, shifts, threads=1):
     """Number of eigenvalues strictly below each shift.
 
-    Standard Sturm recurrence q <- (d_i - x) - e_{i-1}**2 / q with the
-    LAPACK-style pivot floor: near-zero pivots are replaced by -pivmin so
-    the sign count stays well defined.
+    ``off2`` holds the squared couplings.  Counts the negative pivots of
+    q <- (d_i - s) - e_{i-1}**2 / q by their IEEE sign bit, with no pivot
+    floor: a zero pivot turns the next into an infinity and the one after
+    back into d - s, and a coupling of exactly 0 restarts the pivot at
+    d_i - s, so 0/0 never occurs.  At most 192 shifts over at least 256
+    rows are counted through about sqrt(n) segments, whose sweeps run
+    together, plus the Sturm count of the separator rows' Schur
+    complement (inertia additivity): about 2 sqrt(n) interpreted steps
+    instead of n.  Wider vectors and shorter sections run the sequential
+    loop.  A shift whose segmented count meets a zero, infinite or NaN
+    pivot, has a separator pivot within 16 times its first-order error
+    bound, breaks monotonicity over the sorted shifts or leaves [0, n] is
+    recounted by the sequential loop.  ``threads`` splits the shift
+    vector over a thread pool; the route and the recount do not depend on
+    it.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    diag, off2 = np.asarray(diag, dtype=float), np.asarray(off2, dtype=float)
+    n = diag.shape[0]
+    p = _segment_count(n, shifts.size)
     if threads > 1 and shifts.size >= 4 * threads:
         chunks = np.array_split(shifts, threads)
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda s: sturm_counts(diag, off2, s), chunks))
-        return np.concatenate(parts)
-
-    pivmin = 1e-290 * max(1.0, float(np.max(off2)) if off2.size else 1.0)
-    # floor each pivot before counting: an exact-zero pivot must count as
-    # negative or shifts that annihilate a pivot (zero diagonals, rational
-    # midpoints) undercount by one and bisection locks onto the wrong index
-    q = diag[0] - shifts
-    np.copyto(q, -pivmin, where=np.abs(q) <= pivmin)
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, diag.shape[0]):
-        q = (diag[i] - shifts) - off2[i - 1] / q
-        np.copyto(q, -pivmin, where=np.abs(q) <= pivmin)
-        count += q < 0.0
+            parts = list(ex.map(lambda s: _counts(diag, off2, s, p), chunks))
+        count = np.concatenate([c for c, _ in parts])
+        suspect = np.concatenate([b for _, b in parts])
+    else:
+        count, suspect = _counts(diag, off2, shifts, p)
+    if p > 1:
+        order = np.argsort(shifts, kind="stable")
+        drop = np.flatnonzero(np.diff(count[order]) < 0)
+        suspect[order[drop]] = suspect[order[drop + 1]] = True
+        suspect |= (count < 0) | (count > n)
+        redo = np.flatnonzero(suspect)
+        if redo.size:
+            count[redo] = _counts(diag, off2, shifts[redo], 1)[0]
     return count
 
 

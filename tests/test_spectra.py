@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from lawe_spectra import discrete, model, polytrans, ppmodes, spectra
 from lawe_spectra.errors import NumericalError, ValidationError
 
+import sturm_oracle
+
 
 @pytest.fixture(scope="module")
 def canonical_op():
@@ -34,10 +36,11 @@ def _eigenvalues_bisect(op_or_diag, offdiag=None, *, window=None, indices=None,
 
     All requested eigenvalues are bisected simultaneously, one Sturm count
     per round over the vector of active midpoints (Barth, Martin &
-    Wilkinson 1967).  This is the independent reference for
+    Wilkinson 1967), counted by the floored loop of ``sturm_oracle``.
+    This is the independent reference for
     :func:`spectra.eigenvalues_tridiagonal` and
-    :func:`spectra.eigenpairs_tridiagonal`: it shares the Sturm count
-    and the default tolerance with them, not LAPACK.
+    :func:`spectra.eigenpairs_tridiagonal`: it shares only the default
+    tolerance with them, not LAPACK and not their Sturm count.
     """
     if offdiag is None:
         diag, off = np.asarray(op_or_diag.diag, float), np.asarray(op_or_diag.offdiag, float)
@@ -54,7 +57,7 @@ def _eigenvalues_bisect(op_or_diag, offdiag=None, *, window=None, indices=None,
     b_lo, b_hi = glo, ghi
     if window is not None:
         a, b = window
-        c = spectra.sturm_counts(diag, off2, np.array([a, b]))
+        c = sturm_oracle.floored_counts(diag, off2, np.array([a, b]))
         k_lo, k_hi = int(c[0]), int(c[1]) - 1
         b_lo, b_hi = a, b
     elif indices is not None:
@@ -73,7 +76,7 @@ def _eigenvalues_bisect(op_or_diag, offdiag=None, *, window=None, indices=None,
         if not np.any(live):
             break
         mid = 0.5 * (lo[live] + hi[live])
-        cnt = spectra.sturm_counts(diag, off2, mid)
+        cnt = sturm_oracle.floored_counts(diag, off2, mid)
         go_up = cnt <= ks[live]
         lo_live = lo[live]
         hi_live = hi[live]
@@ -90,7 +93,7 @@ def _eigenvalues_bisect(op_or_diag, offdiag=None, *, window=None, indices=None,
 def test_free_operator_closed_form(n):
     # constant-coupling, zero-diagonal sections have the exact spectrum
     # 2*cos(k*pi/(n+1)); even n puts bisection midpoints on exact-zero
-    # pivots, which exercises the pivot floor
+    # pivots, which the oracle's pivot floor counts as negative
     vals = _eigenvalues_bisect(np.zeros(n), np.ones(n - 1), tol=1e-13)
     exact = np.sort(2.0 * np.cos(np.arange(1, n + 1) * math.pi / (n + 1)))
     assert np.max(np.abs(vals - exact)) < 1e-10
@@ -155,6 +158,159 @@ def test_sturm_count_properties(seed):
     assert np.all(np.diff(counts) >= 0)
     assert spectra.sturm_counts(d, e * e, np.array([glo - 1e-9]))[0] == 0
     assert spectra.sturm_counts(d, e * e, np.array([ghi + 1e-9]))[0] == n
+
+
+# ---------------------------------------------------------------------------
+# Sturm counts: exact rational spot checks and route independence
+
+
+def _graded(rng, n):
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, n)
+    return (scale * rng.standard_normal(n),
+            np.sqrt(scale[:-1] * scale[1:]) * rng.standard_normal(n - 1))
+
+
+def _small_section(kind, rng):
+    n = int(rng.integers(2, 41))
+    if kind == "random":
+        return rng.standard_normal(n), rng.standard_normal(n - 1)
+    if kind == "graded":
+        return _graded(rng, n)
+    d = rng.integers(-2, 3, n).astype(float)
+    if kind == "integer":
+        return d, rng.integers(1, 3, n - 1).astype(float)
+    e = rng.standard_normal(n - 1)
+    e[rng.random(n - 1) < 0.3] = 0.0
+    return d, e
+
+
+@pytest.mark.parametrize("kind", ["random", "graded", "integer", "zero_coupling"])
+def test_sturm_counts_bracket_the_exact_count(kind):
+    # integer sections at integer shifts hit exact-zero pivots and exact
+    # eigenvalues; shifts at the diagonal of a zero-coupling section put a
+    # zero pivot right above the coupling that restarts the recurrence
+    rng = np.random.default_rng(len(kind))
+    for _ in range(6):
+        d, e = _small_section(kind, rng)
+        if kind in ("random", "graded"):
+            glo, ghi = spectra.gershgorin_interval(d, e)
+            shifts = rng.uniform(glo, ghi, 16)
+            if kind == "graded":
+                shifts = np.concatenate(
+                    [shifts, rng.choice([-1.0, 1.0], 16) * 10.0 ** rng.uniform(-8, 8, 16)])
+        else:
+            shifts = np.concatenate([np.arange(-6.0, 7.0), d])
+        counts = spectra.sturm_counts(d, e * e, shifts)
+        for s, c in zip(shifts, counts):
+            below, at_or_below = sturm_oracle.exact_counts(d, e * e, s)
+            assert below <= c <= at_or_below, (kind, s)
+
+
+def _long_section(kind):
+    rng = np.random.default_rng(17)
+    if kind == "random":
+        return rng.standard_normal(2000), rng.standard_normal(1999)
+    if kind == "graded":
+        return _graded(rng, 2500)
+    if kind == "disordered":
+        # seed 15 puts certificate shifts close enough to eigenvalues of
+        # single segments that counting without the separator error
+        # bound gets three of them wrong
+        rng = np.random.default_rng(15)
+        return 2.0 + 0.3 * rng.standard_normal(2500), np.ones(2499)
+    op, _ = _ppmodes_window()
+    return op.diag, op.offdiag
+
+
+def _certificate_shifts(d, e):
+    vals = scipy.linalg.eigvalsh_tridiagonal(d, e)
+    tol = spectra.default_tol(*spectra.gershgorin_interval(d, e))
+    return np.concatenate([vals - tol, vals + tol])
+
+
+@pytest.mark.parametrize("kind", ["random", "graded", "disordered", "ppmodes"])
+def test_certificate_shifts_get_the_oracle_count(kind):
+    # narrow vectors, as the certificate of a window passes them, take
+    # the segmented route over these sections
+    d, e = _long_section(kind)
+    e2 = e * e
+    shifts = _certificate_shifts(d, e)
+    assert spectra._segment_count(d.size, 128) > 1
+    counts = np.concatenate([spectra.sturm_counts(d, e2, chunk)
+                             for chunk in np.array_split(shifts, shifts.size // 128)])
+    assert np.array_equal(counts, sturm_oracle.floored_counts(d, e2, shifts))
+
+
+@pytest.mark.parametrize("kind", ["random", "graded", "disordered", "ppmodes"])
+def test_counts_do_not_depend_on_the_route(kind):
+    d, e = _long_section(kind)
+    e2 = e * e
+    rng = np.random.default_rng(3)
+    glo, ghi = spectra.gershgorin_interval(d, e)
+    shifts = np.concatenate([rng.choice(_certificate_shifts(d, e), 60),
+                             rng.uniform(glo, ghi, 60)])
+    wide = np.concatenate([shifts, np.linspace(glo, ghi, 400)])
+    assert spectra._segment_count(d.size, shifts.size) > 1
+    assert spectra._segment_count(d.size, wide.size) == 1
+    narrow = spectra.sturm_counts(d, e2, shifts)
+    assert np.array_equal(narrow, spectra.sturm_counts(d, e2, wide)[:shifts.size])
+    assert np.array_equal(narrow, spectra.sturm_counts(d, e2, shifts, threads=2))
+
+
+def _spy_recount(monkeypatch):
+    recounted = []
+    sequential = spectra._sequential_counts
+
+    def spy(diag, off2, shifts):
+        recounted.append(shifts.copy())
+        return sequential(diag, off2, shifts)
+    monkeypatch.setattr(spectra, "_sequential_counts", spy)
+    return recounted
+
+
+def test_zero_pivots_in_segments_are_recounted(monkeypatch):
+    # shift 0 on the zero-diagonal free operator makes every other pivot
+    # of every segment exactly zero
+    n = 4096
+    d, off2 = np.zeros(n), np.ones(n - 1)
+    shifts = np.array([-0.5, 0.0, 0.5])
+    recounted = _spy_recount(monkeypatch)
+    counts = spectra.sturm_counts(d, off2, shifts)
+    assert counts[1] == n // 2
+    assert np.array_equal(counts, sturm_oracle.floored_counts(d, off2, shifts))
+    assert len(recounted) == 1 and 0.0 in recounted[0]
+
+
+def test_shift_at_a_segment_eigenvalue_is_recounted(monkeypatch):
+    # at an eigenvalue of one segment that segment is singular to working
+    # precision: its bottom-up sweep ends on a zero pivot and the separator
+    # rows beside it turn infinite, which sends the shift to the
+    # sequential loop
+    n = 2500
+    rng = np.random.default_rng(5)
+    d, e = 2.0 + 0.3 * rng.standard_normal(n), np.ones(n - 1)
+    p = spectra._segment_count(n, 1)
+    rows = -(-(n + 1) // p) - 1
+    start = (p // 2) * (rows + 1) - (p * (rows + 1) - 1 - n)
+    mu, v = scipy.linalg.eigh_tridiagonal(d[start:start + rows], e[start:start + rows - 1])
+    shift = mu[np.argmax(np.minimum(np.abs(v[0]), np.abs(v[-1])))]
+    recounted = _spy_recount(monkeypatch)
+    counts = spectra.sturm_counts(d, e * e, np.array([shift, 1.0, 3.0]))
+    assert np.array_equal(counts, sturm_oracle.floored_counts(d, e * e, [shift, 1.0, 3.0]))
+    assert len(recounted) == 1 and shift in recounted[0]
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_segmented_counts_match_the_oracle(seed, graded):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(256, 1200))
+    d, e = _graded(rng, n) if graded else (rng.standard_normal(n), rng.standard_normal(n - 1))
+    glo, ghi = spectra.gershgorin_interval(d, e)
+    shifts = rng.uniform(glo, ghi, 24)
+    assert spectra._segment_count(n, shifts.size) > 1
+    assert np.array_equal(spectra.sturm_counts(d, e * e, shifts),
+                          sturm_oracle.floored_counts(d, e * e, shifts))
 
 
 def _scaled_polytrope_op():
