@@ -258,6 +258,16 @@ def _or(value, default):
 _TO_SCALED = "run the scaled subcommand, which analyses the rescaled operator"
 
 
+def _graded_remedy(e3):
+    # scaled rescales only a polytrope whose couplings grow, e3 < 0
+    if e3 < 0.0:
+        return _TO_SCALED
+    if e3 >= 0.0:
+        return (f"its couplings decay (e3 = {e3:.6g} >= 0), and no subcommand "
+                f"analyses a decaying-coupling polytrope yet")
+    return "no subcommand analyses it yet"
+
+
 def _refuse_graded(op):
     # eigenvalues are certified to an absolute tolerance, a fraction of the
     # whole span; unless it lies far below the smallest Gershgorin row
@@ -271,14 +281,14 @@ def _refuse_graded(op):
         raise ValidationError(
             f"the section is graded: row scales run from {np.min(scale):.3e} to "
             f"{np.max(scale):.3e}, so the certificate tolerance {tol:.3e} "
-            f"exceeds 1e-6 of the smallest; {_TO_SCALED}")
+            f"exceeds 1e-6 of the smallest; {_graded_remedy(op.pd.e3)}")
 
 
-def _shell_section(eff):
+def _shell_model(eff):
+    """(model, n_trunc, i_start) of a spectrum or jost section."""
     n_trunc = _or(eff["analysis"]["n_trunc"], 4000)
     i_start = _or(eff["analysis"]["i_start"], 16)
-    pd = _build_pd(eff, n_trunc=n_trunc, i_start=i_start)
-    return discrete.assemble_jacobi(pd, n_trunc, i_start=i_start)
+    return _build_pd(eff, n_trunc=n_trunc, i_start=i_start), n_trunc, i_start
 
 
 def _run_spectrum(eff, threads):
@@ -286,14 +296,17 @@ def _run_spectrum(eff, threads):
     # that underflow; where its entries or row scales leave the float range
     # the section is graded past any certificate, and no inf or NaN of it
     # may reach the solver
+    e3 = math.nan
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            op = _shell_section(eff)
+            pd, n_trunc, i_start = _shell_model(eff)
+            e3 = pd.e3
+            op = discrete.assemble_jacobi(pd, n_trunc, i_start=i_start)
             _refuse_graded(op)
     except FloatingPointError:
         raise ValidationError(f"the section is graded past any certificate: its "
                               f"entries or row scales leave the float range; "
-                              f"{_TO_SCALED}") from None
+                              f"{_graded_remedy(e3)}") from None
     rep = spectra.spectrum_fill_report(op, pad=eff["analysis"]["pad"], threads=threads)
     print(f"spectrum: n={rep.values.size} inside={rep.n_inside} "
           f"outliers={rep.n_outliers} max_gap={rep.max_gap:.3e} fills={rep.fills}")
@@ -310,7 +323,8 @@ _JOST_FIELDS = (("lambda", "lam"), ("theta", "theta"), ("theta_fit", "theta_fit"
 
 
 def _run_jost(eff, threads):
-    op = _shell_section(eff)
+    pd, n_trunc, i_start = _shell_model(eff)
+    op = discrete.assemble_jacobi(pd, n_trunc, i_start=i_start)
     # by default the centre and the midpoints of the model's own interval
     sp = op.scaling
     default = [sp.centre + f * sp.half_width for f in (-0.5, 0.0, 0.5)]

@@ -451,7 +451,8 @@ def hse_residual_array(pd, i_lo=1, i_hi=None):
 
     which vanishes identically for the "hse" pressure law.  The eta**-gamma
     factor is the exact mass ratio M(I)/M(I+1); writing the difference this
-    way avoids both P and M underflow.
+    way avoids both P and M underflow.  Where P/M overflows (a polytrope
+    with e3 < -1 in deep shells) the defect is +inf.
     """
     dist = pd.dist
     if i_hi is None:
@@ -460,7 +461,9 @@ def hse_residual_array(pd, i_lo=1, i_hi=None):
         raise ValidationError(f"need 1 <= i_lo <= i_hi <= N-1, got ({i_lo}, {i_hi})")
     idx = np.arange(i_lo, i_hi + 1)
     r = dist.radius[idx]
-    grad = FOUR_PI * r**2 * (pd.P_over_M[idx + 1] - dist.mass_ratio * pd.P_over_M[idx])
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = FOUR_PI * r**2 * (pd.P_over_M[idx + 1] - dist.mass_ratio * pd.P_over_M[idx])
+    grad[np.isnan(grad)] = np.inf  # inf - inf
     grav = dist.G * dist.enclosed_mass[idx] / r**2
     return grad + grav
 

@@ -23,17 +23,18 @@ count adds the separators' Schur complement by inertia additivity
 count meets a zero, infinite or NaN pivot, whose separator pivots lie
 within their rounding-error bound, or whose count breaks monotonicity
 is recounted by the sequential recurrence.
+
+SciPy is imported inside the functions that call LAPACK, so a process
+that never reaches them (``sl``, ``transform-check``, ``report``) loads
+NumPy only.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs, dtbtrs
 
 from .errors import NumericalError, ValidationError
 from .discrete import JacobiOperator
@@ -240,6 +241,7 @@ def sturm_counts(diag, off2, shifts, threads=1):
     n = diag.shape[0]
     p = _segment_count(n, shifts.size)
     if threads > 1 and shifts.size >= 4 * threads:
+        from concurrent.futures import ThreadPoolExecutor
         chunks = np.array_split(shifts, threads)
         with ThreadPoolExecutor(max_workers=threads) as ex:
             parts = list(ex.map(lambda s: _counts(diag, off2, s, p), chunks))
@@ -302,6 +304,7 @@ def eigenvalues_tridiagonal(op_or_diag, offdiag=None, *, tol=None, threads=1):
     :func:`default_tol`; ``threads`` splits the sweep.  Raises
     NumericalError naming the first index that fails.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
     diag, off, _, _, tol = _diagonals_and_tol(op_or_diag, offdiag, tol)
     try:
         # sterf, not stemr: the stemr wrapper allocates an n x n
@@ -340,6 +343,7 @@ def eigenpairs_tridiagonal(op_or_diag, offdiag=None, *, window=None, indices=Non
     as the counts at its ends.  Values ascend; vectors are orthonormal
     columns.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
     diag, off, glo, ghi, tol = _diagonals_and_tol(op_or_diag, offdiag, tol)
     _check_query(diag.shape[0], window, indices)
     k_lo = 0
@@ -381,6 +385,7 @@ def eigenvectors_inverse_iteration(diag, offdiag, values):
     re-orthogonalized.  Raises NumericalError if a residual
     ||A v - lambda v|| exceeds 1e-8 times the span.  Needs n >= 3.
     """
+    from scipy.linalg.lapack import dgttrf, dgttrs
     diag = np.asarray(diag, float)
     off = np.asarray(offdiag, float)
     values = np.atleast_1d(np.asarray(values, float))
@@ -522,6 +527,7 @@ def _tail_solution(d, e, lam, theta):
     real and imaginary parts are solved as two columns of one LAPACK
     ``tbtrs`` forward substitution.  Needs n >= 4.
     """
+    from scipy.linalg.lapack import dtbtrs
     n = d.size
     ab = np.zeros((3, n - 2), order="F")
     ab[0] = e[1:]

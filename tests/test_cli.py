@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -540,6 +542,27 @@ def test_default_polytrope_spectrum_points_to_scaled(tmp_path, capsys):
     assert not os.listdir(out)
 
 
+@pytest.mark.parametrize("model_block, Gamma, remedy, scaled_rc", [
+    ({"eta": 0.5, "gamma": 2.0}, 2.0, "run the scaled subcommand", 0),
+    ({"eta": 0.05, "gamma": 3.5345}, 2.0,
+     "its couplings decay (e3 = 0.5345 >= 0), and no subcommand analyses", 1)],
+    ids=["e3-1", "e3+0.53"])
+def test_graded_refusal_names_scaled_only_where_it_runs(tmp_path, capsys, model_block,
+                                                        Gamma, remedy, scaled_rc):
+    # scaled rescales a polytrope whose couplings grow (e3 < 0); a decaying
+    # one was once pointed there too, and scaled refused it
+    cfg = write_config(tmp_path / "cfg.json", model=model_block,
+                       eos={"variant": "polytrope", "Gamma": Gamma},
+                       analysis={"n_trunc": 1000, "i_start": 18},
+                       output={"directory": str(tmp_path / "out")})
+    assert cli.run("spectrum", cfg) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "the section is graded" in err and remedy in err
+    assert cli.run("scaled", cfg) == scaled_rc
+    capsys.readouterr()
+
+
 def test_nan_bound_for_an_artifact_exits_numerical(tmp_path, capsys, monkeypatch):
     # a Jost fit that comes back NaN (an overflowing tail recurrence does
     # that) must not reach an artifact
@@ -880,3 +903,37 @@ def test_any_config_exits_0_1_or_2(sub, data):
         assert rc in (0, 1, 2)
         if rc == 0:
             assert_artifacts_finite(cfg["output"]["directory"])
+
+
+# lists the scipy modules a fresh interpreter holds after running the jobs
+_FRESH_JOBS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from lawe_spectra import cli
+for sub, cfg in json.loads(sys.argv[2]):
+    if cli.run(sub, cfg) != 0:
+        sys.exit(f"{sub} job failed")
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+@pytest.mark.parametrize("subs, loads_lapack", [
+    (("sl", "transform-check"), False), (("spectrum",), True)],
+    ids=["sl+transform-check", "spectrum"])
+def test_scipy_is_loaded_by_the_first_lapack_call(tmp_path, subs, loads_lapack):
+    # sl and transform-check never call LAPACK, so their processes skip
+    # the scipy import; spectrum loads it in its solver
+    configs = {"sl": _sl_config(tmp_path),
+               "spectrum": write_config(tmp_path / "spectrum.json",
+                                        analysis={"n_trunc": 120, "i_start": 16}),
+               "transform-check": write_config(tmp_path / "tc.json")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    jobs = json.dumps([(sub, configs[sub]) for sub in subs])
+    done = subprocess.run([sys.executable, "-c", _FRESH_JOBS, src, jobs], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    if loads_lapack:
+        assert "scipy.linalg" in loaded
+    else:
+        assert loaded == []

@@ -1,6 +1,7 @@
 """Closed-form geometry, pressure laws and admissibility checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,22 @@ def test_polytrope_pressure_defaults(canonical):
     assert np.allclose(pd.P_over_M[i], expected, rtol=1e-12)
     # constant Gamma profiles are structurally inadmissible
     assert not model.check_admissibility(pd).admissible
+
+
+def test_overflowing_polytrope_pressure_is_infinitely_inadmissible():
+    # e3 = -1.85 < -1: P/M overflows to inf in the deep shells, where
+    # the defect once came out as inf - inf = NaN, with a RuntimeWarning
+    dist = model.build_mass_distribution(0.3, 1.5, N=900)
+    gp = model.gamma_profile(dist, "constant", value=1.3)
+    pd = model.build_pd_distribution(dist, gp, pressure_mode="polytrope")
+    assert np.isinf(pd.P_over_M[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = model.hse_residual_array(pd)
+        rep = model.check_admissibility(pd)
+    assert not np.any(np.isnan(res))
+    assert rep.hse_residual == math.inf
+    assert not rep.admissible
 
 
 def test_polytrope_requires_constant_profile(canonical):

@@ -381,8 +381,9 @@ def test_lapack_indices_match_sturm_counts(canonical_op):
 
 
 def _lapack_patched(monkeypatch, edit):
-    real = spectra.eigvalsh_tridiagonal
-    monkeypatch.setattr(spectra, "eigvalsh_tridiagonal",
+    # spectra imports the solver from scipy.linalg at each call
+    real = scipy.linalg.eigvalsh_tridiagonal
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal",
                         lambda *a, **k: edit(real(*a, **k)))
 
 
