@@ -96,7 +96,6 @@ from .slform import (
     extend_trace_asymptotic,
     integrate_canonical,
     l2_growth,
-    q0_fd,
     regularity_check,
     trace_regularity,
     wkb_fit,

@@ -436,6 +436,11 @@ def _run_sl(eff, threads):
         raise ValidationError(
             f"analysis.x_max must be below {x_top:.6g} for this layer, where its depth "
             f"falls to {depth:g} R_star; got {ana['x_max']!r}")
+    big = [lam for lam in lambdas if not slform.grid_points(lam, ana["x_max"]) <= slform.MAX_GRID]
+    if big:
+        raise ValidationError(
+            f"analysis.lambdas {big!r} with analysis.x_max {ana['x_max']!r} need output "
+            f"grids of more than {slform.MAX_GRID} points (24 per wavelength 2*pi/sqrt(lambda))")
     case = slform.classify_sl_case(eos)
     artifacts = {"sl_case.json": {
         "route": case.route, "applies": case.applies, "notes": case.notes,

@@ -227,8 +227,11 @@ class CanonicalForm:
             return float(self.X_of_x(self.eos.R_star - depth))
 
     def q1(self, x):
+        return self._q1(np.asarray(x, dtype=float), self.eos.depth(x))
+
+    def _q1(self, x, D):
         # q/w with q = x^3 * q_over_x3 and w = rho * x^4
-        return self.eos.q_over_x3(x) / (self.eos.rho(x) * np.asarray(x, dtype=float))
+        return _depth_sum(self.eos.q_terms, D) / (D ** self.eos.a * x)
 
     def _q1_terms(self):
         """q1 = q/w = -u(D)/x with u a sum of depth powers; returns (coeff, power).
@@ -284,51 +287,21 @@ class CanonicalForm:
         return self.q2_prime(x) / self.eos.W(x)
 
     def q2(self, x):
-        x = np.asarray(x, dtype=float)
+        return self._q2(np.asarray(x, dtype=float), self.eos.depth(x))
+
+    def _q2(self, x, D):
         eos = self.eos
-        D = eos.depth(x)
         return -eos.pressure_coeff * eos.R_star**2 * D ** (eos.ab - eos.a - 2.0) \
             * edge_quadratic(x / eos.R_star, eos.a, eos.b) / (16.0 * x**2)
 
     def q0(self, x):
-        return self.q1(x) + self.q2(x)
+        # one depth, checked once, feeds both terms
+        x = np.asarray(x, dtype=float)
+        D = self.eos.depth(x)
+        return self._q1(x, D) + self._q2(x, D)
 
     def Q(self, X):
         return self.q0(self.x_of_X(X))
-
-
-def q0_fd(form, x, h=None, levels=4):
-    """Canonical potential by the nested-derivative definition.
-
-    Evaluates q/w - (p/w**3)**(1/4) * ((p/w)**(1/2) * ((pw)**(1/4))')'
-    with Richardson-extrapolated central differences, fully independent
-    of the closed forms in CanonicalForm; the agreement of the two
-    routes is the transform-consistency check.
-    """
-    eos = form.eos
-    D = float(eos.depth(x))
-    if h is None:
-        h = min(0.05 * D, 0.01 * (eos.R_star - eos.R_delta))
-
-    def f(t):
-        return (eos.p(t) * eos.w(t)) ** 0.25
-
-    def g(t):
-        return np.sqrt(eos.p(t) / eos.w(t)) * _richardson(f, t, h * 0.5, levels)
-
-    inner = _richardson(g, x, h, levels)
-    return float(eos.q(x) / eos.w(x) - (eos.p(x) / eos.w(x) ** 3) ** 0.25 * inner)
-
-
-def _richardson(fn, x, h, levels):
-    """Central-difference derivative with Richardson extrapolation."""
-    t = np.empty((levels, levels))
-    for i in range(levels):
-        hh = h / 2.0**i
-        t[i, 0] = (fn(x + hh) - fn(x - hh)) / (2.0 * hh)
-        for j in range(1, i + 1):
-            t[i, j] = t[i, j - 1] + (t[i, j - 1] - t[i - 1, j - 1]) / (4.0**j - 1.0)
-    return t[levels - 1, levels - 1]
 
 
 @dataclass(frozen=True)
@@ -370,17 +343,17 @@ class CaseReport:
 
 def _slope_check(name, fn, eos, exponent, lo=1e-7, hi=1e-3):
     """Measure the depth slope of ``fn`` and its two-depth quadrature."""
-    D = np.geomspace(lo, hi, 60) * eos.R_star
-    x = eos.R_star - D
-    y = np.abs(np.asarray(fn(x), dtype=float))
+    # fn is elementwise, so one call on the three depth grids gives the
+    # same values as one call per grid
+    grids = [np.geomspace(lo, hi, 60)] + [np.geomspace(cut, 1e-2, 400)
+                                          for cut in (1e-5, 1e-8)]
+    D, D5, D8 = (g * eos.R_star for g in grids)
+    y = np.abs(np.asarray(fn(eos.R_star - np.concatenate([D, D5, D8])), dtype=float))
+    y, y5, y8 = y[:60], y[60:460], y[460:]
     keep = y > 0
     coef = np.polyfit(np.log(D[keep]), np.log(y[keep]), 1)
-    vals = {}
-    for cut in (1e-5, 1e-8):
-        Dq = np.geomspace(cut, 1e-2, 400) * eos.R_star
-        yq = np.abs(np.asarray(fn(eos.R_star - Dq), dtype=float))
-        vals[cut] = float(np.trapezoid(yq, Dq))
-    ratio = vals[1e-8] / vals[1e-5] if vals[1e-5] > 0 else np.inf
+    cut5, cut8 = float(np.trapezoid(y5, D5)), float(np.trapezoid(y8, D8))
+    ratio = cut8 / cut5 if cut5 > 0 else np.inf
     return QuadCheck(name=name, exponent=float(exponent), fitted=float(coef[0]),
                      integrable=bool(exponent > -1.0), tail_ratio=ratio)
 
@@ -520,28 +493,53 @@ class CanonicalTrace:
 _GAUSS = math.sqrt(3.0) / 6.0
 #: most Magnus steps whose matrices are held at once
 _BLOCK = 8192
+#: most points of an output grid, the bound a config puts on its sizes;
+#: the interval matrices and the two scan buffers take 96 bytes a point
+MAX_GRID = 10**6
 
 
-def _mul(A, B):
+def grid_points(lam, X_max):
+    """Size of the output grid: 24 points per wavelength 2*pi/sqrt(lam),
+    at least 1000.  A float, so a size past the float range compares as
+    inf instead of failing in int()."""
+    return max(1000.0, 24 * X_max * math.sqrt(lam) / (2.0 * math.pi))
+
+
+def _mul(A, B, out=None):
     """A @ B for stacks of 2x2 matrices stored as rows (a, b, c, d).
 
     Written out element by element, so the result does not depend on
-    how a BLAS library orders its sums.
+    how a BLAS library orders its sums; each entry is one product plus
+    one product, in that order, as in ``a*e + b*g``.  The four rows are
+    written straight into ``out`` (a new array by default, which must
+    not overlap A or B) through one scratch row.
     """
     a, b, c, d = A
     e, f, g, h = B
-    return np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
+    if out is None:
+        out = np.empty((4,) + a.shape)
+    tmp = np.empty_like(out[0])
+    for row, (p, q, r, t) in zip(out, ((a, e, b, g), (a, f, b, h),
+                                       (c, e, d, g), (c, f, d, h))):
+        np.multiply(p, q, out=row)
+        row += np.multiply(r, t, out=tmp)
+    return out
 
 
 def _prefix_products(T):
     """P_k = T_k ... T_1 for a (4, n) stack of 2x2 matrices.
 
     A Hillis-Steele scan: after the pass with stride d, column k holds
-    the product of the up to 2d matrices ending at k.
+    the product of the up to 2d matrices ending at k.  Each pass reads
+    one (4, n) buffer and writes the other, so the scan holds two
+    buffers besides T and leaves T as it was; the products are
+    associated exactly as in a scan that builds a new array per pass.
     """
-    P, d = T, 1
+    P, Q, d = T, np.empty_like(T), 1
     while d < P.shape[1]:
-        P = np.concatenate([P[:, :d], _mul(P[:, d:], P[:, :-d])], axis=1)
+        Q[:, :d] = P[:, :d]
+        _mul(P[:, d:], P[:, :-d], out=Q[:, d:])
+        P, Q = Q, (np.empty_like(T) if P is T else P)
         d *= 2
     return P
 
@@ -552,21 +550,54 @@ def _magnus_steps(form, lam, h, first, n):
     Omega = [[delta, h], [h*fbar, -delta]] from f = Q - lam at the two
     Gauss nodes of each step; it is traceless, so exp(Omega) = C*I +
     S*Omega with C, S the cosh and sinh/kappa (or cos and sin/kappa) of
-    kappa = sqrt|delta**2 + h**2*fbar|.  Returns the matrices and the
-    largest kappa.
+    kappa = sqrt|delta**2 + h**2*fbar|.  Returns the (4, n) matrices and
+    the largest kappa.
+
+    Buffers: the 2n nodes share one array; f - lam overwrites the values
+    of Q, and its two halves then hold k**2 (then kappa) and delta (then
+    S*delta).  Row 2 of the result holds fbar, then h*fbar; row 3 holds
+    h**2*fbar until it takes C - S*delta; C and S go straight into rows 0
+    and 1, and every row is finished in place.  cosh and sinh are taken
+    only where k**2 > 0.  Each value comes from the same IEEE operations,
+    in the same order, as these formulas written out with temporaries, so
+    the buffer plan changes no bit of a step; any other order of a sum or
+    product would change the last bits of every trace.
     """
-    mid = h * (first + np.arange(n) + 0.5)
-    f = form.Q(np.concatenate([mid - _GAUSS * h, mid + _GAUSS * h])) - lam
-    fbar = 0.5 * (f[:n] + f[n:])
-    delta = (math.sqrt(3.0) / 12.0 * h * h) * (f[:n] - f[n:])
-    k2 = delta * delta + (h * h) * fbar
-    kappa = np.sqrt(np.abs(k2))
+    X = np.empty(2 * n)
+    lo, mid = X[:n], X[n:]
+    np.add(np.arange(first, first + n), 0.5, out=mid)
+    mid *= h
+    g = _GAUSS * h
+    np.subtract(mid, g, out=lo)
+    mid += g
+    f = form.Q(X)
+    f -= lam
+    k2, delta = f[:n], f[n:]
+    T = np.empty((4, n))
+    C, S, hfbar, row3 = T
+    np.add(k2, delta, out=hfbar)
+    hfbar *= 0.5                                # fbar
+    np.subtract(k2, delta, out=delta)
+    delta *= math.sqrt(3.0) / 12.0 * h * h
+    np.multiply(hfbar, h * h, out=row3)
+    np.multiply(delta, delta, out=k2)
+    k2 += row3                                  # delta**2 + h**2*fbar
     grow = k2 > 0.0
-    C, S = np.cos(kappa), np.sin(kappa)
+    kappa = np.sqrt(np.abs(k2, out=k2), out=k2)
+    hfbar *= h
+    np.cos(kappa, out=C)
+    np.sin(kappa, out=S)
     with np.errstate(over="ignore"):
         C[grow], S[grow] = np.cosh(kappa[grow]), np.sinh(kappa[grow])
-    S = np.divide(S, kappa, out=np.ones_like(kappa), where=kappa > 0.0)
-    T = np.stack([C + S * delta, S * h, S * (h * fbar), C - S * delta])
+    # S/kappa where kappa > 0, and 1 wherever that fails (kappa 0 or NaN)
+    np.greater(kappa, 0.0, out=grow)
+    np.divide(S, kappa, out=S, where=grow)
+    np.copyto(S, 1.0, where=np.logical_not(grow, out=grow))
+    np.multiply(S, delta, out=delta)            # S*delta
+    hfbar *= S
+    np.subtract(C, delta, out=row3)
+    C += delta
+    S *= h
     return T, float(np.max(kappa))
 
 
@@ -575,7 +606,7 @@ def _propagate(form, lam, H, n_int, m):
     m Magnus steps per interval, and the largest kappa of those steps."""
     h = H / m
     per_block = max(1, _BLOCK // m)
-    M, turn = [], 0.0
+    M, turn = np.empty((4, n_int)), 0.0
     for i0 in range(0, n_int, per_block):
         nb = min(per_block, n_int - i0)
         T, k = _magnus_steps(form, lam, h, i0 * m, nb * m)
@@ -583,8 +614,8 @@ def _propagate(form, lam, H, n_int, m):
         T = T.reshape(4, nb, m)
         while T.shape[2] > 1:   # pairwise tree over each interval's steps
             T = _mul(T[:, :, 1::2], T[:, :, 0::2])
-        M.append(T[:, :, 0])
-    a, b, c, d = _prefix_products(np.concatenate(M, axis=1))
+        M[:, i0:i0 + nb] = T[:, :, 0]
+    a, b, c, d = _prefix_products(M)
     y0, y1 = 0.0, 1.0
     return (np.concatenate([[y0], a * y0 + b * y1]),
             np.concatenate([[y1], c * y0 + d * y1])), turn
@@ -612,7 +643,8 @@ def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10):
     solution by at most pi, a doubling that cuts the estimate less than
     fourfold means roundoff has the upper hand, and raises
     NumericalError.  The physical displacement is recovered on the same
-    grid through y = Y/(pw)**(1/4), delta_r = x*y.
+    grid through y = Y/(pw)**(1/4), delta_r = x*y.  A grid of more than
+    MAX_GRID points is refused before anything is allocated.
     """
     if lam <= 0.0:
         raise ValidationError(f"lam must be positive, got {lam!r}")
@@ -620,7 +652,12 @@ def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10):
         raise ValidationError(
             f"X_max = {X_max} reaches past the finite image "
             f"[0, {form.X_surface}) of this bounded transform")
-    n_out = max(1000, int(24 * X_max * math.sqrt(lam) / (2.0 * math.pi)))
+    n_out = grid_points(lam, X_max)
+    if not n_out <= MAX_GRID:
+        raise ValidationError(
+            f"lam = {lam!r} and X_max = {X_max!r} need an output grid of "
+            f"{n_out:.4g} points, more than {MAX_GRID}")
+    n_out = int(n_out)
     grid = np.linspace(0.0, X_max, n_out)
     H = X_max / (n_out - 1)
     m, prev_est, prev_turn = 4, math.inf, math.inf

@@ -790,6 +790,18 @@ def test_sl_short_trace_names_x_max(tmp_path, capsys):
     assert "report: aggregated 0 artifact(s)" in capsys.readouterr().out
 
 
+def test_sl_grid_past_the_size_bound_exits_1(tmp_path, capsys):
+    # 24 points per wavelength over X = 60 at lambda 2e7 is 1.02e6 points;
+    # the job is refused before the classifier or any array is built
+    t0 = time.perf_counter()
+    assert cli.run("sl", _sl_config(tmp_path, lambdas=[1.0, 2e7])) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "analysis.lambdas [20000000.0] with analysis.x_max 60.0" in err
+    assert "more than 1000000 points" in err and "Traceback" not in err
+    assert not (tmp_path / "out").is_dir() or list((tmp_path / "out").iterdir()) == []
+
+
 def test_report_aggregates_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json", output={"directory": str(out)})

@@ -8,6 +8,9 @@ from scipy.integrate import solve_ivp
 from lawe_spectra import slform
 from lawe_spectra.errors import NumericalError, ValidationError
 
+import magnus_oracle
+import q0_oracle
+
 
 @pytest.fixture(scope="module")
 def poly24_trace():
@@ -140,6 +143,11 @@ def test_integration_rejects_bad_window():
         slform.integrate_canonical(form, 1.0, X_max=form.X_surface)
     tr = slform.integrate_canonical(form, 1.0, X_max=0.9 * form.X_surface)
     assert tr.x_grid[-1] < form.eos.R_star
+    # 24 points per wavelength: 1.02e6 points, and a size past the float range
+    unbounded = slform.CanonicalForm(slform.Polytropic(2, 4))
+    for lam, X_max, size in ((2e7, 60.0, r"1\.025e\+06"), (1e300, 1e300, "inf")):
+        with pytest.raises(ValidationError, match=f"grid of {size} points, more than 1000000"):
+            slform.integrate_canonical(unbounded, lam, X_max=X_max)
 
 
 def test_depth_floor_maps_back_through_x_of_X():
@@ -204,7 +212,7 @@ def test_q0_dual_route_agreement():
         form = slform.CanonicalForm(eos)
         x = eos.R_delta + (eos.R_star - 1e-4 - eos.R_delta) * rng.random(20)
         closed = form.q0(x)
-        nested = np.array([slform.q0_fd(form, float(xi)) for xi in x])
+        nested = np.array([q0_oracle.q0_fd(form, float(xi)) for xi in x])
         rel = np.abs(closed - nested) / np.maximum(np.abs(closed), 1e-30)
         assert np.max(rel) < 1e-8
 
@@ -542,3 +550,81 @@ def test_prefix_products_match_sequential_products():
     for k in range(T.shape[1]):
         acc = T[:, k].reshape(2, 2) @ acc
         assert np.allclose(P[:, k].reshape(2, 2), acc, rtol=1e-12, atol=1e-12)
+
+
+def _same_bits(u, v):
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    return u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+class _FlatPotential:
+    """A canonical form whose Q is the constant ``level``."""
+
+    def __init__(self, level):
+        self.level = level
+
+    def Q(self, X):
+        return np.full(np.shape(X), self.level)
+
+
+# (form, lam): the seven benchmark layers at lam 1, where every polytrope
+# has steps with k**2 > 0 near X = 0, a flat potential at lam = Q, where
+# every kappa is 0, and one above lam, where every step takes cosh/sinh
+_ORACLE_CASES = {
+    **{name: (slform.CanonicalForm(eos), 1.0) for name, eos in _BENCH_LAYERS.items()},
+    "flat-at-lam": (_FlatPotential(1.25), 1.25),
+    "flat-above-lam": (_FlatPotential(2.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 32])
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_propagate_is_bit_identical_to_the_allocating_kernels(name, m):
+    # 2100 intervals over X in [0, 60]: two blocks of steps even at m = 4
+    form, lam = _ORACLE_CASES[name]
+    H = 60.0 / 2100
+    (Y, Yp), turn = slform._propagate(form, lam, H, 2100, m)
+    (Y0, Yp0), turn0 = magnus_oracle._propagate(form, lam, H, 2100, m)
+    assert _same_bits(Y, Y0) and _same_bits(Yp, Yp0)
+    assert _same_bits(turn, turn0)
+
+
+def test_oracle_cases_take_both_step_branches():
+    h = 60.0 / 2100 / 4
+    for name, grows in (("P(2,4)", True), ("LT(1,4,2.5)", False),
+                        ("flat-above-lam", True), ("flat-at-lam", False)):
+        form, lam = _ORACLE_CASES[name]
+        T, _ = slform._magnus_steps(form, lam, h, 0, 64)
+        # a growing step has cosh(kappa) > 1 as the mean of its diagonal
+        assert bool(np.any(0.5 * (T[0] + T[3]) > 1.0)) == grows, name
+    # kappa = 0 everywhere: exp(Omega) = I + Omega with delta = fbar = 0
+    T, turn = slform._magnus_steps(_FlatPotential(1.25), 1.25, h, 0, 64)
+    assert turn == 0.0 and np.all(T == np.array([[1.0], [h], [0.0], [1.0]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 37, 1000])
+def test_prefix_products_are_bit_identical_to_the_oracle(n):
+    T = np.random.default_rng(n).standard_normal((4, n))
+    before = T.copy()
+    assert _same_bits(slform._prefix_products(T), magnus_oracle._prefix_products(T))
+    assert _same_bits(T, before)
+
+
+def test_slope_checks_are_bit_identical_to_the_oracle(monkeypatch):
+    calls = []
+    slope_check = slform._slope_check
+
+    def recording(name, fn, eos, exponent):
+        chk = slope_check(name, fn, eos, exponent)
+        calls.append((chk, magnus_oracle._slope_check(name, fn, eos, exponent)))
+        return chk
+
+    monkeypatch.setattr(slform, "_slope_check", recording)
+    for eos in _BENCH_LAYERS.values():
+        slform.classify_sl_case(eos)
+    # one check on each of the six integrable layers, four on the WKB one
+    assert len(calls) == 10
+    for new, old in calls:
+        assert (new.name, new.integrable) == (old.name, old.integrable)
+        assert _same_bits([new.exponent, new.fitted, new.tail_ratio],
+                          [old.exponent, old.fitted, old.tail_ratio])
