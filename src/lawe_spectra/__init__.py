@@ -40,7 +40,6 @@ from .discrete import (
     classify_tail,
     coupling_values,
     delta_r_bounded,
-    delta_r_from_X,
     delta_r_log,
     predict_spectrum,
 )

@@ -319,7 +319,8 @@ def _run_spectrum(eff, threads):
 #: jost artifact columns and the JostFit attributes they hold
 _JOST_FIELDS = (("lambda", "lam"), ("theta", "theta"), ("theta_fit", "theta_fit"),
                 ("theta_error", "theta_error"), ("amplitude_flatness", "amplitude_flatness"),
-                ("phase_residual", "phase_residual"), ("n_peaks", "n_peaks"))
+                ("phase_residual", "phase_residual"), ("n_peaks", "n_peaks"),
+                ("peak_fallback", "peak_fallback"))
 
 
 def _run_jost(eff, threads):

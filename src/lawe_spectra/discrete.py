@@ -72,15 +72,6 @@ class JacobiOperator:
         y[1:] += self.offdiag * x[:-1]
         return y
 
-    def gauge_flipped(self):
-        """Unitarily equivalent copy with positive couplings.
-
-        Conjugation by diag((-1)**I) flips the off-diagonal sign and
-        leaves the spectrum untouched.
-        """
-        return JacobiOperator(diag=self.diag, offdiag=-self.offdiag,
-                              i_start=self.i_start, pd=self.pd)
-
 
 def coupling_values(pd, i_lo, i_hi):
     """G3(I) for I = i_lo..i_hi inclusive, in the cancelled scale-free form."""
@@ -88,13 +79,14 @@ def coupling_values(pd, i_lo, i_hi):
     if i_lo < 1 or i_hi > dist.N - 1:
         raise ValidationError(
             f"couplings need 1 <= I <= N-1 = {dist.N - 1}, got [{i_lo}, {i_hi}]")
-    idx = np.arange(i_lo, i_hi + 1)
+    here = slice(i_lo, i_hi + 1)
     eta, gamma = dist.eta, dist.gamma
-    common = FOUR_PI * pd.gamma.scaled[idx] * pd.P_over_M[idx] * pd.mc[idx] * dist.radius[idx + 1] ** 2
+    common = (FOUR_PI * pd.gamma.scaled[here] * pd.P_over_M[here] * pd.mc[here]
+              * dist.radius[i_lo + 1 : i_hi + 2] ** 2)
     if pd.gamma.kind == "geometric":
         return common * eta ** (1.0 - gamma / 2.0) / (dist.R_star * (1.0 - eta))
     # constant profile: keep the raw 1/width, which grows like eta**-I
-    return common * eta ** (-gamma / 2.0) / dist.width[idx]
+    return common * eta ** (-gamma / 2.0) / dist.width[here]
 
 
 def assemble_jacobi(pd, n, i_start=1):
@@ -119,14 +111,14 @@ def assemble_jacobi(pd, n, i_start=1):
     g3_lo = i_start if i_start == 1 else i_start - 1
     g3 = coupling_values(pd, g3_lo, i_top)
 
-    idx = np.arange(i_start, i_top + 1)
     r = dist.radius
+    r_here = r[i_start : i_top + 1]
     eta, gamma = dist.eta, dist.gamma
-    grav = 4.0 * dist.G * dist.enclosed_mass[idx] / r[idx] ** 3
-    rp = (r[idx] / r[idx + 1]) ** 2 * eta ** (gamma / 2.0)
+    grav = 4.0 * dist.G * dist.enclosed_mass[i_start : i_top + 1] / r_here ** 3
+    rp = (r_here / r[i_start + 1 : i_top + 2]) ** 2 * eta ** (gamma / 2.0)
     rm = np.empty(n)
     rm[0] = 0.0 if i_start == 1 else (r[i_start] / r[i_start - 1]) ** 2 * eta ** (-gamma / 2.0)
-    rm[1:] = (r[idx[1:]] / r[idx[1:] - 1]) ** 2 * eta ** (-gamma / 2.0)
+    rm[1:] = (r_here[1:] / r_here[:-1]) ** 2 * eta ** (-gamma / 2.0)
 
     off = i_start - g3_lo  # 0 when the core term is dropped, 1 otherwise
     g3_here = g3[off : off + n]
@@ -299,27 +291,15 @@ def _dr_bounded(abs_x, log_dr):
     return late <= early + 1e-6 * max(1.0, abs(early))
 
 
-def delta_r_from_X(X, dist, i_start=1):
-    """Displacement field dr(I) = X(I)/sqrt(M(I)) and a boundedness verdict.
+def delta_r_bounded(V, dist, i_start=1):
+    """Whether dr(I) = X(I)/sqrt(M(I)) stays bounded, for every column X of ``V``.
 
     The verdict looks only at shells where |X| exceeds 1e-13 max|X|:
     below that an eigenvector out of inverse iteration is roundoff, and
     dividing roundoff by the vanishing shell masses manufactures fake
     growth.  Within that range the sup of |dr| must be attained before
     the last quartile and not be exceeded inside it: ln sup|dr| may rise
-    there by at most 1e-6 of max(1, |ln sup|dr||).  The returned field
-    itself is unguarded, so entries can overflow to inf where X decays
-    slower than sqrt(M).
-    """
-    X = np.asarray(X, dtype=float)
-    log_dr = delta_r_log(X, dist, i_start)
-    with np.errstate(over="ignore"):
-        dr = np.sign(X) * np.exp(log_dr)
-    return dr, _dr_bounded(np.abs(X), log_dr)
-
-
-def delta_r_bounded(V, dist, i_start=1):
-    """The verdicts of :func:`delta_r_from_X` for every column of ``V``.
+    there by at most 1e-6 of max(1, |ln sup|dr||).
 
     The shell masses are evaluated once for all columns, and no field is
     built; each column costs one pass over its own rows.

@@ -33,6 +33,18 @@ FOUR_PI = 4.0 * math.pi
 
 #: a power below e**709 stays inside the float range (at most e**709.78)
 _LOG_MAX = 709.0
+#: exp(x) is exactly 0.0 below x = -745.14, and -expm1(x) exactly 1.0
+#: below x = -37.43; the cut-offs keep a margin
+_EXP_ZERO = 746.0
+_EXPM1_ONE = 40.0
+
+
+def _live(rate, cutoff, n):
+    """Length k of the prefix of shells 0..n-1 that still need a power:
+    from I = k - 1 on, rate*I exceeds cutoff."""
+    if rate * (n - 2) <= cutoff:  # also where the rate underflows to 0
+        return n
+    return int(cutoff / rate) + 2
 
 
 def _check_positive(name, value):
@@ -118,6 +130,15 @@ def build_mass_distribution(eta, gamma, *, M_star=1.0, R_star=1.0, G=1.0, N=64):
         Total mass, surface radius and gravitational constant.
     N : int
         Largest shell index to materialize.
+
+    Each power is evaluated only on the shells where it still differs from
+    its limit.  exp(x) rounds to exactly 0.0 below x = -745.14, and
+    -expm1(x) to exactly 1.0 below x = -37.43, where e**x is under half an
+    ulp of 1.  So widths and shell masses are evaluated while their
+    exponent stays above -746, radii and enclosed masses while theirs stays
+    above -40, and beyond those shells the arrays hold 0.0, R_star*1.0 and
+    M_star*1.0: the very values the formulas round to there.  The density
+    divides over every shell.
     """
     if not (0.0 < eta < 1.0):
         raise ValidationError(f"eta must lie in (0,1), got {eta!r}")
@@ -131,12 +152,19 @@ def build_mass_distribution(eta, gamma, *, M_star=1.0, R_star=1.0, G=1.0, N=64):
     N = int(N)
 
     idx = np.arange(N + 1, dtype=float)
-    radius = R_star * (-np.expm1(idx * math.log(eta)))  # R*(1 - eta^I), accurate near the surface
-    width = np.empty(N + 1)
-    width[0] = 0.0
-    width[1:] = R_star * (1.0 - eta) * np.exp((idx[1:] - 1.0) * math.log(eta))
-    shell_mass = M_star * (1.0 - eta**gamma) * np.exp(gamma * idx * math.log(eta))
-    enclosed_mass = M_star * (-np.expm1(gamma * (idx + 1.0) * math.log(eta)))
+    rate = -math.log(eta)
+    k = _live(rate, _EXPM1_ONE, N + 1)
+    radius = np.full(N + 1, R_star * 1.0)
+    radius[:k] = R_star * (-np.expm1(idx[:k] * math.log(eta)))  # R*(1 - eta^I), accurate near the surface
+    k = _live(rate, _EXP_ZERO, N + 1)
+    width = np.zeros(N + 1)
+    width[1:k] = R_star * (1.0 - eta) * np.exp((idx[1:k] - 1.0) * math.log(eta))
+    k = _live(gamma * rate, _EXP_ZERO, N + 1)
+    shell_mass = np.zeros(N + 1)
+    shell_mass[:k] = M_star * (1.0 - eta**gamma) * np.exp(gamma * idx[:k] * math.log(eta))
+    k = _live(gamma * rate, _EXPM1_ONE, N + 1)
+    enclosed_mass = np.full(N + 1, M_star * 1.0)
+    enclosed_mass[:k] = M_star * (-np.expm1(gamma * (idx[:k] + 1.0) * math.log(eta)))
     rho = np.full(N + 1, np.nan)
     # mass and width both underflow in the deep tail; 0/0 -> nan, or inf
     # where the mass outlives a subnormal width, is fine there: log_rho
@@ -299,10 +327,17 @@ class PressureDensityDistribution:
 
 
 def _pressure_limit(dist):
-    """(P/M)(I) = Lambda_star*(1 + eta**I)/(4*pi*R_star), geometric tail."""
-    idx = np.arange(dist.N + 1, dtype=float)
+    """(P/M)(I) = Lambda_star*(1 + eta**I)/(4*pi*R_star), geometric tail.
+
+    In round-to-nearest 1 + eta**I is exactly 1.0 once eta**I <= 2**-53,
+    so eta**I is taken only on the shells before I = 53*ln 2/ln(1/eta) (and
+    two more for the rounding of that bound); the rest hold the limit.
+    """
     scale = dist.lambda_star / (FOUR_PI * dist.R_star)
-    return scale * (1.0 + dist.eta**idx)
+    idx = np.arange(_live(-math.log(dist.eta), 53.0 * math.log(2.0), dist.N + 1), dtype=float)
+    out = np.full(dist.N + 1, scale)
+    out[:idx.size] = scale * (1.0 + dist.eta**idx)
+    return out
 
 
 def _pressure_hse(dist):

@@ -1,0 +1,39 @@
+"""Single-operator helpers of ``discrete`` kept as test oracles.
+
+No job needs them: jost takes ``np.abs(offdiag)`` itself, and ppmodes
+batches the displacement verdicts in ``discrete.delta_r_bounded``.  The
+tests check the gauge symmetry and the batched verdicts against them.
+"""
+
+import numpy as np
+
+from lawe_spectra.discrete import JacobiOperator, _dr_bounded, delta_r_log
+
+
+def gauge_flipped(op):
+    """Unitarily equivalent copy with positive couplings.
+
+    Conjugation by diag((-1)**I) flips the off-diagonal sign and
+    leaves the spectrum untouched.
+    """
+    return JacobiOperator(diag=op.diag, offdiag=-op.offdiag,
+                          i_start=op.i_start, pd=op.pd)
+
+
+def delta_r_from_X(X, dist, i_start=1):
+    """Displacement field dr(I) = X(I)/sqrt(M(I)) and a boundedness verdict.
+
+    The verdict looks only at shells where |X| exceeds 1e-13 max|X|:
+    below that an eigenvector out of inverse iteration is roundoff, and
+    dividing roundoff by the vanishing shell masses manufactures fake
+    growth.  Within that range the sup of |dr| must be attained before
+    the last quartile and not be exceeded inside it: ln sup|dr| may rise
+    there by at most 1e-6 of max(1, |ln sup|dr||).  The returned field
+    itself is unguarded, so entries can overflow to inf where X decays
+    slower than sqrt(M).
+    """
+    X = np.asarray(X, dtype=float)
+    log_dr = delta_r_log(X, dist, i_start)
+    with np.errstate(over="ignore"):
+        dr = np.sign(X) * np.exp(log_dr)
+    return dr, _dr_bounded(np.abs(X), log_dr)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from lawe_spectra import model
 from lawe_spectra.errors import ValidationError
 
+import model_oracle
+
 FOUR_PI = 4.0 * math.pi
 
 
@@ -232,6 +234,21 @@ def test_pressure_method(canonical):
     pd = model.build_pd_distribution(canonical, pressure_mode="limit")
     i = np.arange(1, 20)
     assert np.allclose(pd.pressure(i), pd.P_over_M[i] * canonical.shell_mass[i], rtol=0)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 3.5345])
+@pytest.mark.parametrize("eta", [0.01, 0.05, 0.3, 0.5, 0.7, 0.95, 0.999])
+def test_arrays_match_the_full_length_formulas_bit_for_bit(eta, gamma):
+    # the model takes each power only where it still differs from its
+    # limit; N runs from below the first exact limit past the underflow
+    for N in (2, 64, 1500, 25000):
+        dist = model.build_mass_distribution(eta, gamma, M_star=3.7, R_star=0.45, N=N)
+        ref = model_oracle.mass_arrays(eta, gamma, M_star=3.7, R_star=0.45, N=N)
+        got = (dist.radius, dist.width, dist.shell_mass, dist.enclosed_mass)
+        for name, a, b in zip(("radius", "width", "shell_mass", "enclosed_mass"), got, ref):
+            assert np.array_equal(a, b), (name, N)
+        pd = model.build_pd_distribution(dist, pressure_mode="limit")
+        assert np.array_equal(pd.P_over_M, model_oracle.pressure_limit(dist)), N
 
 
 @given(

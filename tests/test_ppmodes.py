@@ -6,6 +6,8 @@ import pytest
 from lawe_spectra import discrete, ppmodes, spectra
 from lawe_spectra.errors import ValidationError
 
+import discrete_oracle
+
 
 @pytest.fixture(scope="module")
 def dsp():
@@ -208,7 +210,7 @@ def test_batched_dr_verdicts_match_per_mode_calls(n):
                                   dsp.extent, i_start=1)
     em = ppmodes.detect_edge_eigenvalues(op, dsp)
     vecs = spectra.eigenvectors_inverse_iteration(op.diag, op.offdiag, em.values)
-    ref = [discrete.delta_r_from_X(vecs[:, j], op.pd.dist, i_start=op.i_start)[1]
+    ref = [discrete_oracle.delta_r_from_X(vecs[:, j], op.pd.dist, i_start=op.i_start)[1]
            for j in range(vecs.shape[1])]
     assert len(ref) >= 30 and True in ref and False in ref
     batched = discrete.delta_r_bounded(vecs, op.pd.dist, i_start=op.i_start)

@@ -572,15 +572,18 @@ def _jost_loop(op, lam):
             float(np.sqrt(np.mean((phi - A @ coef) ** 2))), int(peaks.size))
 
 
+# n 24 leaves an 18-shell fit window, shorter than three envelope periods
+# near the band edges, so the peaks fall back to the whole window there
 @pytest.mark.parametrize("eta,gamma,n", [(0.5, 2.0, 600), (0.3, 1.5, 15000),
-                                         (0.7, 3.0, 25000)])
+                                         (0.7, 3.0, 25000), (0.5, 2.0, 24)])
 def test_jost_band_solve_matches_python_recurrence(eta, gamma, n):
     dist = model.build_mass_distribution(eta, gamma, N=n + 100)
     op = discrete.assemble_jacobi(model.build_pd_distribution(dist, pressure_mode="limit"),
                                   n, i_start=16)
     sp = op.scaling
     half = 2.0 * sp.kappa * sp.lambda_star
-    for frac in (-0.8, -0.3, 0.1, 0.75):
+    fallbacks = []
+    for frac in (-0.995, -0.97, -0.8, -0.3, 0.1, 0.75, 0.97, 0.995):
         lam = sp.centre + frac * half
         fit = spectra.jost_verify(op, lam)
         theta_fit, flat, resid, n_peaks = _jost_loop(op, lam)
@@ -588,6 +591,10 @@ def test_jost_band_solve_matches_python_recurrence(eta, gamma, n):
         assert fit.amplitude_flatness == pytest.approx(flat, rel=0.0, abs=1e-10)
         assert fit.phase_residual == pytest.approx(resid, rel=0.0, abs=1e-10)
         assert fit.n_peaks == n_peaks
+        # the whole window counts as the peaks exactly when the fit fell back
+        assert fit.peak_fallback == (n_peaks == n - n // 4)
+        fallbacks.append(fit.peak_fallback)
+    assert any(fallbacks) == (n == 24)
 
 
 def test_jost_checks_the_fit_window_before_solving(canonical_op):
