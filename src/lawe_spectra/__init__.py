@@ -40,7 +40,6 @@ from .discrete import (
     classify_tail,
     coupling_values,
     delta_r_bounded,
-    delta_r_log,
     predict_spectrum,
 )
 from .spectra import (

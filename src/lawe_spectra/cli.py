@@ -470,7 +470,8 @@ def _run_sl(eff, threads):
             "x": trace.x_grid, "xi": trace.y, "delta_r": trace.delta_r}
         results.append({
             "lambda": trace.lam,
-            "propagator": {"method": "magnus4", "substeps": trace.substeps,
+            "propagator": {"method": "magnus6", "substeps": trace.substeps,
+                           "levels": list(trace.levels),
                            "error_estimate": trace.error_estimate},
             "regularity": _fields(reg, "fitted_power analytic_power lower_bound "
                                        "monotone within bound_satisfied"),

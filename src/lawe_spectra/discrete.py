@@ -265,19 +265,6 @@ def predict_spectrum(op):
                               diag_class=diag_class, offdiag_class=offdiag_class)
 
 
-def delta_r_log(X, dist, i_start=1):
-    """ln |dr(I)| for a coefficient vector X on shells starting at i_start.
-
-    dr(I) = X(I)/sqrt(M(I)); computed in log space because the shell
-    masses underflow long before typical truncation depths.  Entries
-    where X vanishes give -inf.
-    """
-    X = np.asarray(X, dtype=float)
-    idx = np.arange(i_start, i_start + X.shape[0])
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(X)) - 0.5 * dist.log_shell_mass(idx)
-
-
 def _dr_bounded(abs_x, log_dr):
     amax = float(np.max(abs_x))
     if amax == 0.0:

@@ -468,9 +468,10 @@ def canonical_derivative_exponents(eos):
 class CanonicalTrace:
     """Integrated canonical solution with the recovered physical fields.
 
-    ``substeps`` is the number of Magnus steps per output interval and
-    ``error_estimate`` the step-doubling estimate of the relative error
-    of (Y, Y'); both are None for a trace not made by
+    ``substeps`` is the number of Magnus steps per output interval,
+    ``levels`` the steps per interval of every level computed, ending at
+    ``substeps``, and ``error_estimate`` the step-doubling estimate of the
+    relative error of (Y, Y'); all three are None for a trace not made by
     :func:`integrate_canonical`.
     """
 
@@ -482,6 +483,7 @@ class CanonicalTrace:
     y: np.ndarray = field(repr=False)
     delta_r: np.ndarray = field(repr=False)
     substeps: int = None
+    levels: tuple = None
     error_estimate: float = None
 
     @property
@@ -489,10 +491,12 @@ class CanonicalTrace:
         return float(self.X_grid[-1])
 
 
-#: offset of the two Gauss nodes from the middle of a step, in steps
-_GAUSS = math.sqrt(3.0) / 6.0
-#: most Magnus steps whose matrices are held at once
-_BLOCK = 8192
+#: offset of the outer Gauss nodes from the middle of a step, in steps
+_GAUSS = math.sqrt(15.0) / 10.0
+#: most nodes at which one call evaluates Q
+_NODES = 2 * 8192
+#: floor of the error estimate, the idiom of ``spectra.default_tol``
+_EST_FLOOR = 64.0 * np.finfo(float).eps
 #: most points of an output grid, the bound a config puts on its sizes;
 #: the interval matrices and the two scan buffers take 96 bytes a point
 MAX_GRID = 10**6
@@ -545,46 +549,82 @@ def _prefix_products(T):
 
 
 def _magnus_steps(form, lam, h, first, n):
-    """exp(Omega) of the fourth-order Magnus steps first .. first+n-1 of size h.
+    """exp(Omega) of the sixth-order Magnus steps first .. first+n-1 of size h.
 
-    Omega = [[delta, h], [h*fbar, -delta]] from f = Q - lam at the two
-    Gauss nodes of each step; it is traceless, so exp(Omega) = C*I +
-    S*Omega with C, S the cosh and sinh/kappa (or cos and sin/kappa) of
-    kappa = sqrt|delta**2 + h**2*fbar|.  Returns the (4, n) matrices and
-    the largest kappa.
+    With A_i = [[0, 1], [f_i, 0]] at the three Gauss nodes of a step,
+    f = Q - lam, alpha_1 = h*A_2, alpha_2 = (sqrt(15)*h/3)*(A_3 - A_1) and
+    alpha_3 = (10*h/3)*(A_3 - 2*A_2 + A_1), the step of Blanes, Casas &
+    Ros (2000) is Omega = alpha_1 + alpha_3/12 + [-20*alpha_1 - alpha_3 +
+    C_1, alpha_2 + C_2]/240 with C_1 = [alpha_1, alpha_2] and C_2 =
+    -[alpha_1, 2*alpha_3 + C_1]/60.  alpha_2 and alpha_3 are strictly
+    lower triangular, so in F_i = h**2*f_i, P = (sqrt(15)/3)*(F_3 - F_1)
+    and R = (10/3)*(F_1 + F_3 - 2*F_2) every commutator is a few products:
 
-    Buffers: the 2n nodes share one array; f - lam overwrites the values
-    of Q, and its two halves then hold k**2 (then kappa) and delta (then
-    S*delta).  Row 2 of the result holds fbar, then h*fbar; row 3 holds
-    h**2*fbar until it takes C - S*delta; C and S go straight into rows 0
-    and 1, and every row is finished in place.  cosh and sinh are taken
-    only where k**2 > 0.  Each value comes from the same IEEE operations,
-    in the same order, as these formulas written out with temporaries, so
-    the buffer plan changes no bit of a step; any other order of a sum or
-    product would change the last bits of every trace.
+        Omega = [[delta, h*w12], [w21/h, -delta]],
+        delta = P*(F_2/180 - 1/12 + R/7200),
+        w12 = 1 + (P**2 - 20*R)/3600,
+        w21 = F_2 + R/12 + ((20*F_2 + R)*R - (30 - F_2)*P**2)/3600.
+
+    Omega is traceless, so exp(Omega) = C*I + S*Omega with C, S the cosh
+    and sinh/kappa (or cos and sin/kappa) of kappa = sqrt|delta**2 +
+    w12*w21|.  Returns the (4, n) matrices and the largest kappa.
+
+    Buffers: the 3n nodes share one array, and h**2*(Q - lam) overwrites
+    the values of Q.  Its thirds F_1, F_2 and F_3 then hold P (then k**2,
+    then kappa), S and w21; the rows of the result hold R, w12,
+    delta and scratch until they take C + S*delta, S*(h*w12), S*(w21/h)
+    and C - S*delta.  cosh and sinh are taken only where k**2 > 0.  Each
+    value comes from the same IEEE operations, in the same order, as in
+    ``tests/magnus_oracle.py``, which writes the step with temporaries.
     """
-    X = np.empty(2 * n)
-    lo, mid = X[:n], X[n:]
+    X = np.empty(3 * n)
+    lo, mid, hi = X[:n], X[n:2 * n], X[2 * n:]
     np.add(np.arange(first, first + n), 0.5, out=mid)
     mid *= h
     g = _GAUSS * h
     np.subtract(mid, g, out=lo)
-    mid += g
+    np.add(mid, g, out=hi)
     f = form.Q(X)
     f -= lam
-    k2, delta = f[:n], f[n:]
+    f *= h * h
+    F1, F2, F3 = f[:n], f[n:2 * n], f[2 * n:]
     T = np.empty((4, n))
-    C, S, hfbar, row3 = T
-    np.add(k2, delta, out=hfbar)
-    hfbar *= 0.5                                # fbar
-    np.subtract(k2, delta, out=delta)
-    delta *= math.sqrt(3.0) / 12.0 * h * h
-    np.multiply(hfbar, h * h, out=row3)
+    R, w12, delta, tmp = T
+    np.add(F1, F3, out=R)
+    np.multiply(F2, 2.0, out=w12)
+    R -= w12
+    R *= 10.0 / 3.0
+    P = np.subtract(F3, F1, out=F1)
+    P *= math.sqrt(15.0) / 3.0
+    np.multiply(F2, 1.0 / 180.0, out=delta)
+    delta -= 1.0 / 12.0
+    np.multiply(R, 1.0 / 7200.0, out=F3)
+    delta += F3
+    delta *= P
+    np.multiply(P, P, out=w12)
+    np.multiply(R, 20.0, out=F3)
+    w12 -= F3
+    w12 *= 1.0 / 3600.0
+    w12 += 1.0
+    w21 = F3
+    np.multiply(F2, 20.0, out=w21)
+    w21 += R
+    w21 *= R                                    # (20*F_2 + R)*R
+    np.subtract(30.0, F2, out=tmp)
+    tmp *= P
+    tmp *= P
+    w21 -= tmp
+    w21 *= 1.0 / 3600.0
+    np.multiply(R, 1.0 / 12.0, out=tmp)
+    tmp += F2
+    w21 += tmp
+    k2 = P
     np.multiply(delta, delta, out=k2)
-    k2 += row3                                  # delta**2 + h**2*fbar
+    np.multiply(w12, w21, out=F2)
+    k2 += F2                                    # delta**2 + w12*w21
     grow = k2 > 0.0
     kappa = np.sqrt(np.abs(k2, out=k2), out=k2)
-    hfbar *= h
+    C, S = R, F2
     np.cos(kappa, out=C)
     np.sin(kappa, out=S)
     with np.errstate(over="ignore"):
@@ -593,11 +633,13 @@ def _magnus_steps(form, lam, h, first, n):
     np.greater(kappa, 0.0, out=grow)
     np.divide(S, kappa, out=S, where=grow)
     np.copyto(S, 1.0, where=np.logical_not(grow, out=grow))
-    np.multiply(S, delta, out=delta)            # S*delta
-    hfbar *= S
-    np.subtract(C, delta, out=row3)
+    delta *= S
+    np.subtract(C, delta, out=tmp)
     C += delta
-    S *= h
+    w12 *= h
+    w12 *= S
+    np.divide(w21, h, out=delta)
+    delta *= S
     return T, float(np.max(kappa))
 
 
@@ -605,7 +647,7 @@ def _propagate(form, lam, H, n_int, m):
     """(Y, Y') on the grid k*H, k = 0..n_int from (Y, Y')(0) = (0, 1), with
     m Magnus steps per interval, and the largest kappa of those steps."""
     h = H / m
-    per_block = max(1, _BLOCK // m)
+    per_block = max(1, _NODES // (3 * m))
     M, turn = np.empty((4, n_int)), 0.0
     for i0 in range(0, n_int, per_block):
         nb = min(per_block, n_int - i0)
@@ -622,29 +664,33 @@ def _propagate(form, lam, H, n_int, m):
 
 
 def _doubling_estimate(coarse, fine):
-    """max over Y, Y' of |coarse - fine|_inf / |fine|_inf, over 15 (order 4)."""
-    est = 0.0
-    for u, v in zip(coarse, fine):
-        scale = np.max(np.abs(v))
-        diff = np.max(np.abs(u - v))
-        est = max(est, diff / scale if scale > 0.0 else diff)
-    return est / 15.0
+    """max over Y, Y' of |coarse - fine|_inf / |fine|_inf, over 63 (order
+    6), and never below 64 eps.  A NaN or inf stays NaN or inf."""
+    rel = []
+    with np.errstate(invalid="ignore"):     # inf - inf and inf/inf give NaN
+        for u, v in zip(coarse, fine):
+            scale = np.max(np.abs(v))
+            diff = np.max(np.abs(u - v))
+            rel.append(diff / scale if scale > 0.0 else diff)
+    return max(float(np.max(rel)) / 63.0, _EST_FLOOR)
 
 
 def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10):
     """Integrate -Y'' + Q Y = lam Y over [0, X_max] from (Y, Y')(0) = (0, 1).
 
-    Fourth-order Magnus propagator with two Gauss nodes per step
-    (Iserles & Norsett 1999): each interval of the output grid, which
-    puts 24 points on the wavelength 2*pi/sqrt(lam), takes m = 4, 8,
-    16, ... equal steps, and m doubles until the step-doubling estimate
-    of the relative error of (Y, Y') is at most ``rtol``.  The step size
-    does not shrink with the local frequency.  Once every step turns the
-    solution by at most pi, a doubling that cuts the estimate less than
-    fourfold means roundoff has the upper hand, and raises
-    NumericalError.  The physical displacement is recovered on the same
-    grid through y = Y/(pw)**(1/4), delta_r = x*y.  A grid of more than
-    MAX_GRID points is refused before anything is allocated.
+    Sixth-order Magnus propagator with three Gauss nodes per step
+    (Iserles & Norsett 1999; Blanes, Casas & Ros 2000): each interval of
+    the output grid, which puts 24 points on the wavelength
+    2*pi/sqrt(lam), takes m = 2, 4, 8, ... equal steps, and m doubles
+    until the step-doubling estimate of the relative error of (Y, Y') is
+    at most ``rtol``.  The estimate never reads below 64 eps, so an rtol
+    under that floor ends in the stall below.  The step size does not
+    shrink with the local frequency.  Once every step turns the solution
+    by at most pi, a doubling that cuts the estimate less than fourfold
+    means roundoff has the upper hand, and raises NumericalError.  The
+    physical displacement is recovered on the same grid through
+    y = Y/(pw)**(1/4), delta_r = x*y.  A grid of more than MAX_GRID
+    points is refused before anything is allocated.
     """
     if lam <= 0.0:
         raise ValidationError(f"lam must be positive, got {lam!r}")
@@ -660,10 +706,12 @@ def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10):
     n_out = int(n_out)
     grid = np.linspace(0.0, X_max, n_out)
     H = X_max / (n_out - 1)
-    m, prev_est, prev_turn = 4, math.inf, math.inf
+    m, prev_est, prev_turn = 2, math.inf, math.inf
     coarse, turn = _propagate(form, lam, H, n_out - 1, m)
+    levels = [m]
     while True:
         fine, fine_turn = _propagate(form, lam, H, n_out - 1, 2 * m)
+        levels.append(2 * m)
         est = _doubling_estimate(coarse, fine)
         if not math.isfinite(est):
             raise NumericalError(
@@ -672,7 +720,7 @@ def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10):
         if est <= rtol:
             break
         # only steps that turn the solution by less than pi are in the
-        # asymptotic h**4 regime, where a small cut can only be roundoff
+        # asymptotic h**6 regime, where a small cut can only be roundoff
         if est > 0.25 * prev_est and prev_turn <= math.pi:
             raise NumericalError(
                 f"the Magnus error estimate stalls at {est:.3e} with {2 * m} "
@@ -683,7 +731,8 @@ def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10):
     x = form.x_of_X(grid)
     y = Y / (form.eos.p(x) * form.eos.w(x)) ** 0.25
     return CanonicalTrace(lam=float(lam), X_grid=grid, Y=Y, Y_prime=Yp, x_grid=x,
-                          y=y, delta_r=x * y, substeps=2 * m, error_estimate=est)
+                          y=y, delta_r=x * y, substeps=2 * m, levels=tuple(levels),
+                          error_estimate=est)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Single-operator helpers of ``discrete`` kept as test oracles.
 
 No job needs them: jost takes ``np.abs(offdiag)`` itself, and ppmodes
-batches the displacement verdicts in ``discrete.delta_r_bounded``.  The
-tests check the gauge symmetry and the batched verdicts against them.
+batches the displacement verdicts in ``discrete.delta_r_bounded``, which
+takes the log-mass term inline.  The tests check the gauge symmetry and
+the batched verdicts against them.
 """
 
 import numpy as np
 
-from lawe_spectra.discrete import JacobiOperator, _dr_bounded, delta_r_log
+from lawe_spectra.discrete import JacobiOperator, _dr_bounded
 
 
 def gauge_flipped(op):
@@ -18,6 +19,19 @@ def gauge_flipped(op):
     """
     return JacobiOperator(diag=op.diag, offdiag=-op.offdiag,
                           i_start=op.i_start, pd=op.pd)
+
+
+def delta_r_log(X, dist, i_start=1):
+    """ln |dr(I)| for a coefficient vector X on shells starting at i_start.
+
+    dr(I) = X(I)/sqrt(M(I)); computed in log space because the shell
+    masses underflow long before typical truncation depths.  Entries
+    where X vanishes give -inf.
+    """
+    X = np.asarray(X, dtype=float)
+    idx = np.arange(i_start, i_start + X.shape[0])
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(X)) - 0.5 * dist.log_shell_mass(idx)
 
 
 def delta_r_from_X(X, dist, i_start=1):

@@ -744,8 +744,11 @@ def test_sl_trace_csv_layout(tmp_path, capsys):
     res = json.loads((out / "sl.json").read_text())
     assert res["traces"][0]["regularity"]["analytic_power"] == 2.5
     prop = res["traces"][0]["propagator"]
-    assert prop["method"] == "magnus4"
-    assert prop["substeps"] >= 8 and prop["substeps"] & (prop["substeps"] - 1) == 0
+    assert prop["method"] == "magnus6"
+    assert prop["substeps"] >= 4 and prop["substeps"] & (prop["substeps"] - 1) == 0
+    levels = prop["levels"]
+    assert levels[0] == 2 and levels[-1] == prop["substeps"]
+    assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
     assert 0.0 < prop["error_estimate"] <= 1e-8
 
 

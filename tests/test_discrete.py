@@ -243,7 +243,7 @@ def test_delta_r_log_identity(canonical_op):
     dist = canonical_op.pd.dist
     idx = np.arange(1, 31)
     X = np.sqrt(dist.shell_mass[idx])
-    out = discrete.delta_r_log(X, dist, i_start=1)
+    out = discrete_oracle.delta_r_log(X, dist, i_start=1)
     assert np.max(np.abs(out)) < 1e-12
 
 

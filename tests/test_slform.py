@@ -497,19 +497,20 @@ def test_magnus_agrees_with_dop853(name, lam):
     form = slform.CanonicalForm(_BENCH_LAYERS[name])
     tr = slform.integrate_canonical(form, lam, X_max=40.0)
     assert _rel_error(tr.Y, tr.Y_prime, _oracle(form, lam, tr.X_grid)) < 1e-8
-    assert tr.substeps >= 8 and tr.error_estimate <= 1e-10
+    assert tr.substeps >= 4 and tr.error_estimate <= 1e-10
 
 
-def test_magnus_is_fourth_order():
+def test_magnus_is_sixth_order():
     # at a fixed output grid each doubling of the steps per interval
-    # halves h and should cut the error 16-fold
+    # halves h and should cut the error 64-fold; on 200 intervals the
+    # errors run from 6e-6 down to 2.5e-11, all above DOP853's own
     form = slform.CanonicalForm(slform.Polytropic(2, 4))
-    grid = np.linspace(0.0, 50.0, 1000)
+    grid = np.linspace(0.0, 50.0, 201)
     ref = _oracle(form, 1.0, grid)
-    errs = [_rel_error(*slform._propagate(form, 1.0, grid[1], 999, m)[0], ref)
+    errs = [_rel_error(*slform._propagate(form, 1.0, grid[1], 200, m)[0], ref)
             for m in (1, 2, 4, 8)]
     ratios = [e0 / e1 for e0, e1 in zip(errs, errs[1:])]
-    assert all(12.0 <= r <= 20.0 for r in ratios), ratios
+    assert all(50.0 <= r <= 80.0 for r in ratios), ratios
 
 
 def test_magnus_error_within_rtol():
@@ -540,6 +541,27 @@ def test_magnus_keeps_doubling_while_steps_are_unresolved():
     form = slform.CanonicalForm(slform.LinearThermal(1, 4, 1.05))
     tr = slform.integrate_canonical(form, 1.0, X_max=100.0, rtol=1e-10)
     assert tr.error_estimate <= 1e-10
+    # every level computed is listed: from 2 steps per interval, doubling,
+    # up to the one kept
+    levels = tr.levels
+    assert levels[0] == 2 and levels[-1] == tr.substeps and len(levels) >= 4
+    assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
+
+
+def test_doubling_estimate_floor_and_non_finite_solutions():
+    Y = np.linspace(0.0, 1.0, 11)
+    # identical solutions read the 64 eps floor, not 0
+    assert slform._doubling_estimate((Y, Y), (Y, Y)) == 64.0 * np.finfo(float).eps
+    # a difference of 63e-12 relative reads 1e-12 (order 6)
+    est = slform._doubling_estimate((Y * (1.0 + 63e-12), Y), (Y, Y))
+    assert est == pytest.approx(1e-12, rel=1e-3)
+    # a NaN in either component, or an inf, is never read as converged
+    bad = Y.copy()
+    bad[5] = np.nan
+    for coarse, fine in (((Y, Y), (Y, bad)), ((Y, bad), (Y, Y)), ((Y, Y), (bad, Y))):
+        assert math.isnan(slform._doubling_estimate(coarse, fine))
+    bad[5] = np.inf
+    assert not math.isfinite(slform._doubling_estimate((Y, Y), (Y, bad)))
 
 
 def test_prefix_products_match_sequential_products():
@@ -584,9 +606,24 @@ def test_propagate_is_bit_identical_to_the_allocating_kernels(name, m):
     form, lam = _ORACLE_CASES[name]
     H = 60.0 / 2100
     (Y, Yp), turn = slform._propagate(form, lam, H, 2100, m)
-    (Y0, Yp0), turn0 = magnus_oracle._propagate(form, lam, H, 2100, m)
+    (Y0, Yp0), turn0 = magnus_oracle._propagate(form, lam, H, 2100, m,
+                                                steps=magnus_oracle._magnus6_steps, nodes=3)
     assert _same_bits(Y, Y0) and _same_bits(Yp, Yp0)
     assert _same_bits(turn, turn0)
+
+
+@pytest.mark.parametrize("lam", [0.6, 2.0])
+@pytest.mark.parametrize("name", sorted(_BENCH_LAYERS))
+def test_propagate_agrees_with_the_fourth_order_oracle(name, lam):
+    # the two-node fourth-order step shares no code with the three-node
+    # one; at 64 steps per interval both are within roundoff of the
+    # solution, about 1e-13 here
+    form = slform.CanonicalForm(_BENCH_LAYERS[name])
+    n_int = int(slform.grid_points(lam, 40.0)) - 1
+    H = 40.0 / n_int
+    new, _ = slform._propagate(form, lam, H, n_int, 64)
+    ref, _ = magnus_oracle._propagate(form, lam, H, n_int, 64)
+    assert _rel_error(*new, ref) < 2e-10
 
 
 def test_oracle_cases_take_both_step_branches():
