@@ -16,31 +16,23 @@ from types import ModuleType as _ModuleType
 from .errors import NumericalError, ValidationError
 from .model import (
     FOUR_PI,
-    AdmissibilityReport,
     GammaProfile,
     MassDistribution,
     PressureDensityDistribution,
     ScalingParams,
     build_mass_distribution,
     build_pd_distribution,
-    check_admissibility,
     check_power_law,
     coupling_constant,
     gamma_profile,
-    hse_residual_array,
     profile_constant,
     scaling_params,
 )
 from .discrete import (
-    CONVERGENCE_ORDER,
     JacobiOperator,
-    SpectrumPrediction,
-    TailClass,
     assemble_jacobi,
-    classify_tail,
     coupling_values,
     delta_r_bounded,
-    predict_spectrum,
 )
 from .spectra import (
     BandReport,
@@ -49,7 +41,6 @@ from .spectra import (
     JostFit,
     band_report,
     band_structure,
-    build_two_periodic,
     eigenpairs_tridiagonal,
     eigenvalues_tridiagonal,
     eigenvectors_inverse_iteration,
@@ -63,7 +54,6 @@ from .ppmodes import (
     EdgeModes,
     construct_dsp,
     detect_edge_eigenvalues,
-    rayleigh_quotients,
     theorem_model,
 )
 from .polytrans import (

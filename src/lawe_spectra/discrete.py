@@ -1,4 +1,4 @@
-"""Assembly and spectral classification of the shell oscillation operator.
+"""Assembly of the shell oscillation operator and displacement verdicts.
 
 The linearized adiabatic oscillations of a shell model reduce to an
 infinite symmetric Jacobi matrix acting on mass-weighted displacements
@@ -8,7 +8,7 @@ X(I) = sqrt(M(I)) * dr(I).  Row I reads
 
 with the coupling
 
-    G3(I) = 4*pi*Gamma(I)*(P/M)(I)*mc(I)*r(I+1)**2 * eta**(-gamma/2) / width(I)
+    G3(I) = 4*pi*Gamma(I)*(P/M)(I)*r(I+1)**2 * eta**(-gamma/2) / width(I)
 
 and the diagonal
 
@@ -18,7 +18,7 @@ and the diagonal
 
 The lower-neighbour terms are absent at I = 1 (the core is a point).
 For decaying adiabatic profiles Gamma(I) = Gs(I)*eta**I the eta powers
-cancel against the shell widths, G3(I) = 4*pi*Gs(I)*(P/M)(I)*mc(I)
+cancel against the shell widths, G3(I) = 4*pi*Gs(I)*(P/M)(I)
 * r(I+1)**2 * eta**(1-gamma/2) / (R_star*(1-eta)), so entries stay O(1)
 however deep the truncation; the assembly below always uses the
 cancelled forms.  sqrt(M(I)/M(I+1)) = eta**(-gamma/2) is exact.
@@ -26,16 +26,12 @@ cancelled forms.  sqrt(M(I)/M(I+1)) = eta**(-gamma/2) is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 from .model import FOUR_PI
-
-#: ordering of coefficient-convergence classes, weakest first
-CONVERGENCE_ORDER = ("none", "limit_only", "l2", "l1", "l1_weighted")
 
 
 @dataclass(frozen=True)
@@ -66,12 +62,6 @@ class JacobiOperator:
             raise ValidationError("operator carries no model data")
         return self.pd.scaling
 
-    def matvec(self, x):
-        y = self.diag * x
-        y[:-1] += self.offdiag * x[1:]
-        y[1:] += self.offdiag * x[:-1]
-        return y
-
 
 def coupling_values(pd, i_lo, i_hi):
     """G3(I) for I = i_lo..i_hi inclusive, in the cancelled scale-free form."""
@@ -81,7 +71,7 @@ def coupling_values(pd, i_lo, i_hi):
             f"couplings need 1 <= I <= N-1 = {dist.N - 1}, got [{i_lo}, {i_hi}]")
     here = slice(i_lo, i_hi + 1)
     eta, gamma = dist.eta, dist.gamma
-    common = (FOUR_PI * pd.gamma.scaled[here] * pd.P_over_M[here] * pd.mc[here]
+    common = (FOUR_PI * pd.gamma.scaled[here] * pd.P_over_M[here]
               * dist.radius[i_lo + 1 : i_hi + 2] ** 2)
     if pd.gamma.kind == "geometric":
         return common * eta ** (1.0 - gamma / 2.0) / (dist.R_star * (1.0 - eta))
@@ -129,140 +119,6 @@ def assemble_jacobi(pd, n, i_start=1):
     diag = grav - g3_here * rp - g3_below * rm
     offdiag = -g3_here[:-1]
     return JacobiOperator(diag=diag, offdiag=offdiag, i_start=int(i_start), pd=pd)
-
-
-@dataclass(frozen=True)
-class TailClass:
-    """Fitted decay class of a coefficient sequence.
-
-    mode
-        One of ``CONVERGENCE_ORDER``: which weighted sums of the
-        residuals converge.  "l1_weighted" also covers geometric decay.
-    kind
-        "exact", "geometric" or "power" depending on the winning fit.
-    rate
-        Decay ratio per step (geometric) or power-law exponent s.
-    """
-
-    mode: str
-    kind: str
-    rate: float
-    limit: float
-    r_squared: float
-
-
-def _aitken_limit(a):
-    d1 = a[1:-1] - a[:-2]
-    d2 = a[2:] - 2.0 * a[1:-1] + a[:-2]
-    ok = np.abs(d2) > 1e-300
-    if not np.any(ok):
-        return float(a[-1])
-    est = a[:-2][ok] - d1[ok] ** 2 / d2[ok]
-    return float(np.median(est[-8:]))
-
-
-#: safety margin on the power-law summability thresholds of classify_tail
-_MARGIN = 0.01
-
-
-def classify_tail(seq, limit=None):
-    """Classify how fast ``seq`` approaches its limit.
-
-    Fits both a geometric and a power-law model to the residuals over the
-    last half of the sequence and keeps the better one.  For a power law
-    |a_k - limit| ~ k**-s the summability thresholds are s > 2, 1, 1/2
-    for the weighted-l1, l1 and l2 classes, each taken with a safety
-    margin of 0.01.  Geometric decay lands in the strongest class.
-    """
-    a = np.asarray(seq, dtype=float)
-    if a.ndim != 1 or a.size < 16:
-        raise ValidationError("need a 1-d sequence with at least 16 entries")
-    if limit is None:
-        limit = _aitken_limit(a[-max(12, a.size // 4):])
-    limit = float(limit)
-
-    k0 = a.size // 2
-    k = np.arange(k0, a.size, dtype=float) + 1.0
-    d = np.abs(a[k0:] - limit)
-    # rounding from log-space assembly accumulates ~ linearly in the index
-    floor = (1e-15 + 4e-16 * k) * max(1.0, float(np.max(np.abs(a)))) + 1e-300
-    live = d > floor
-    if np.count_nonzero(live) < 8:
-        return TailClass(mode="l1_weighted", kind="exact", rate=math.inf,
-                         limit=limit, r_squared=1.0)
-
-    k, ld = k[live], np.log(d[live])
-
-    def _linfit(x, y):
-        A = np.vstack([x, np.ones_like(x)]).T
-        coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-        ss = float(np.sum((y - y.mean()) ** 2))
-        if ss == 0.0 or res.size == 0:
-            return coef[0], 1.0
-        return coef[0], 1.0 - float(res[0]) / ss
-
-    slope_g, r2_g = _linfit(k, ld)
-    slope_p, r2_p = _linfit(np.log(k), ld)
-
-    if r2_g >= r2_p and slope_g < 0.0:
-        # geometric: every polynomially weighted sum converges
-        return TailClass(mode="l1_weighted", kind="geometric",
-                         rate=float(np.exp(slope_g)), limit=limit, r_squared=r2_g)
-    s = -slope_p
-    if s > 2.0 + _MARGIN:
-        mode = "l1_weighted"
-    elif s > 1.0 + _MARGIN:
-        mode = "l1"
-    elif s > 0.5 + _MARGIN:
-        mode = "l2"
-    elif s > _MARGIN:
-        mode = "limit_only"
-    else:
-        mode = "none"
-    return TailClass(mode=mode, kind="power", rate=float(s), limit=limit, r_squared=r2_p)
-
-
-@dataclass(frozen=True)
-class SpectrumPrediction:
-    """What the coefficient tails imply for the infinite operator."""
-
-    interval: tuple
-    mode: str
-    diag_class: TailClass
-    offdiag_class: TailClass
-
-    @property
-    def essential_interval_known(self):
-        return self.mode != "none"
-
-    @property
-    def finite_outside_moment(self):
-        """Sum of (distance to interval)**(3/2) over outside eigenvalues is finite."""
-        return CONVERGENCE_ORDER.index(self.mode) >= CONVERGENCE_ORDER.index("l2")
-
-    @property
-    def ac_fills_interval(self):
-        return CONVERGENCE_ORDER.index(self.mode) >= CONVERGENCE_ORDER.index("l1")
-
-    @property
-    def no_eigenvalues_inside(self):
-        return self.ac_fills_interval
-
-    @property
-    def edges_not_eigenvalues(self):
-        return self.mode == "l1_weighted"
-
-
-def predict_spectrum(op):
-    """Classify the coefficient tails of ``op`` and fold in the nesting
-    of spectral conclusions (stronger decay, stronger statement)."""
-    sp = op.scaling
-    z, c = sp.centre, sp.kappa * sp.lambda_star
-    diag_class = classify_tail(op.diag, limit=z)
-    offdiag_class = classify_tail(np.abs(op.offdiag), limit=c)
-    mode = min(diag_class.mode, offdiag_class.mode, key=CONVERGENCE_ORDER.index)
-    return SpectrumPrediction(interval=sp.interval, mode=mode,
-                              diag_class=diag_class, offdiag_class=offdiag_class)
 
 
 def _dr_bounded(abs_x, log_dr):

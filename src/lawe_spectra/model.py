@@ -71,10 +71,10 @@ class MassDistribution:
     """Shell masses, radii and enclosed masses for a geometric envelope.
 
     Arrays are indexed by shell number I = 0..N.  Index 0 holds the formal
-    core: radius 0, the central point mass, zero width and an undefined
-    (nan) density.  Beyond I ~ 500 the raw shell masses underflow to zero
-    in double precision; use :meth:`log_shell_mass` and friends, or the
-    scale-free ratios, whenever the absolute values matter.
+    core: radius 0, the central point mass and zero width.  Beyond I ~ 500
+    the raw shell masses underflow to zero in double precision; use
+    :meth:`log_shell_mass` and :meth:`log_width` whenever the absolute
+    values matter.
     """
 
     eta: float
@@ -87,17 +87,11 @@ class MassDistribution:
     width: np.ndarray = field(repr=False)
     shell_mass: np.ndarray = field(repr=False)
     enclosed_mass: np.ndarray = field(repr=False)
-    rho: np.ndarray = field(repr=False)
 
     @property
     def lambda_star(self):
         """Characteristic squared frequency G*M_star/R_star**3."""
         return self.G * self.M_star / self.R_star**3
-
-    @property
-    def mass_ratio(self):
-        """Exact ratio M(I)/M(I+1) = eta**-gamma of consecutive shells."""
-        return self.eta ** (-self.gamma)
 
     def log_shell_mass(self, i):
         """ln M(i), exact for any index (no underflow)."""
@@ -108,12 +102,6 @@ class MassDistribution:
         """ln width(i) for i >= 1, exact for any index."""
         i = np.asarray(i, dtype=float)
         return math.log(self.R_star * (1.0 - self.eta)) + (i - 1.0) * math.log(self.eta)
-
-    def log_rho(self, i):
-        """ln rho(i) for i >= 1, exact for any index."""
-        i = np.asarray(i, dtype=float)
-        log_r2 = 2.0 * (math.log(self.R_star) + np.log1p(-self.eta**i))
-        return self.log_shell_mass(i) - math.log(FOUR_PI) - log_r2 - self.log_width(i)
 
 
 def build_mass_distribution(eta, gamma, *, M_star=1.0, R_star=1.0, G=1.0, N=64):
@@ -137,8 +125,7 @@ def build_mass_distribution(eta, gamma, *, M_star=1.0, R_star=1.0, G=1.0, N=64):
     ulp of 1.  So widths and shell masses are evaluated while their
     exponent stays above -746, radii and enclosed masses while theirs stays
     above -40, and beyond those shells the arrays hold 0.0, R_star*1.0 and
-    M_star*1.0: the very values the formulas round to there.  The density
-    divides over every shell.
+    M_star*1.0: the very values the formulas round to there.
     """
     if not (0.0 < eta < 1.0):
         raise ValidationError(f"eta must lie in (0,1), got {eta!r}")
@@ -165,18 +152,12 @@ def build_mass_distribution(eta, gamma, *, M_star=1.0, R_star=1.0, G=1.0, N=64):
     k = _live(gamma * rate, _EXPM1_ONE, N + 1)
     enclosed_mass = np.full(N + 1, M_star * 1.0)
     enclosed_mass[:k] = M_star * (-np.expm1(gamma * (idx[:k] + 1.0) * math.log(eta)))
-    rho = np.full(N + 1, np.nan)
-    # mass and width both underflow in the deep tail; 0/0 -> nan, or inf
-    # where the mass outlives a subnormal width, is fine there: log_rho
-    # stays exact, and no operator or artifact reads rho
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rho[1:] = shell_mass[1:] / (FOUR_PI * radius[1:] ** 2 * width[1:])
 
     return MassDistribution(
         eta=float(eta), gamma=float(gamma), M_star=float(M_star),
         R_star=float(R_star), G=float(G), N=N,
         radius=radius, width=width, shell_mass=shell_mass,
-        enclosed_mass=enclosed_mass, rho=rho,
+        enclosed_mass=enclosed_mass,
     )
 
 
@@ -247,14 +228,6 @@ class GammaProfile:
     scaled: np.ndarray = field(repr=False)
     c: float = np.nan
 
-    def value(self, dist, i):
-        """Raw Gamma(i); may underflow for geometric profiles at large i."""
-        i = np.asarray(i)
-        g = self.scaled[i]
-        if self.kind == "geometric":
-            return g * dist.eta ** np.asarray(i, dtype=float)
-        return g
-
 
 def gamma_profile(dist, kind="geometric", *, value=None, zeta=0.0, perturbation=None):
     """Build a :class:`GammaProfile` over shells 0..N.
@@ -290,9 +263,7 @@ class PressureDensityDistribution:
     """Mass distribution plus pressure law and adiabatic profile.
 
     ``P_over_M`` stores the specific pressure (P/M)(I) of each shell, the
-    only combination the operator assembly ever needs.  ``mc`` is the
-    mass-consistency factor 4*pi*r**2*width*rho / M, identically one when
-    the density is the canonical one derived from the shell masses.
+    only combination the operator assembly ever needs.
     """
 
     dist: MassDistribution
@@ -300,7 +271,6 @@ class PressureDensityDistribution:
     zeta: float
     pressure_mode: str
     P_over_M: np.ndarray = field(repr=False)
-    mc: np.ndarray = field(repr=False)
     C_star: float = np.nan
     e3: float = np.nan
 
@@ -319,11 +289,6 @@ class PressureDensityDistribution:
         ratio = math.exp(log_q) / -math.expm1(log_q)
         return ScalingParams(lambda_star=sp.lambda_star, kappa=sp.kappa * ratio,
                              centre=sp.lambda_star * (4.0 - (4.0 + self.zeta) * ratio))
-
-    def pressure(self, i):
-        """Raw P(i) = (P/M)(i) * M(i); underflows at large i."""
-        i = np.asarray(i)
-        return self.P_over_M[i] * self.dist.shell_mass[i]
 
 
 def _pressure_limit(dist):
@@ -402,7 +367,7 @@ def _pressure_power_law(dist, gamma_prof, C_star):
 
 
 def build_pd_distribution(dist, gamma_prof=None, *, zeta=0.0, pressure_mode="limit",
-                          C_star=None, rho_scale=None):
+                          C_star=None):
     """Attach a pressure law and adiabatic profile to a mass distribution.
 
     pressure_mode
@@ -413,9 +378,6 @@ def build_pd_distribution(dist, gamma_prof=None, *, zeta=0.0, pressure_mode="lim
         "polytrope" -- exact power law in P*rho/M**2 with amplitude C_star,
                        used with constant Gamma profiles.
     "limit" and "hse" take geometric profiles, whose constant carries zeta.
-    rho_scale
-        Optional array over 0..N multiplying the canonical density; it
-        enters the operator through the mass-consistency factor.
     """
     if gamma_prof is None:
         gamma_prof = gamma_profile(dist, "geometric", zeta=zeta)
@@ -434,82 +396,8 @@ def build_pd_distribution(dist, gamma_prof=None, *, zeta=0.0, pressure_mode="lim
     else:
         raise ValidationError(f"unknown pressure_mode {pressure_mode!r}")
 
-    mc = np.ones(dist.N + 1)
-    if rho_scale is not None:
-        rho_scale = np.asarray(rho_scale, dtype=float)
-        if rho_scale.shape != (dist.N + 1,):
-            raise ValidationError(f"rho_scale must have shape ({dist.N + 1},)")
-        if np.any(rho_scale <= 0.0):
-            raise ValidationError("rho_scale must be positive")
-        mc = rho_scale.copy()
-    mc[0] = np.nan
-
     return PressureDensityDistribution(
         dist=dist, gamma=gamma_prof, zeta=float(zeta), pressure_mode=pressure_mode,
-        P_over_M=p_over_m, mc=mc, C_star=C_out, e3=e3,
+        P_over_M=p_over_m, C_star=C_out, e3=e3,
     )
 
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Tail residuals of the structural identities, relative to Lambda_star*R_star.
-
-    ``hse_residual`` is the largest hydrostatic-balance defect over the
-    last quartile of shells; ``mass_residual`` the largest deviation of
-    the mass-consistency factor from one.  ``admissible`` requires a
-    decaying (geometric) adiabatic profile and both residuals below tol.
-    """
-
-    hse_residual: float
-    mass_residual: float
-    gamma_kind: str
-    tol: float
-
-    @property
-    def hse_ok(self):
-        return self.hse_residual <= self.tol
-
-    @property
-    def mass_ok(self):
-        return self.mass_residual <= self.tol
-
-    @property
-    def admissible(self):
-        return self.gamma_kind == "geometric" and self.hse_ok and self.mass_ok
-
-
-def hse_residual_array(pd, i_lo=1, i_hi=None):
-    """Scale-free hydrostatic defect per shell.
-
-    res(I) = 4*pi*r(I)**2 * [ (P/M)(I+1) - eta**-gamma * (P/M)(I) ]
-             + G*Mfrak(I)/r(I)**2,
-
-    which vanishes identically for the "hse" pressure law.  The eta**-gamma
-    factor is the exact mass ratio M(I)/M(I+1); writing the difference this
-    way avoids both P and M underflow.  Where P/M overflows (a polytrope
-    with e3 < -1 in deep shells) the defect is +inf.
-    """
-    dist = pd.dist
-    if i_hi is None:
-        i_hi = dist.N - 1
-    if not (1 <= i_lo <= i_hi <= dist.N - 1):
-        raise ValidationError(f"need 1 <= i_lo <= i_hi <= N-1, got ({i_lo}, {i_hi})")
-    idx = np.arange(i_lo, i_hi + 1)
-    r = dist.radius[idx]
-    with np.errstate(over="ignore", invalid="ignore"):
-        grad = FOUR_PI * r**2 * (pd.P_over_M[idx + 1] - dist.mass_ratio * pd.P_over_M[idx])
-    grad[np.isnan(grad)] = np.inf  # inf - inf
-    grav = dist.G * dist.enclosed_mass[idx] / r**2
-    return grad + grav
-
-
-def check_admissibility(pd, tol=1e-8):
-    """Evaluate the structural residuals over the last quartile of shells."""
-    dist = pd.dist
-    i_lo = max(1, dist.N - max(4, dist.N // 4))
-    res = hse_residual_array(pd, i_lo, dist.N - 1)
-    scale = dist.lambda_star * dist.R_star
-    hse = float(np.max(np.abs(res)) / scale)
-    mass = float(np.max(np.abs(pd.mc[i_lo:] - 1.0)))
-    return AdmissibilityReport(hse_residual=hse, mass_residual=mass,
-                               gamma_kind=pd.gamma.kind, tol=float(tol))

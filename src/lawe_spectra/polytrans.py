@@ -7,7 +7,7 @@ eta**-I), and the raw matrix is useless beyond a thousand shells.
 Conjugating by H = diag(nu**floor(I/2)) tames it: with
 
     mu(I)   = nu**I * G3(I)
-            = 16*pi**2*C_star*Gamma*mc(I)*r(I)**2*r(I+1)**2*eta**(-gamma/2),
+            = 16*pi**2*C_star*Gamma*r(I)**2*r(I+1)**2*eta**(-gamma/2),
     beta(I) = nu**I * (4*Lambda_star - G2(I))
             = mu(I)*Rp(I) + nu*mu(I-1)*Rm(I) - t(I),
     t(I)    = 4*Lambda_star*nu**I * [ Mfrak(I)/(Mfrak_inf*(1-eta**I)**3) - 1 ],
@@ -18,7 +18,7 @@ alpha(I) = floor(I/2), whose tail alternates between -beta/nu and
 -beta.  Every power of eta cancels in mu, since (P/M)(I) =
 4*pi*C_star*r(I)**2*width(I)*eta**(e3*I) and G3 divides it by width(I):
 mu is evaluated in that closed form and tends to mu_inf, the same
-expression at r = R_star, mc = 1.  Geometric profiles (the limit and hse
+expression at r = R_star.  Geometric profiles (the limit and hse
 laws) scale to the trivial zero-coupling limit and are refused.  The
 exact mechanism behind the scaling is the grading identity checked by
 :func:`similarity_check`: conjugating a tridiagonal matrix with
@@ -116,9 +116,9 @@ def similarity_check(diag, sub, sup, x, y):
     return TransformCheck(max_residual=worst, n=n, exact=exact)
 
 
-def _coupling(pd, Gamma, mc, r_in, r_out):
-    """mu = 16*pi**2*C_star*Gamma*mc*r_in**2*r_out**2*eta**(-gamma/2)."""
-    return (16.0 * math.pi**2 * pd.C_star * Gamma * mc * r_in**2 * r_out**2
+def _coupling(pd, Gamma, r_in, r_out):
+    """mu = 16*pi**2*C_star*Gamma*r_in**2*r_out**2*eta**(-gamma/2)."""
+    return (16.0 * math.pi**2 * pd.C_star * Gamma * r_in**2 * r_out**2
             * pd.dist.eta ** (-pd.dist.gamma / 2.0))
 
 
@@ -147,14 +147,10 @@ class ScaledSystem:
         return 4.0 * self.pd.dist.lambda_star
 
     @property
-    def alpha(self):
-        return np.arange(1, self.n + 1) // 2
-
-    @property
     def mu_inf(self):
-        """Limit coupling: mu at r = R_star and mc = 1."""
+        """Limit coupling: mu at r = R_star."""
         r = self.pd.dist.R_star
-        return _coupling(self.pd, self.pd.gamma.c, 1.0, r, r)
+        return _coupling(self.pd, self.pd.gamma.c, r, r)
 
     @property
     def beta_inf(self):
@@ -164,19 +160,6 @@ class ScaledSystem:
     def operator(self):
         """n x n section of the scaled matrix (plain eigenproblem)."""
         return JacobiOperator(diag=self.diag.copy(), offdiag=-self.mu[:-1].copy(),
-                              i_start=1, pd=None)
-
-    def weighted_operator(self):
-        """n x n section of the weighted-formulation matrix T.
-
-        Conjugating -W**2 X = A X by H moves the beta part of the
-        diagonal into the shell-local frequencies; what is left is the
-        vanishing diagonal theta*nu**(2*alpha) with the couplings mu.
-        Its essential spectrum is the single band
-        [-2*mu_inf, 2*mu_inf].
-        """
-        diag = self.theta * self.nu ** (2.0 * self.alpha.astype(float))
-        return JacobiOperator(diag=diag, offdiag=-self.mu[:-1].copy(),
                               i_start=1, pd=None)
 
     def limit_band_structure(self):
@@ -214,7 +197,7 @@ def build_scaled_system(pd, n):
     log_nu = math.log(nu)
     idx = np.arange(1, n + 1)
     r = dist.radius
-    mu = _coupling(pd, pd.gamma.scaled[idx], pd.mc[idx], r[idx], r[idx + 1])
+    mu = _coupling(pd, pd.gamma.scaled[idx], r[idx], r[idx + 1])
 
     theta = 4.0 * dist.lambda_star
     # t(I) = nu**I * (4 G Mfrak(I)/r(I)**3 - theta), via exact mass fractions

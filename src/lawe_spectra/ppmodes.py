@@ -8,12 +8,14 @@ band edge; the wells get shallower outward and the eigenvalue ladder
 accumulates at the edge from below.
 
 Block m has even length L_m ~ m**p and starts past spacing*m**(p+1);
-with 1/2 < alpha < 1 the field is l2 but not l1 summable.  Tent test
-vectors supported on the blocks give exact variational witnesses for
-the deepest wells; for the shallow ones the tent's kinetic cost
-m**-2p eventually exceeds the well strength m**-alpha(p+1), so the
-quotients alone stop certifying binding even though the true ladder
-persists at depth ~ (strength * width)**2 per block.
+with 1/2 < alpha < 1 the field is l2 but not l1 summable.
+
+A section at i_start = 1 is a leading principal submatrix of the
+infinite operator, so by min-max interlacing its k-th eigenvalue bounds
+the k-th eigenvalue of the infinite operator from above.  Every section
+eigenvalue below the lower edge therefore certifies an eigenvalue of
+the infinite operator at or below it, and a longer section can only
+deepen each value and add new ones.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ from .spectra import eigenpairs_tridiagonal, gershgorin_interval
 
 @dataclass(frozen=True)
 class BumpField:
-    """The sparse decaying field and its tent test vectors.
+    """The sparse decaying field.
 
     ``blocks[m-1] = (s_m, L_m)``: block m covers shells s_m .. s_m + L_m.
     The field equals I**-alpha pointwise on the blocks and vanishes off
-    them; the test vector of block m is the unit tent on the block,
-    zero at both endpoints.
+    them.
     """
 
     alpha: float
@@ -54,22 +55,6 @@ class BumpField:
         """Largest shell index touched by any block."""
         s, L = self.blocks[-1]
         return s + L
-
-    def tent(self, m):
-        """(shells, values) of the unit tent test vector on block m."""
-        s, L = self.blocks[m - 1]
-        i = np.arange(s, s + L + 1)
-        return i, 1.0 - np.abs(2.0 * (i - s) / L - 1.0)
-
-    def tent_norm_sq(self, m):
-        _, t = self.tent(m)
-        return float(t @ t)
-
-    def tent_difference_sq(self, m):
-        """Sum of squared first differences of the tent, edges included."""
-        _, t = self.tent(m)
-        d = np.diff(np.concatenate([[0.0], t, [0.0]]))
-        return float(d @ d)
 
     def field(self, n):
         """Field values over shells 0..n (zero off the blocks)."""
@@ -175,29 +160,6 @@ def theorem_model(dsp, *, eta=0.5, gamma=2.0, b=None, zeta=0.0, N=None,
     pert = sign * b * dsp.field(N)
     prof = gamma_profile(dist, "geometric", zeta=zeta, perturbation=pert)
     return build_pd_distribution(dist, prof, zeta=zeta, pressure_mode="limit")
-
-
-def rayleigh_quotients(op, dsp, edge):
-    """Shifted Rayleigh quotients of the tent witnesses against ``edge``.
-
-    Returns q_m = <X_m, (A - edge) X_m> / <X_m, X_m> for every block;
-    q_m < 0 certifies an eigenvalue below the edge inside the well of
-    block m.  The witnesses are constant-sign tents, the minimizing
-    gauge for the lower band edge when the stored couplings are the
-    negatives of the positive off-diagonal entries.
-    """
-    i0, n = op.i_start, op.n
-    q = np.empty(dsp.m_max)
-    for m in range(1, dsp.m_max + 1):
-        s, L = dsp.blocks[m - 1]
-        if s < i0 or s + L > i0 + n - 1:
-            raise ValidationError(
-                f"block {m} spans shells {s}..{s + L}, outside the section")
-        i, t = dsp.tent(m)
-        x = np.zeros(n)
-        x[i - i0] = t
-        q[m - 1] = float(x @ op.matvec(x)) / float(x @ x) - edge
-    return q
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Spectra of truncated sections: certified LAPACK eigenpairs and diagnostics.
 
 The full spectrum comes from LAPACK root-free QR (``sterf``).  A window
-or an index range comes with its eigenvectors: LAPACK bisection in
-compiled code (``stebz``) brackets each value only to the certificate's
-width ``tol``, inverse iteration at those values gives the vectors (one
-tridiagonal LU factorisation per shift), and a Rayleigh-Ritz step per
+comes with its eigenvectors: LAPACK bisection in compiled code
+(``stebz``) brackets each value only to the certificate's width ``tol``,
+inverse iteration at those values gives the vectors (one tridiagonal LU
+factorisation per shift), and a Rayleigh-Ritz step per
 cluster polishes the values from the vectors.  Every returned value is
 then certified by one Sturm-count sweep at ``lambda_k -+ tol``, which
 must place exactly the claimed eigenvalue index inside ``[lambda_k - tol,
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .discrete import JacobiOperator
 
 #: default eigenvalue tolerance, relative to the Gershgorin span
 DEFAULT_RTOL = 1e-10
@@ -271,14 +270,16 @@ def _diagonals_and_tol(op_or_diag, offdiag, tol):
     return diag, off, glo, ghi, default_tol(glo, ghi) if tol is None else tol
 
 
-def _certify(diag, off, vals, tol, threads, window=None, k_lo=0):
+def _certify(diag, off, vals, tol, threads, window=None):
     """Raise NumericalError unless one Sturm sweep places eigenvalue k_lo + j
     in [vals_j - tol, vals_j + tol) for every j, and a window holds as many
-    values as the counts at its ends."""
+    values as the counts at its ends; k_lo is the count at the window's
+    lower end, 0 without a window."""
     m = vals.size
     ends = [] if window is None else [window[0], window[1]]
     c = sturm_counts(diag, off * off, np.concatenate([vals - tol, vals + tol, ends]),
                      threads)
+    k_lo = 0
     if window is not None:
         k_lo = int(c[-2])
         if int(c[-1]) - k_lo != m:
@@ -316,23 +317,9 @@ def eigenvalues_tridiagonal(op_or_diag, offdiag=None, *, tol=None, threads=1):
     return vals
 
 
-def _check_query(n, window, indices):
-    if (window is None) == (indices is None):
-        raise ValidationError("pass either window or indices, not both or neither")
-    if window is not None and not window[0] < window[1]:
-        raise ValidationError(f"empty window {window!r}")
-    if indices is not None and not (0 <= int(indices[0]) <= int(indices[1]) < n):
-        raise ValidationError(f"indices out of range for n={n}: {indices!r}")
-
-
-def eigenpairs_tridiagonal(op_or_diag, offdiag=None, *, window=None, indices=None,
-                           tol=None, threads=1):
-    """Certified eigenpairs (values, vectors) of a window or an index range.
-
-    window=(a, b]
-        The eigenpairs whose values lie in the half-open interval.
-    indices=(k_lo, k_hi)
-        Eigenpairs k_lo..k_hi inclusive (0-based, ascending).
+def eigenpairs_tridiagonal(op_or_diag, offdiag=None, *, window, tol=None, threads=1):
+    """Certified eigenpairs (values, vectors) whose values lie in the
+    half-open window (a, b].
 
     LAPACK ``stebz`` bisects each value only to the certificate's width
     ``tol``; inverse iteration at those values gives the vectors, and a
@@ -345,24 +332,18 @@ def eigenpairs_tridiagonal(op_or_diag, offdiag=None, *, window=None, indices=Non
     """
     from scipy.linalg import eigvalsh_tridiagonal
     diag, off, glo, ghi, tol = _diagonals_and_tol(op_or_diag, offdiag, tol)
-    _check_query(diag.shape[0], window, indices)
-    k_lo = 0
+    if not window[0] < window[1]:
+        raise ValidationError(f"empty window {window!r}")
     try:
-        if window is not None:
-            raw = eigvalsh_tridiagonal(diag, off, select="v", select_range=window,
-                                       check_finite=False, tol=tol, lapack_driver="stebz")
-        else:
-            k_lo = int(indices[0])
-            raw = eigvalsh_tridiagonal(diag, off, select="i",
-                                       select_range=(k_lo, int(indices[1])),
-                                       check_finite=False, tol=tol, lapack_driver="stebz")
+        raw = eigvalsh_tridiagonal(diag, off, select="v", select_range=window,
+                                   check_finite=False, tol=tol, lapack_driver="stebz")
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"LAPACK tridiagonal eigensolver failed: {exc}") from None
     if np.any(np.diff(raw) < 0.0):
         raise NumericalError("LAPACK stebz returned eigenvalues out of ascending order")
     vecs = eigenvectors_inverse_iteration(diag, off, raw)
     vals = _rayleigh_ritz(diag, off, raw, vecs, _CLUSTER_RTOL * max(ghi - glo, 1e-30))
-    _certify(diag, off, vals, tol, threads, window, k_lo)
+    _certify(diag, off, vals, tol, threads, window)
     return vals, vecs
 
 
@@ -664,19 +645,6 @@ def band_structure(beta, mu, eta):
     return BandStructure(beta=float(beta), mu=float(mu), eta=float(eta),
                          e_minus=e_minus, e1=float(beta), e2=float(beta / eta),
                          e_plus=e_plus)
-
-
-def build_two_periodic(beta, mu, eta, n, i_start=1):
-    """Finite section of the 2-periodic comparison operator.
-
-    Shell I carries diagonal beta/eta for odd I and beta for even I, with
-    constant coupling mu; ``i_start`` fixes the parity of the first row.
-    """
-    band_structure(beta, mu, eta)  # parameter validation only
-    idx = np.arange(i_start, i_start + n)
-    diag = np.where(idx % 2 == 1, beta / eta, beta).astype(float)
-    offdiag = np.full(n - 1, float(mu))
-    return JacobiOperator(diag=diag, offdiag=offdiag, i_start=int(i_start), pd=None)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Single-operator helpers of ``discrete`` kept as test oracles.
 
-No job needs them: jost takes ``np.abs(offdiag)`` itself, and ppmodes
+No job needs them: jost takes ``np.abs(offdiag)`` itself, ppmodes
 batches the displacement verdicts in ``discrete.delta_r_bounded``, which
-takes the log-mass term inline.  The tests check the gauge symmetry and
-the batched verdicts against them.
+takes the log-mass term inline, and no job assembles the 2-periodic
+comparison operator whose bands ``spectra.band_structure`` gives in
+closed form.  The tests check the gauge symmetry, the batched verdicts
+and the band edges against them.
 """
 
 import numpy as np
@@ -51,3 +53,15 @@ def delta_r_from_X(X, dist, i_start=1):
     with np.errstate(over="ignore"):
         dr = np.sign(X) * np.exp(log_dr)
     return dr, _dr_bounded(np.abs(X), log_dr)
+
+
+def build_two_periodic(beta, mu, eta, n, i_start=1):
+    """Finite section of the 2-periodic comparison operator.
+
+    Shell I carries diagonal beta/eta for odd I and beta for even I, with
+    constant coupling mu; ``i_start`` fixes the parity of the first row.
+    """
+    idx = np.arange(i_start, i_start + n)
+    diag = np.where(idx % 2 == 1, beta / eta, beta).astype(float)
+    offdiag = np.full(n - 1, float(mu))
+    return JacobiOperator(diag=diag, offdiag=offdiag, i_start=int(i_start), pd=None)

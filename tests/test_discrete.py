@@ -1,4 +1,4 @@
-"""Operator assembly, tail classification and displacement recovery."""
+"""Operator assembly, coefficient limits and displacement recovery."""
 
 import math
 
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lawe_spectra import discrete, model
-from lawe_spectra.discrete import CONVERGENCE_ORDER, classify_tail
 from lawe_spectra.errors import ValidationError
 
 import discrete_oracle
@@ -31,14 +30,6 @@ def test_section_shape_and_signs(canonical_op):
     assert np.array_equal(op.shells, np.arange(1, 41))
     # stored off-diagonal is -G3 with G3 > 0
     assert np.all(op.offdiag < 0)
-
-
-def test_matvec_matches_dense(canonical_op):
-    op = canonical_op
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(op.n)
-    dense = np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
-    assert np.allclose(op.matvec(x), dense @ x, rtol=1e-13, atol=1e-13)
 
 
 def test_gauge_flip_preserves_spectrum(canonical_op):
@@ -106,76 +97,6 @@ def test_scaling_requires_model(canonical_op):
 
 
 # ---------------------------------------------------------------------------
-# tail classification
-
-
-K = np.arange(1, 201, dtype=float)
-
-TAIL_CASES = [
-    (5.0 + 1.0 / K, "power", "l2", 1.0),
-    (5.0 + K ** -0.8, "power", "l2", 0.8),
-    (5.0 + K ** -2.0, "power", "l1", 2.0),
-    (5.0 + K ** -2.5, "power", "l1_weighted", 2.5),
-    (5.0 + 0.9 ** K, "geometric", "l1_weighted", 0.9),
-    (5.0 + K ** -0.3, "power", "limit_only", 0.3),
-]
-
-
-@pytest.mark.parametrize("seq,kind,mode,rate", TAIL_CASES)
-def test_classify_tail_known_laws(seq, kind, mode, rate):
-    tc = classify_tail(seq, limit=5.0)
-    assert tc.kind == kind
-    assert tc.mode == mode
-    assert tc.rate == pytest.approx(rate, rel=1e-3)
-    assert tc.r_squared > 0.999
-
-
-def test_classify_divergent():
-    tc = classify_tail(K ** 0.3, limit=0.0)
-    assert tc.mode == "none"
-    assert tc.rate == pytest.approx(-0.3, rel=1e-3)
-
-
-def test_classify_exact_sequences():
-    tc = classify_tail(np.full(200, 5.0), limit=5.0)
-    assert tc.kind == "exact"
-    assert tc.mode == "l1_weighted"
-    assert tc.rate == math.inf
-    # residuals lost below the roundoff floor count as exact too
-    tc = classify_tail(5.0 + 1e-18 * K, limit=5.0)
-    assert tc.kind == "exact"
-
-
-def test_classify_aitken_limit():
-    # geometric tails make the Aitken extrapolation exact
-    tc = classify_tail(5.0 + 0.9 ** K)
-    assert tc.kind == "geometric"
-    assert tc.rate == pytest.approx(0.9, rel=1e-6)
-    assert tc.limit == pytest.approx(5.0, abs=1e-12)
-
-
-def test_classify_validation():
-    with pytest.raises(ValidationError, match="at least 16"):
-        classify_tail(np.ones(8))
-
-
-@given(r=st.floats(0.55, 0.95), amp=st.floats(0.5, 10.0))
-@settings(max_examples=40, deadline=None)
-def test_geometric_rate_recovery(r, amp):
-    # keep the tail above the classifier's roundoff floor: 0.55**60 ~ 3e-16
-    # leaves enough live residuals in the fitted half
-    seq = 2.0 + amp * r ** np.arange(1, 61, dtype=float)
-    tc = classify_tail(seq, limit=2.0)
-    assert tc.kind == "geometric"
-    assert tc.mode == "l1_weighted"
-    assert tc.rate == pytest.approx(r, rel=1e-4)
-
-
-def test_convergence_order_nesting():
-    assert CONVERGENCE_ORDER == ("none", "limit_only", "l2", "l1", "l1_weighted")
-
-
-# ---------------------------------------------------------------------------
 # coefficient decay toward the limit values
 
 
@@ -220,19 +141,6 @@ def test_half_eta_offdiag_decays_twice_as_fast():
     jd = np.arange(2, 31)
     sd = np.polyfit(sh[jd], np.log(np.abs(op.diag - sp.centre))[jd], 1)[0]
     assert sd == pytest.approx(math.log(0.5), rel=0.01)
-
-
-def test_predict_spectrum_canonical(canonical_op):
-    pred = discrete.predict_spectrum(canonical_op)
-    assert pred.interval == pytest.approx((-3.2, 3.2))
-    assert pred.mode == "l1_weighted"
-    assert pred.diag_class.kind == "geometric"
-    assert pred.diag_class.rate == pytest.approx(0.5, rel=1e-4)
-    assert pred.essential_interval_known
-    assert pred.finite_outside_moment
-    assert pred.ac_fills_interval
-    assert pred.no_eigenvalues_inside
-    assert pred.edges_not_eigenvalues
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Closed-form geometry, pressure laws and admissibility checks."""
+"""Closed-form geometry and pressure laws."""
 
 import math
 import warnings
@@ -51,13 +51,11 @@ def test_shell_mass_closed_form(canonical):
     idx = np.arange(canonical.N + 1, dtype=float)
     expected = (1.0 - 0.25) * 0.25 ** idx
     assert np.allclose(canonical.shell_mass, expected, rtol=1e-14, atol=0)
-    assert canonical.mass_ratio == pytest.approx(4.0, abs=0)
 
 
 def test_core_entries(canonical):
     assert canonical.radius[0] == 0.0
     assert canonical.width[0] == 0.0
-    assert math.isnan(canonical.rho[0])
     # index 0 carries the leftover point mass
     assert canonical.shell_mass[0] == pytest.approx(0.75)
     assert canonical.enclosed_mass[0] == pytest.approx(0.75)
@@ -67,15 +65,6 @@ def test_log_forms_match_direct_values(canonical):
     i = np.arange(1, 40)
     assert np.allclose(np.exp(canonical.log_shell_mass(i)), canonical.shell_mass[i], rtol=1e-12)
     assert np.allclose(np.exp(canonical.log_width(i)), canonical.width[i], rtol=1e-12)
-    assert np.allclose(np.exp(canonical.log_rho(i)), canonical.rho[i], rtol=1e-11)
-
-
-def test_log_rho_defined_past_underflow(canonical):
-    # raw masses underflow near I ~ 540 for eta=1/2, gamma=2
-    assert canonical.shell_mass[-1] > 0  # N=80 still fine
-    big = model.build_mass_distribution(0.5, 2.0, N=700)
-    assert big.shell_mass[-1] == 0.0
-    assert math.isfinite(big.log_rho(700))
 
 
 def test_validation_messages():
@@ -124,8 +113,6 @@ def test_geometric_profile_defaults(canonical):
     assert gp.kind == "geometric"
     assert gp.c == pytest.approx(0.8)
     assert np.all(gp.scaled == gp.c)
-    i = np.arange(0, 10)
-    assert np.allclose(gp.value(canonical, i), 0.8 * 0.5 ** i.astype(float), rtol=1e-14)
 
 
 def test_profile_validation(canonical):
@@ -144,19 +131,14 @@ def test_limit_pressure_tail_and_residual(canonical):
     # (P/M)(I) -> Lambda_star/(4 pi R_star) with a geometric correction
     tail = canonical.lambda_star / (FOUR_PI * canonical.R_star)
     assert pd.P_over_M[canonical.N] == pytest.approx(tail, rel=1e-12)
-    rep = model.check_admissibility(pd)
     # the limit law is not a hydrostatic equilibrium: the scale-free
     # defect settles at exactly 2 for eta=1/2, gamma=2
-    assert rep.hse_residual == pytest.approx(2.0, abs=1e-12)
-    assert not rep.admissible
+    assert model_oracle.tail_hse_residual(pd) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_hse_pressure_is_admissible(canonical):
     pd = model.build_pd_distribution(canonical, pressure_mode="hse")
-    rep = model.check_admissibility(pd)
-    assert rep.hse_residual <= 1e-14
-    assert rep.mass_residual == 0.0
-    assert rep.admissible
+    assert model_oracle.tail_hse_residual(pd) <= 1e-14
     # fixed point of the balance recursion is 1/(12 pi) for the
     # canonical eta=1/2, gamma=2 envelope
     assert pd.P_over_M[canonical.N] == pytest.approx(1.0 / (12.0 * math.pi), rel=1e-14)
@@ -181,8 +163,6 @@ def test_polytrope_pressure_defaults(canonical):
     i = np.arange(1, 30)
     expected = FOUR_PI * pd.C_star * canonical.radius[i] ** 2 * canonical.width[i] * canonical.eta ** (pd.e3 * i)
     assert np.allclose(pd.P_over_M[i], expected, rtol=1e-12)
-    # constant Gamma profiles are structurally inadmissible
-    assert not model.check_admissibility(pd).admissible
 
 
 def test_overflowing_polytrope_pressure_is_infinitely_inadmissible():
@@ -194,11 +174,10 @@ def test_overflowing_polytrope_pressure_is_infinitely_inadmissible():
     assert np.isinf(pd.P_over_M[-1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = model.hse_residual_array(pd)
-        rep = model.check_admissibility(pd)
+        res = model_oracle.hse_residual_array(pd)
+        tail = model_oracle.tail_hse_residual(pd)
     assert not np.any(np.isnan(res))
-    assert rep.hse_residual == math.inf
-    assert not rep.admissible
+    assert tail == math.inf
 
 
 def test_polytrope_requires_constant_profile(canonical):
@@ -216,24 +195,6 @@ def test_shell_pressure_laws_require_geometric_profile(canonical, mode):
 def test_pd_validation(canonical):
     with pytest.raises(ValidationError, match="unknown pressure_mode"):
         model.build_pd_distribution(canonical, pressure_mode="isothermal")
-    with pytest.raises(ValidationError, match="rho_scale must have shape"):
-        model.build_pd_distribution(canonical, rho_scale=np.ones(3))
-    with pytest.raises(ValidationError, match="rho_scale must be positive"):
-        model.build_pd_distribution(canonical, rho_scale=np.zeros(canonical.N + 1))
-
-
-def test_rho_scale_breaks_mass_consistency(canonical):
-    scale = np.full(canonical.N + 1, 1.001)
-    pd = model.build_pd_distribution(canonical, pressure_mode="hse", rho_scale=scale)
-    rep = model.check_admissibility(pd)
-    assert rep.mass_residual == pytest.approx(1e-3, rel=1e-9)
-    assert not rep.admissible
-
-
-def test_pressure_method(canonical):
-    pd = model.build_pd_distribution(canonical, pressure_mode="limit")
-    i = np.arange(1, 20)
-    assert np.allclose(pd.pressure(i), pd.P_over_M[i] * canonical.shell_mass[i], rtol=0)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 2.0, 3.5345])

@@ -1,4 +1,4 @@
-"""Sparse block fields, tent witnesses and the edge-mode ladder."""
+"""Sparse block fields, the edge-mode ladder and its min-max interlacing."""
 
 import numpy as np
 import pytest
@@ -42,17 +42,6 @@ def test_construct_validation():
         ppmodes.construct_dsp(spacing=0.0, n=100)
     with pytest.raises(ValidationError, match="no block fits"):
         ppmodes.construct_dsp(n=8)
-
-
-def test_tent_witness_geometry(dsp):
-    i, t = dsp.tent(1)
-    s, L = dsp.blocks[0]
-    assert np.array_equal(i, np.arange(s, s + L + 1))
-    assert t[0] == 0.0 and t[-1] == 0.0
-    assert t.max() == 1.0
-    # L = 4 tent is (0, 1/2, 1, 1/2, 0)
-    assert dsp.tent_norm_sq(1) == pytest.approx(1.5)
-    assert dsp.tent_difference_sq(1) == pytest.approx(1.0)
 
 
 def test_field_support(dsp):
@@ -113,35 +102,22 @@ def test_mode_localization(edge_modes):
     assert not np.any(em.dr_bounded)
 
 
-def test_rayleigh_quotients_do_not_certify(edge_modes):
-    op, _ = edge_modes
-    dsp = ppmodes.construct_dsp(n=3000)
-    q = ppmodes.rayleigh_quotients(op, dsp, edge=-2.0)
-    assert q.shape == (dsp.m_max,)
-    # the tent kinetic cost m**-2p dominates the well strength
-    # m**(-alpha*(p+1)) at these parameters, for every single block
-    assert np.all(q > 0)
-    assert q.min() == pytest.approx(0.11442, abs=1e-4)
-
-
-def test_rayleigh_matches_dense_quadratic_form(edge_modes):
-    op, _ = edge_modes
-    dsp = ppmodes.construct_dsp(n=3000)
-    q = ppmodes.rayleigh_quotients(op, dsp, edge=-2.0)
-    m = 3
-    i, t = dsp.tent(m)
-    x = np.zeros(op.n)
-    x[i - op.i_start] = t
-    dense = np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
-    direct = float(x @ dense @ x) / float(x @ x) + 2.0
-    assert q[m - 1] == pytest.approx(direct, rel=1e-12)
-
-
-def test_rayleigh_rejects_out_of_section_block(dsp):
+def test_nested_sections_interlace(dsp):
+    # at i_start 1 each section is a leading principal submatrix of the
+    # next, so by min-max its k-th eigenvalue bounds the k-th of every
+    # longer section, and of the infinite operator, from above: the count
+    # below the edge never falls and no value rises
     pd = ppmodes.theorem_model(dsp)
-    small = discrete.assemble_jacobi(pd, 50, i_start=1)
-    with pytest.raises(ValidationError, match="outside the section"):
-        ppmodes.rayleigh_quotients(small, dsp, edge=-2.0)
+    found = []
+    for n in (800, 1500, dsp.extent):
+        op = discrete.assemble_jacobi(pd, n, i_start=1)
+        glo, ghi = spectra.gershgorin_interval(op.diag, op.offdiag)
+        found.append((ppmodes.detect_edge_eigenvalues(op, dsp).values,
+                      spectra.default_tol(glo, ghi)))
+    counts = [vals.size for vals, _ in found]
+    assert counts == sorted(counts) and counts[0] > 0
+    for (small, tol_s), (large, tol_l) in zip(found, found[1:]):
+        assert np.all(small >= large[:small.size] - 2.0 * max(tol_s, tol_l))
 
 
 def test_repulsive_field_binds_nothing(dsp):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lawe_spectra import discrete, model, polytrans, ppmodes, spectra
 from lawe_spectra.errors import NumericalError, ValidationError
 
+import discrete_oracle
 import sturm_oracle
 
 
@@ -19,6 +20,17 @@ def canonical_op():
     dist = model.build_mass_distribution(0.5, 2.0, N=700)
     pd = model.build_pd_distribution(dist, pressure_mode="limit")
     return discrete.assemble_jacobi(pd, 600, i_start=16)
+
+
+def _index_window(diag, off, k_lo, k_hi):
+    """Window (a, b] holding exactly eigenvalues k_lo..k_hi (0-based) of the
+    section: each end lies midway between two neighbouring eigenvalues, or
+    one unit outside the Gershgorin interval at the ends of the spectrum."""
+    vals = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+    glo, ghi = spectra.gershgorin_interval(diag, off)
+    a = glo - 1.0 if k_lo == 0 else 0.5 * (vals[k_lo - 1] + vals[k_lo])
+    b = ghi + 1.0 if k_hi == vals.size - 1 else 0.5 * (vals[k_hi] + vals[k_hi + 1])
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +137,8 @@ def test_windowed_and_indexed_queries():
 
 def test_query_validation():
     d, e = np.zeros(10), np.ones(9)
-    with pytest.raises(ValidationError, match="not both"):
-        spectra.eigenpairs_tridiagonal(d, e, window=(0, 1), indices=(0, 1))
-    with pytest.raises(ValidationError, match="or neither"):
-        spectra.eigenpairs_tridiagonal(d, e)
     with pytest.raises(ValidationError, match="empty window"):
         spectra.eigenpairs_tridiagonal(d, e, window=(1.0, 1.0))
-    with pytest.raises(ValidationError, match="indices out of range"):
-        spectra.eigenpairs_tridiagonal(d, e, indices=(0, 10))
 
 
 def test_threaded_counts_agree():
@@ -337,7 +343,7 @@ def test_lapack_route_matches_bisection(case, canonical_op):
     elif case == "scaled_polytrope":
         op = _scaled_polytrope_op()
     elif case == "two_periodic":
-        op = spectra.build_two_periodic(2.0, 1.0, 0.5, 401)
+        op = discrete_oracle.build_two_periodic(2.0, 1.0, 0.5, 401)
     else:
         op, window = _ppmodes_window()
     glo, ghi = spectra.gershgorin_interval(op.diag, op.offdiag)
@@ -373,7 +379,8 @@ def test_default_tolerance_floor_on_a_nearly_scalar_section():
 def test_lapack_indices_match_sturm_counts(canonical_op):
     d, e = canonical_op.diag, canonical_op.offdiag
     tol = 1e-9
-    vals, _ = spectra.eigenpairs_tridiagonal(canonical_op, indices=(100, 139), tol=tol)
+    window = _index_window(d, e, 100, 139)
+    vals, _ = spectra.eigenpairs_tridiagonal(canonical_op, window=window, tol=tol)
     assert vals.size == 40
     ks = np.arange(100, 140)
     assert np.array_equal(spectra.sturm_counts(d, e * e, vals - tol), ks)
@@ -405,11 +412,12 @@ def test_polish_repairs_raw_values_and_the_certificate_checks_the_polished(
     # a raw stebz value 10 tol off is restored from its vector; the same
     # nudge applied after the polish still fails the certificate
     tol = 1e-9
-    clean, clean_vecs = spectra.eigenpairs_tridiagonal(canonical_op, indices=(100, 139),
+    window = _index_window(canonical_op.diag, canonical_op.offdiag, 100, 139)
+    clean, clean_vecs = spectra.eigenpairs_tridiagonal(canonical_op, window=window,
                                                        tol=tol)
     with monkeypatch.context() as mp:
         _lapack_patched(mp, lambda vals: _nudged(vals, tol))
-        vals, vecs = spectra.eigenpairs_tridiagonal(canonical_op, indices=(100, 139),
+        vals, vecs = spectra.eigenpairs_tridiagonal(canonical_op, window=window,
                                                     tol=tol)
     glo, ghi = spectra.gershgorin_interval(canonical_op.diag, canonical_op.offdiag)
     assert np.max(np.abs(vals - clean)) <= 1e-14 * (ghi - glo)
@@ -419,7 +427,7 @@ def test_polish_repairs_raw_values_and_the_certificate_checks_the_polished(
     monkeypatch.setattr(spectra, "_rayleigh_ritz",
                         lambda *a: _nudged(real(*a), tol))
     with pytest.raises(NumericalError, match="certificate failed at eigenvalue index 105:"):
-        spectra.eigenpairs_tridiagonal(canonical_op, indices=(100, 139), tol=tol)
+        spectra.eigenpairs_tridiagonal(canonical_op, window=window, tol=tol)
 
 
 def test_certificate_rejects_window_count_mismatch(canonical_op, monkeypatch):
@@ -434,13 +442,12 @@ def test_polished_values_match_full_precision_bisection(case, canonical_op):
     # restores what stebz at machine precision (tol=0) returns
     if case == "ppmodes_window":
         op, window = _ppmodes_window()
-        query, select = {"window": window}, {"select": "v", "select_range": window}
     else:
         op = canonical_op
-        query, select = {"indices": (0, 9)}, {"select": "i", "select_range": (0, 9)}
-    vals, vecs = spectra.eigenpairs_tridiagonal(op, **query)
-    ref = scipy.linalg.eigvalsh_tridiagonal(op.diag, op.offdiag, tol=0.0,
-                                            lapack_driver="stebz", **select)
+        window = _index_window(op.diag, op.offdiag, 0, 9)
+    vals, vecs = spectra.eigenpairs_tridiagonal(op, window=window)
+    ref = scipy.linalg.eigvalsh_tridiagonal(op.diag, op.offdiag, tol=0.0, select="v",
+                                            select_range=window, lapack_driver="stebz")
     glo, ghi = spectra.gershgorin_interval(op.diag, op.offdiag)
     assert vals.size == ref.size >= 10
     assert np.max(np.abs(vals - ref)) <= 1e-14 * (ghi - glo)
@@ -461,7 +468,7 @@ def test_near_degenerate_cluster_gets_certified_ritz_pairs(coupling):
     e = np.concatenate([e_half, [coupling], e_half])
     glo, ghi = spectra.gershgorin_interval(d, e)
     span = ghi - glo
-    vals, V = spectra.eigenpairs_tridiagonal(d, e, indices=(0, 59))
+    vals, V = spectra.eigenpairs_tridiagonal(d, e, window=_index_window(d, e, 0, 59))
     assert np.max(np.diff(vals)[::2]) < 1e-8 * span
     ref = scipy.linalg.eigvalsh_tridiagonal(d, e)
     assert np.max(np.abs(vals - ref)) <= 1e-14 * span
@@ -481,13 +488,15 @@ def test_lapack_route_refuses_non_finite_section():
 
 
 def test_inverse_iteration_residuals(canonical_op):
-    vals, _ = spectra.eigenpairs_tridiagonal(canonical_op, indices=(0, 9))
+    d, e = canonical_op.diag, canonical_op.offdiag
+    vals, _ = spectra.eigenpairs_tridiagonal(canonical_op, window=_index_window(d, e, 0, 9))
     assert vals.size == 10
-    V = spectra.eigenvectors_inverse_iteration(canonical_op.diag, canonical_op.offdiag,
-                                               vals)
+    V = spectra.eigenvectors_inverse_iteration(d, e, vals)
     for j in range(10):
         v = V[:, j]
-        av = canonical_op.matvec(v.copy())
+        av = d * v
+        av[:-1] += e * v[1:]
+        av[1:] += e * v[:-1]
         assert np.linalg.norm(av - vals[j] * v) < 1e-8
     # distinct eigenvalues give orthogonal vectors
     gram = V.T @ V
@@ -642,7 +651,7 @@ def test_band_parameter_validation():
 
 def test_two_periodic_section_fills_bands():
     bs = spectra.band_structure(2.0, 1.0, 0.5)
-    op = spectra.build_two_periodic(2.0, 1.0, 0.5, 400)
+    op = discrete_oracle.build_two_periodic(2.0, 1.0, 0.5, 400)
     assert np.all(op.offdiag == 1.0)
     assert op.diag[0] == 4.0  # shell 1 is odd: beta/eta
     assert op.diag[1] == 2.0
