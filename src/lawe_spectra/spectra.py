@@ -24,6 +24,21 @@ count meets a zero, infinite or NaN pivot, whose separator pivots lie
 within their rounding-error bound, or whose count breaks monotonicity
 is recounted by the sequential recurrence.
 
+Where the sequential recurrence would run and the section ends in at
+least 32 rows k0..n-1 that share one diagonal a and one squared coupling
+beta**2 (found from the section by exact comparison of its entries), the
+recurrence runs the k0 head rows only.  The tail's m rows then add their
+negative pivots in closed form, as in a free Jacobi operator (Teschl
+2000, ch. 1): with x = (a - s)/(2 beta) = cos(theta) and phi =
+atan2(sin(theta), q/beta - x) for the last head pivot q, they are
+floor(((m+1) theta + phi)/pi) - floor((theta + phi)/pi), and the second
+term is the sign bit of q.  A shift is recounted over all rows when
+(m+1) theta + phi lies within 16 times its first-order rounding-error
+bound of a multiple of pi (the shift sits near an eigenvalue), when
+sin(theta)**2 <= 64 eps (at or beyond a band edge), or when q is zero,
+infinite or NaN.  A 2-periodic tail, as in ``scaled``, is not constant
+and keeps the recurrence.
+
 SciPy is imported inside the functions that call LAPACK, so a process
 that never reaches them (``sl``, ``transform-check``, ``report``) loads
 NumPy only.
@@ -88,9 +103,13 @@ _FOLD = 8
 #: smallest folded pivot product trusted to full precision
 _TINY = 1e-300
 
-#: a separator pivot must exceed its first-order error bound this many
-#: times over, or its shift is recounted by the sequential loop
+#: a separator pivot, or the distance of a tail's count argument from a
+#: multiple of pi, must exceed its first-order error bound this many times
+#: over, or its shift is recounted
 _SAFETY = 16.0
+
+#: fewest rows of an exactly constant tail that is counted in closed form
+_TAIL_MIN_ROWS = 32
 
 
 def _segment_count(n, m):
@@ -102,7 +121,8 @@ def _segment_count(n, m):
 
 
 def _sequential_counts(diag, off2, shifts):
-    """Sign bits of the top-down pivots, one row at a time over all shifts."""
+    """Sign bits of the top-down pivots, one row at a time over all shifts:
+    (count, last pivot row)."""
     n, m = diag.shape[0], shifts.size
     # a coupling of exactly 0 (None) restarts the pivot at d_i - s, so a
     # zero pivot above it cannot make 0/0
@@ -122,7 +142,7 @@ def _sequential_counts(diag, off2, shifts):
             q = ai
         count += np.count_nonzero(np.signbit(a), axis=0)
         q = q.copy()
-    return count
+    return count, q
 
 
 def _segmented_counts(diag, off2, shifts, p):
@@ -212,8 +232,88 @@ def _counts(diag, off2, shifts, p):
     """(count, suspect) of one shift vector through ``p`` segments."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if p == 1:
-            return _sequential_counts(diag, off2, shifts), np.zeros(shifts.size, bool)
+            return _sequential_counts(diag, off2, shifts)[0], np.zeros(shifts.size, bool)
         return _segmented_counts(diag, off2, shifts, p)
+
+
+def _tail_start(diag, off2):
+    """First row k0 >= 1 of the exactly constant tail: rows k0..n-1 hold
+    the diagonal diag[-1] and couple to the row above by off2[-1], both
+    compared exactly.  n when that coupling is not finite and positive."""
+    n = diag.shape[0]
+    if n < 2 or not (0.0 < off2[-1] < math.inf and math.isfinite(diag[-1])):
+        return n
+    d = np.flatnonzero(diag != diag[-1])
+    e = np.flatnonzero(off2 != off2[-1])
+    return max(int(d[-1]) + 1 if d.size else 1, int(e[-1]) + 2 if e.size else 1)
+
+
+def _tail_counts(diag, off2, shifts, k0):
+    """(count, settled): rows 0..k0-1 by the sequential loop, and the
+    constant tail rows k0..n-1 in closed form (see :func:`sturm_counts`).
+
+    The tail pivots over beta are sin((j+1) theta + phi)/sin(j theta +
+    phi), j = 1..m, so the negative ones are the multiples of pi in
+    (theta + phi, (m+1) theta + phi].  phi lies in (0, pi), and theta +
+    phi reaches pi exactly where q/beta = x + sin(theta) cot(phi) turns
+    negative, so floor((theta + phi)/pi) is q's sign bit.
+    """
+    m = diag.shape[0] - k0
+    eps = np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        count, q = _sequential_counts(diag[:k0], off2[:k0 - 1], shifts)
+        beta = math.sqrt(off2[-1])
+        x = (diag[-1] - shifts) / (2.0 * beta)
+        sin2 = (1.0 - x) * (1.0 + x)
+        sin = np.sqrt(sin2)
+        dr = q / beta - x
+        f = ((m + 1) * np.arccos(x) + np.arctan2(sin, dr)) / np.pi
+        k = np.floor(f)
+        # first-order rounding-error bound on f, in units of eps: x carries
+        # 2|x|, which becomes 2|x|/sin in theta (plus pi for arccos itself)
+        # and 2 x^2/sin in sin(theta) (plus sin); dr carries 1.5|dr| + 3|x|;
+        # phi = atan2(sin, dr) moves by (|dr| e_sin + sin e_dr)/(sin^2 +
+        # dr^2) plus pi, and the sum and the division by pi add 2f.  The
+        # bound is first order, so sin(theta)^2 must also exceed 64 eps,
+        # far beyond the change of 2 eps that x's error can make in it
+        ax, adr = np.abs(x), np.abs(dr)
+        e_f = (((m + 1) * (np.pi + 2.0 * ax / sin)
+                + (adr * (3.0 * sin + 2.0 * ax * ax / sin) + 3.0 * sin * ax) / (sin2 + dr * dr)
+                + 4.0) / np.pi + 2.0 * f) * eps
+        settled = ((np.minimum(f - k, k + 1.0 - f) > _SAFETY * e_f)
+                   & (sin2 > 4.0 * _SAFETY * eps) & np.isfinite(q) & (q != 0.0))
+        count += np.where(settled, k, 0.0).astype(np.int64)
+        count -= np.signbit(q)
+    return count, settled
+
+
+def _split(fn, shifts, threads):
+    """``fn`` over the shift vector, split over a thread pool; ``fn``
+    returns a tuple of per-shift arrays."""
+    if threads > 1 and shifts.size >= 4 * threads:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            parts = list(ex.map(fn, np.array_split(shifts, threads)))
+        return [np.concatenate(c) for c in zip(*parts)]
+    return fn(shifts)
+
+
+def _full_counts(diag, off2, shifts, threads):
+    """Counts over all n rows through ``_segment_count(n, shifts.size)``
+    segments; a suspect segmented count is recounted by the sequential
+    loop."""
+    n = diag.shape[0]
+    p = _segment_count(n, shifts.size)
+    count, suspect = _split(lambda s: _counts(diag, off2, s, p), shifts, threads)
+    if p > 1:
+        order = np.argsort(shifts, kind="stable")
+        drop = np.flatnonzero(np.diff(count[order]) < 0)
+        suspect[order[drop]] = suspect[order[drop + 1]] = True
+        suspect |= (count < 0) | (count > n)
+        redo = np.flatnonzero(suspect)
+        if redo.size:
+            count[redo] = _counts(diag, off2, shifts[redo], 1)[0]
+    return count
 
 
 def sturm_counts(diag, off2, shifts, threads=1):
@@ -231,31 +331,33 @@ def sturm_counts(diag, off2, shifts, threads=1):
     loop.  A shift whose segmented count meets a zero, infinite or NaN
     pivot, has a separator pivot within 16 times its first-order error
     bound, breaks monotonicity over the sorted shifts or leaves [0, n] is
-    recounted by the sequential loop.  ``threads`` splits the shift
-    vector over a thread pool; the route and the recount do not depend on
-    it.
+    recounted by the sequential loop.
+
+    Where the sequential loop would run and the section ends in m >= 32
+    rows k0..n-1 that share one diagonal a and one squared coupling
+    beta**2 (found by exact comparison of the entries), the loop runs the
+    k0 head rows only.  The tail then adds, in closed form,
+    floor(((m+1) theta + phi)/pi) - floor((theta + phi)/pi) negative
+    pivots, with cos(theta) = x = (a - s)/(2 beta) and phi =
+    atan2(sin(theta), q/beta - x) for the last head pivot q, as in the
+    free Jacobi operator.  A shift whose argument (m+1) theta + phi lies
+    within 16 times its first-order rounding-error bound of a multiple of
+    pi, with |x| too close to 1 (sin(theta)**2 <= 64 eps) or beyond it,
+    or with q zero, infinite or NaN, is recounted over all n rows by the
+    route above.  A 2-periodic tail has no constant one and keeps the
+    loop.  ``threads`` splits the shift vector over a thread pool; the
+    route and the recount do not depend on it.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     diag, off2 = np.asarray(diag, dtype=float), np.asarray(off2, dtype=float)
     n = diag.shape[0]
-    p = _segment_count(n, shifts.size)
-    if threads > 1 and shifts.size >= 4 * threads:
-        from concurrent.futures import ThreadPoolExecutor
-        chunks = np.array_split(shifts, threads)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda s: _counts(diag, off2, s, p), chunks))
-        count = np.concatenate([c for c, _ in parts])
-        suspect = np.concatenate([b for _, b in parts])
-    else:
-        count, suspect = _counts(diag, off2, shifts, p)
-    if p > 1:
-        order = np.argsort(shifts, kind="stable")
-        drop = np.flatnonzero(np.diff(count[order]) < 0)
-        suspect[order[drop]] = suspect[order[drop + 1]] = True
-        suspect |= (count < 0) | (count > n)
-        redo = np.flatnonzero(suspect)
-        if redo.size:
-            count[redo] = _counts(diag, off2, shifts[redo], 1)[0]
+    k0 = _tail_start(diag, off2) if _segment_count(n, shifts.size) == 1 else n
+    if n - k0 < _TAIL_MIN_ROWS:
+        return _full_counts(diag, off2, shifts, threads)
+    count, settled = _split(lambda s: _tail_counts(diag, off2, s, k0), shifts, threads)
+    redo = np.flatnonzero(~settled)
+    if redo.size:
+        count[redo] = _full_counts(diag, off2, shifts[redo], 1)
     return count
 
 

@@ -224,8 +224,21 @@ def _long_section(kind):
         # bound gets three of them wrong
         rng = np.random.default_rng(15)
         return 2.0 + 0.3 * rng.standard_normal(2500), np.ones(2499)
-    op, _ = _ppmodes_window()
+    if kind == "constant_tail":
+        op = _shell_section(0.6, 2.2, 2000, "limit")
+    else:
+        op, _ = _ppmodes_window()
     return op.diag, op.offdiag
+
+
+def _shell_section(eta, gamma, n, variant):
+    dist = model.build_mass_distribution(eta, gamma, N=n + 20)
+    pd = model.build_pd_distribution(dist, pressure_mode=variant)
+    return discrete.assemble_jacobi(pd, n, i_start=16)
+
+
+def _tail_rows(d, e2):
+    return d.size - spectra._tail_start(d, e2)
 
 
 def _certificate_shifts(d, e):
@@ -247,8 +260,11 @@ def test_certificate_shifts_get_the_oracle_count(kind):
     assert np.array_equal(counts, sturm_oracle.floored_counts(d, e2, shifts))
 
 
-@pytest.mark.parametrize("kind", ["random", "graded", "disordered", "ppmodes"])
+@pytest.mark.parametrize("kind", ["random", "graded", "disordered", "ppmodes",
+                                  "constant_tail"])
 def test_counts_do_not_depend_on_the_route(kind):
+    # the wide vector of a constant-tail section takes the closed-form
+    # tail, the others the sequential loop; the narrow one is segmented
     d, e = _long_section(kind)
     e2 = e * e
     rng = np.random.default_rng(3)
@@ -258,6 +274,7 @@ def test_counts_do_not_depend_on_the_route(kind):
     wide = np.concatenate([shifts, np.linspace(glo, ghi, 400)])
     assert spectra._segment_count(d.size, shifts.size) > 1
     assert spectra._segment_count(d.size, wide.size) == 1
+    assert (_tail_rows(d, e2) >= spectra._TAIL_MIN_ROWS) == (kind == "constant_tail")
     narrow = spectra.sturm_counts(d, e2, shifts)
     assert np.array_equal(narrow, spectra.sturm_counts(d, e2, wide)[:shifts.size])
     assert np.array_equal(narrow, spectra.sturm_counts(d, e2, shifts, threads=2))
@@ -317,6 +334,131 @@ def test_segmented_counts_match_the_oracle(seed, graded):
     assert spectra._segment_count(n, shifts.size) > 1
     assert np.array_equal(spectra.sturm_counts(d, e * e, shifts),
                           sturm_oracle.floored_counts(d, e * e, shifts))
+
+
+# ---------------------------------------------------------------------------
+# Sturm counts over an exactly constant tail, in closed form
+
+
+def test_constant_tail_counts_bracket_the_exact_count():
+    # shifts where the closed form is most delicate: the band edges and
+    # their neighbouring doubles, the tail block's own eigenvalues (where
+    # (m+1) theta is a multiple of pi), the head block's eigenvalues (where
+    # the last head pivot vanishes) and shifts outside the band
+    rng = np.random.default_rng(21)
+    a, beta = 0.3, 1.1
+    for head, couplings_only in ((15, False), (18, False), (20, False), (17, True)):
+        m = 60 - head
+        d = np.concatenate([rng.standard_normal(head), np.full(m, a)])
+        e = np.concatenate([rng.standard_normal(head - 1), np.full(m, beta)])
+        if couplings_only:
+            d[:head] = a
+        e2 = e * e
+        assert spectra._tail_start(d, e2) == head
+        edges = np.array([a - 2.0 * beta, a + 2.0 * beta])
+        shifts = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            a + 2.0 * beta * np.cos(np.arange(1, m + 1) * math.pi / (m + 1)),
+            scipy.linalg.eigvalsh_tridiagonal(d[:head], e[:head - 1]),
+            a + 2.0 * beta * np.array([-1.5, -1.01, 1.01, 1.5])])
+        counts = spectra.sturm_counts(d, e2, shifts)
+        for s, c in zip(shifts, counts):
+            below, at_or_below = sturm_oracle.exact_counts(d, e2, s)
+            assert below <= c <= at_or_below, (head, s)
+        # the closed form, not the recount, settles the tail's nodes
+        _, settled = spectra._tail_counts(d, e2, shifts, head)
+        assert settled[6:6 + m].all()
+
+
+@pytest.mark.parametrize("n", [60, 2000])
+def test_constant_section_counts_in_closed_form(n):
+    # a fully constant section is all tail below row 0, and its
+    # eigenvalues are a + 2 beta cos(j pi/(n + 1))
+    a, beta = -0.7, 0.45
+    d, e = np.full(n, a), np.full(n - 1, beta)
+    assert spectra._tail_start(d, e * e) == 1
+    exact = a + 2.0 * beta * np.cos(np.arange(1, n + 1) * math.pi / (n + 1))
+    mids = 0.5 * (exact[1:] + exact[:-1])
+    rng = np.random.default_rng(n)
+    shifts = np.concatenate([mids, rng.uniform(a - 2.5 * beta, a + 2.5 * beta, 400)])
+    counts = spectra.sturm_counts(d, e * e, shifts)
+    expect = np.count_nonzero(exact[None, :] < shifts[:, None], axis=1)
+    assert np.array_equal(counts, expect)
+
+
+def _spy_full_counts(monkeypatch):
+    recounted = []
+    full = spectra._full_counts
+
+    def spy(diag, off2, shifts, threads):
+        recounted.append(shifts.copy())
+        return full(diag, off2, shifts, threads)
+    monkeypatch.setattr(spectra, "_full_counts", spy)
+    return recounted
+
+
+def test_constant_tail_counts_match_the_loop(monkeypatch):
+    # seeded limit and hse sections of the dense-spectrum family: the
+    # certificate shifts and random Gershgorin shifts get the sequential
+    # loop's counts with threads 1 and 2, and at most 1% of them are
+    # recounted in either sweep
+    rng = np.random.default_rng(22)
+    recounted = _spy_full_counts(monkeypatch)
+    total = 0
+    for j in range(40):
+        op = _shell_section(rng.uniform(0.3, 0.7), rng.uniform(1.5, 3.0),
+                            int(rng.integers(200, 1501)), ("limit", "hse")[j % 2])
+        d, e = np.asarray(op.diag), np.asarray(op.offdiag)
+        e2 = e * e
+        assert _tail_rows(d, e2) >= spectra._TAIL_MIN_ROWS
+        glo, ghi = spectra.gershgorin_interval(d, e)
+        shifts = np.concatenate([_certificate_shifts(d, e), rng.uniform(glo, ghi, 2000)])
+        loop = spectra._sequential_counts(d, e2, shifts)[0]
+        total += shifts.size
+        for threads in (1, 2):
+            assert np.array_equal(spectra.sturm_counts(d, e2, shifts, threads), loop)
+    assert sum(r.size for r in recounted) <= 0.01 * 2 * total
+
+
+def test_shift_at_a_constant_section_eigenvalue_is_recounted(monkeypatch):
+    # at an eigenvalue a + 2 beta cos(j pi/(n + 1)) of a constant section
+    # the argument (n + 1) theta lands on j pi to within rounding, inside
+    # its error bound, which sends the shift to the full count
+    n, a, beta = 61, 0.25, 0.8
+    d, e2 = np.full(n, a), np.full(n - 1, beta * beta)
+    others = np.array([a - 0.123, a + 0.456])
+    for j in (1, 15, 31, 46, 61):
+        shift = a + 2.0 * beta * math.cos(j * math.pi / (n + 1))
+        shifts = np.concatenate([[shift], others])
+        _, settled = spectra._tail_counts(d, e2, shifts, 1)
+        assert not settled[0] and settled[1:].all()
+        recounted = _spy_full_counts(monkeypatch)
+        counts = spectra.sturm_counts(d, e2, shifts)
+        assert len(recounted) == 1 and np.array_equal(recounted[0], [shift])
+        for s, c in zip(shifts, counts):
+            below, at_or_below = sturm_oracle.exact_counts(d, e2, s)
+            assert below <= c <= at_or_below, (j, s)
+        monkeypatch.undo()
+
+
+def test_certificate_of_a_constant_tail_runs_the_head_rows_only(monkeypatch):
+    # the row-shifts that the sequential loop processes in a certificate
+    # sweep: the head's k0 rows for every shift, plus every row for each
+    # recounted shift; a silent return to the full loop would take n rows
+    op = _shell_section(0.6, 2.2, 1500, "limit")
+    d, e = np.asarray(op.diag), np.asarray(op.offdiag)
+    n, k0 = d.size, spectra._tail_start(d, e * e)
+    row_shifts = []
+    sequential = spectra._sequential_counts
+
+    def spy(diag, off2, shifts):
+        row_shifts.append(diag.shape[0] * shifts.size)
+        return sequential(diag, off2, shifts)
+    monkeypatch.setattr(spectra, "_sequential_counts", spy)
+    recounted = _spy_full_counts(monkeypatch)
+    vals = spectra.eigenvalues_tridiagonal(op)
+    assert vals.size == n and row_shifts
+    assert sum(row_shifts) <= (k0 + 1) * 2 * n + n * sum(r.size for r in recounted)
 
 
 def _scaled_polytrope_op():
