@@ -313,7 +313,8 @@ def _run_spectrum(eff, threads):
     return {"eigenvalues.csv": {"lambda": rep.values},
             "fill_report.json": {
                 "interval": list(rep.interval), "n_values": int(rep.values.size),
-                **_fields(rep, "pad n_inside n_outliers max_gap fills")}}
+                **_fields(rep, "pad n_inside n_outliers max_gap fills route tail_start "
+                               "newton_steps")}}
 
 
 #: jost artifact columns and the JostFit attributes they hold

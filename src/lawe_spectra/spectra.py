@@ -1,17 +1,18 @@
-"""Spectra of truncated sections: certified LAPACK eigenpairs and diagnostics.
+"""Spectra of truncated sections: certified eigenpairs and diagnostics.
 
-The full spectrum comes from LAPACK root-free QR (``sterf``).  A window
-comes with its eigenvectors: LAPACK bisection in compiled code
-(``stebz``) brackets each value only to the certificate's width ``tol``,
-inverse iteration at those values gives the vectors (one tridiagonal LU
-factorisation per shift), and a Rayleigh-Ritz step per
-cluster polishes the values from the vectors.  Every returned value is
+The full spectrum of a section that ends in a constant tail comes from
+its continuous Sturm count (below); any other section's comes from LAPACK
+root-free QR (``sterf``).  A window comes with its eigenvectors: LAPACK
+bisection in compiled code (``stebz``) brackets each value only to the
+certificate's width ``tol``, inverse iteration at those values gives the
+vectors (one tridiagonal LU factorisation per shift), and a Rayleigh-Ritz
+step per cluster polishes the values from the vectors.  Every returned value is
 then certified by one Sturm-count sweep at ``lambda_k -+ tol``, which
 must place exactly the claimed eigenvalue index inside ``[lambda_k - tol,
 lambda_k + tol)``; a window must also hold as many values as the Sturm
 counts at its ends.  A result that fails the certificate raises
 :class:`NumericalError` (the CLI exits 2); there is no silent fallback.
-``tol`` defaults to :func:`default_tol`.
+``tol`` is :func:`default_tol`.
 
 :func:`sturm_counts` counts the IEEE sign bits of the LDL^T pivots, with
 no pivot floor (LAPACK ``dlaneg``; Marques, Riedy & Voemel 2006).  A wide
@@ -39,9 +40,22 @@ sin(theta)**2 <= 64 eps (at or beyond a band edge), or when q is zero,
 infinite or NaN.  A 2-periodic tail, as in ``scaled``, is not constant
 and keeps the recurrence.
 
-SciPy is imported inside the functions that call LAPACK, so a process
-that never reaches them (``sl``, ``transform-check``, ``report``) loads
-NumPy only.
+The same closed form gives the eigenvalues of such a section without
+``sterf``.  With s = a - 2 beta cos(theta) and H the negative pivots of
+rows 0..k0-2, C(theta) = H + ((m+1) theta + phi)/pi is continuous and
+increasing, and eigenvalue K sits where C = K + 1 (the secular equation
+of the head against the free tail; Golub 1973).  One head pass at the
+tail's nodes j pi/(m+1) brackets every root, and safeguarded Newton steps
+in theta, vectorised over the unconverged roots, cost O(k0) per root and
+step; the pivot derivative q'_i = -1 + (e_{i-1}**2/q_{i-1}**2) q'_{i-1}
+gives dphi/dtheta.  A section with an eigenvalue outside [a - 2 beta,
+a + 2 beta] (by the band-edge counts), or with a root unconverged after
+40 steps, goes to ``sterf``; both routes pass the same certificate.
+
+SciPy is imported inside the functions that call LAPACK, and only on the
+branch that does, so a process that never reaches them (``sl``,
+``transform-check``, ``report``, and ``spectrum`` on a constant-tail
+section) loads NumPy only.
 """
 
 from __future__ import annotations
@@ -111,6 +125,15 @@ _SAFETY = 16.0
 #: fewest rows of an exactly constant tail that is counted in closed form
 _TAIL_MIN_ROWS = 32
 
+#: Newton steps after which a constant-tail section with a root still
+#: unconverged goes to ``sterf``
+_NEWTON_CAP = 40
+
+#: a root stops once its Newton step or its bracket in theta is at most
+#: this wide, 4 ulps of pi: it moves the value by at most 8 ulps of pi
+#: times beta, and the count's own rounding leaves steps of about that size
+_THETA_TOL = 4.0 * np.spacing(np.pi)
+
 
 def _segment_count(n, m):
     """Segment count P for a count over n rows and m shifts: about sqrt(n)
@@ -120,9 +143,11 @@ def _segment_count(n, m):
     return math.isqrt(n)
 
 
-def _sequential_counts(diag, off2, shifts):
+def _pivots(diag, off2, shifts, slope=False):
     """Sign bits of the top-down pivots, one row at a time over all shifts:
-    (count, last pivot row)."""
+    (count, last pivot row, its derivative in the shift).  The derivative
+    follows q'_i = -1 + (e_{i-1}**2 / q_{i-1}**2) q'_{i-1} with ``slope``
+    and is None without."""
     n, m = diag.shape[0], shifts.size
     # a coupling of exactly 0 (None) restarts the pivot at d_i - s, so a
     # zero pivot above it cannot make 0/0
@@ -130,6 +155,7 @@ def _sequential_counts(diag, off2, shifts):
     rows = max(16, _BLOCK // max(m, 1))
     block = np.empty((min(rows, n), m))
     f = np.empty(m)
+    dq = np.full(m, -1.0) if slope else None
     count = np.zeros(m, dtype=np.int64)
     q = None
     for lo in range(0, n, rows):
@@ -139,10 +165,22 @@ def _sequential_counts(diag, off2, shifts):
             if ei is not None:
                 np.divide(ei, q, out=f)
                 np.subtract(ai, f, out=ai)
+                if slope:
+                    np.divide(f, q, out=f)
+                    np.multiply(f, dq, out=dq)
+                    np.subtract(dq, 1.0, out=dq)
+            elif slope:
+                dq.fill(-1.0)
             q = ai
         count += np.count_nonzero(np.signbit(a), axis=0)
         q = q.copy()
-    return count, q
+    return count, q, dq
+
+
+def _sequential_counts(diag, off2, shifts):
+    """Sign bits of the top-down pivots, one row at a time over all shifts:
+    (count, last pivot row)."""
+    return _pivots(diag, off2, shifts)[:2]
 
 
 def _segmented_counts(diag, off2, shifts, p):
@@ -287,6 +325,73 @@ def _tail_counts(diag, off2, shifts, k0):
     return count, settled
 
 
+def _tail_eigenvalues(diag, off2, k0):
+    """(values, Newton steps) of a section with a constant tail from row
+    k0, as roots of its continuous count; values is None where the section
+    must go to ``sterf``: an eigenvalue lies outside the tail's band, or a
+    root has not converged after ``_NEWTON_CAP`` steps.
+
+    With s = a - 2 beta cos(theta) and H(s) the negative pivots of rows
+    0..k0-2, C(theta) = H(s) + ((m+1) theta + phi)/pi (phi as in
+    :func:`_tail_counts`) is continuous and increasing, floor(C) is the
+    Sturm count, and eigenvalue K sits where C = K + 1.  One head pass at
+    the tail's nodes theta_j = j pi/(m+1), where (m+1) theta_j is j pi,
+    brackets every root; the band-edge counts stand for C(0) and C(pi).
+    Newton steps in theta start from the linear interpolation of C in the
+    bracket, take dphi/dtheta from the pivot derivative, and bisect when
+    they leave the bracket that the sign of C - (K + 1) tightens.  A root
+    stops on its own once its Newton step (zero where C = K + 1 exactly),
+    taken before any bisection, or its bracket is at most 4 ulps of pi.
+    """
+    n = diag.shape[0]
+    m = n - k0
+    a, beta = float(diag[-1]), math.sqrt(off2[-1])
+    edges = _full_counts(diag, off2, np.array([a - 2.0 * beta, a + 2.0 * beta]), 1)
+    if edges[0] != 0 or edges[1] != n:
+        return None, 0
+    head_d, head_e2 = diag[:k0], off2[:k0 - 1]
+
+    def head(theta, slope):
+        # (H, sin, cos, dr, dr/dtheta) at the shifts a - 2 beta cos(theta)
+        cos, sin = np.cos(theta), np.sin(theta)
+        count, q, dq = _pivots(head_d, head_e2, a - 2.0 * beta * cos, slope)
+        dr = q / beta - cos
+        return count - np.signbit(q), sin, cos, dr, sin * (2.0 * dq + 1.0) if slope else None
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        nodes = np.linspace(0.0, np.pi, m + 2)
+        h, sin, _, dr, _ = head(nodes[1:-1], False)
+        c = np.concatenate([[0.0], (h + np.arange(1, m + 1)) + np.arctan2(sin, dr) / np.pi,
+                            [float(n)]])
+        k1 = np.arange(1.0, n + 1.0)
+        j = np.searchsorted(c, k1) - 1
+        lo, hi = nodes[j], nodes[j + 1]
+        t = lo + (k1 - c[j]) / (c[j + 1] - c[j]) * (hi - lo)
+        live = np.arange(n)
+        steps = 0
+        while live.size:
+            if steps == _NEWTON_CAP:
+                return None, steps
+            steps += 1
+            tl, lol, hil = t[live], lo[live], hi[live]
+            h, sin, cos, dr, ddr = head(tl, True)
+            g = (h - k1[live]) + ((m + 1) * tl + np.arctan2(sin, dr)) / np.pi
+            dg = ((m + 1) + (dr * cos - sin * ddr) / (sin * sin + dr * dr)) / np.pi
+            lol = np.where(g < 0.0, tl, lol)
+            hil = np.where(g >= 0.0, tl, hil)
+            step = g / dg
+            # tested on the Newton step before a bisection replaces it: a
+            # root at which C = K + 1 exactly takes a zero step and stops
+            done = (np.abs(step) <= _THETA_TOL) | (hil - lol <= _THETA_TOL)
+            tn = tl - step
+            out = ~((lol < tn) & (tn < hil))
+            tn[out] = 0.5 * (lol[out] + hil[out])
+            t[live] = np.where(done, tl, tn)
+            lo[live], hi[live] = lol, hil
+            live = live[~done]
+    return np.sort(a - 2.0 * beta * np.cos(t)), steps
+
+
 def _split(fn, shifts, threads):
     """``fn`` over the shift vector, split over a thread pool; ``fn``
     returns a tuple of per-shift arrays."""
@@ -361,15 +466,14 @@ def sturm_counts(diag, off2, shifts, threads=1):
     return count
 
 
-def _diagonals_and_tol(op_or_diag, offdiag, tol):
-    """(diag, offdiag, glo, ghi, tol) of a finite section; ``tol`` defaults
-    to :func:`default_tol`."""
+def _diagonals_and_tol(op_or_diag, offdiag):
+    """(diag, offdiag, glo, ghi, :func:`default_tol`) of a finite section."""
     diag, off = _as_diagonals(op_or_diag, offdiag)
     glo, ghi = gershgorin_interval(diag, off)
     if not (math.isfinite(glo) and math.isfinite(ghi)):
         row = np.flatnonzero(~np.isfinite(diag + np.append(off, 0.0)))[0]
         raise NumericalError(f"tridiagonal section has a non-finite entry in row {row}")
-    return diag, off, glo, ghi, default_tol(glo, ghi) if tol is None else tol
+    return diag, off, glo, ghi, default_tol(glo, ghi)
 
 
 def _certify(diag, off, vals, tol, threads, window=None):
@@ -398,28 +502,49 @@ def _certify(diag, off, vals, tol, threads, window=None):
             f"below value - tol and {int(c[m + j])} below value + tol")
 
 
-def eigenvalues_tridiagonal(op_or_diag, offdiag=None, *, tol=None, threads=1):
+def eigenvalues_tridiagonal(op_or_diag, offdiag=None, *, threads=1):
     """Full spectrum of a symmetric tridiagonal section, certified by Sturm counts.
 
-    LAPACK root-free QR (``sterf``) gives the values; one Sturm sweep at
-    every value -+ ``tol`` then certifies that the k-th eigenvalue lies
-    in [value_k - tol, value_k + tol).  ``tol`` defaults to
-    :func:`default_tol`; ``threads`` splits the sweep.  Raises
-    NumericalError naming the first index that fails.
+    A section that ends in at least 32 exactly constant rows (diagonal a,
+    coupling beta) gets its values as the roots of its continuous Sturm
+    count, by safeguarded Newton steps over its head rows (see
+    :func:`_tail_eigenvalues`); every other section, one with an
+    eigenvalue outside [a - 2 beta, a + 2 beta], and one with a root
+    unconverged after 40 steps get LAPACK root-free QR (``sterf``).  One
+    Sturm sweep at every value -+ :func:`default_tol` then certifies that
+    the k-th eigenvalue lies in [value_k - tol, value_k + tol);
+    ``threads`` splits the sweep.  Raises NumericalError naming the first
+    index that fails.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
-    diag, off, _, _, tol = _diagonals_and_tol(op_or_diag, offdiag, tol)
-    try:
-        # sterf, not stemr: the stemr wrapper allocates an n x n
-        # eigenvector array even for eigenvalues only
-        vals = eigvalsh_tridiagonal(diag, off, check_finite=False, lapack_driver="sterf")
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"LAPACK tridiagonal eigensolver failed: {exc}") from None
+    return _eigenvalues(op_or_diag, offdiag, threads)[0]
+
+
+def _eigenvalues(op_or_diag, offdiag, threads):
+    """(values, route, k0, Newton steps) of :func:`eigenvalues_tridiagonal`;
+    route is ``"constant_tail"`` or ``"sterf"``, k0 the first row of the
+    constant tail (n without one)."""
+    diag, off, _, _, tol = _diagonals_and_tol(op_or_diag, offdiag)
+    off2 = off * off
+    k0 = _tail_start(diag, off2)
+    vals, steps = None, 0
+    if diag.shape[0] - k0 >= _TAIL_MIN_ROWS:
+        vals, steps = _tail_eigenvalues(diag, off2, k0)
+    route = "constant_tail"
+    if vals is None:
+        from scipy.linalg import eigvalsh_tridiagonal
+        route = "sterf"
+        try:
+            # sterf, not stemr: the stemr wrapper allocates an n x n
+            # eigenvector array even for eigenvalues only
+            vals = eigvalsh_tridiagonal(diag, off, check_finite=False,
+                                        lapack_driver="sterf")
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"LAPACK tridiagonal eigensolver failed: {exc}") from None
     _certify(diag, off, vals, tol, threads)
-    return vals
+    return vals, route, k0, steps
 
 
-def eigenpairs_tridiagonal(op_or_diag, offdiag=None, *, window, tol=None, threads=1):
+def eigenpairs_tridiagonal(op_or_diag, offdiag=None, *, window, threads=1):
     """Certified eigenpairs (values, vectors) whose values lie in the
     half-open window (a, b].
 
@@ -433,7 +558,7 @@ def eigenpairs_tridiagonal(op_or_diag, offdiag=None, *, window, tol=None, thread
     columns.
     """
     from scipy.linalg import eigvalsh_tridiagonal
-    diag, off, glo, ghi, tol = _diagonals_and_tol(op_or_diag, offdiag, tol)
+    diag, off, glo, ghi, tol = _diagonals_and_tol(op_or_diag, offdiag)
     if not window[0] < window[1]:
         raise ValidationError(f"empty window {window!r}")
     try:
@@ -558,6 +683,12 @@ class FillReport:
     n_inside: int = 0
     n_outliers: int = 0
     outliers: np.ndarray = field(repr=False, default=None)
+    #: how :func:`eigenvalues_tridiagonal` found the values: the route
+    #: (``"constant_tail"`` or ``"sterf"``), the first row k0 of the
+    #: constant tail (n without one) and the Newton steps taken
+    route: str = "sterf"
+    tail_start: int = 0
+    newton_steps: int = 0
 
     @property
     def fills(self):
@@ -575,14 +706,15 @@ def spectrum_fill_report(op, interval=None, *, pad=0.05, threads=1):
     if interval is None:
         interval = op.scaling.interval
     lo, hi = float(interval[0]), float(interval[1])
-    vals = eigenvalues_tridiagonal(op, threads=threads)
+    vals, route, k0, steps = _eigenvalues(op, None, threads)
     inside = vals[(vals >= lo - pad) & (vals <= hi + pad)]
     outliers = vals[(vals < lo - pad) | (vals > hi + pad)]
     knots = np.concatenate([[lo], np.sort(np.clip(inside, lo, hi)), [hi]])
     max_gap = float(np.max(np.diff(knots))) if inside.size else hi - lo
     return FillReport(interval=(lo, hi), pad=float(pad), values=vals,
                       max_gap=max_gap, n_inside=int(inside.size),
-                      n_outliers=int(outliers.size), outliers=outliers)
+                      n_outliers=int(outliers.size), outliers=outliers,
+                      route=route, tail_start=k0, newton_steps=steps)
 
 
 @dataclass(frozen=True)

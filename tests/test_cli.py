@@ -120,6 +120,18 @@ def test_spectrum_artifacts_byte_identical_across_runs(tmp_path, spectrum_cfg, c
     assert "spectrum: n=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n_trunc, route", [(120, "constant_tail"), (60, "sterf")])
+def test_fill_report_records_the_eigenvalue_route(tmp_path, capsys, n_trunc, route):
+    # the default model's section is constant past row 39: 81 tail rows
+    # at n_trunc 120 take the Newton route, 21 at n_trunc 60 are too few
+    cfg = write_config(tmp_path / "cfg.json", analysis={"n_trunc": n_trunc, "i_start": 16})
+    assert cli.run("spectrum", cfg, argv_extra=["--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "fill_report.json").read_text())
+    assert (report["route"], report["tail_start"]) == (route, 39)
+    assert (report["newton_steps"] > 0) == (route == "constant_tail")
+    capsys.readouterr()
+
+
 def test_thread_count_does_not_change_numbers(tmp_path, spectrum_cfg, capsys):
     rows = []
     for extra in ([], ["--threads", "3"]):
@@ -934,14 +946,18 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 
 
 @pytest.mark.parametrize("subs, loads_lapack", [
-    (("sl", "transform-check"), False), (("spectrum",), True)],
-    ids=["sl+transform-check", "spectrum"])
+    (("sl", "transform-check"), False), (("spectrum",), False), (("scaled",), True)],
+    ids=["sl+transform-check", "spectrum", "scaled"])
 def test_scipy_is_loaded_by_the_first_lapack_call(tmp_path, subs, loads_lapack):
     # sl and transform-check never call LAPACK, so their processes skip
-    # the scipy import; spectrum loads it in its solver
+    # the scipy import; a spectrum section with a constant tail is solved
+    # without LAPACK, and scaled's 2-periodic tail loads it in its solver
     configs = {"sl": _sl_config(tmp_path),
                "spectrum": write_config(tmp_path / "spectrum.json",
                                         analysis={"n_trunc": 120, "i_start": 16}),
+               "scaled": write_config(tmp_path / "scaled.json",
+                                      eos={"variant": "polytrope"},
+                                      analysis={"n_trunc": 200}),
                "transform-check": write_config(tmp_path / "tc.json")}
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     jobs = json.dumps([(sub, configs[sub]) for sub in subs])

@@ -461,6 +461,100 @@ def test_certificate_of_a_constant_tail_runs_the_head_rows_only(monkeypatch):
     assert sum(row_shifts) <= (k0 + 1) * 2 * n + n * sum(r.size for r in recounted)
 
 
+# ---------------------------------------------------------------------------
+# Eigenvalues of a constant-tail section: Newton on the continuous count
+
+
+def _headed_section(rng, head, n=60, a=0.3, beta=1.1):
+    # a random head of weaker couplings over a constant tail: every
+    # eigenvalue stays inside the tail's band [a - 2 beta, a + 2 beta]
+    d = np.concatenate([a + 0.4 * beta * rng.standard_normal(head), np.full(n - head, a)])
+    e = np.concatenate([beta * rng.uniform(0.6, 1.0, head - 1), np.full(n - head, beta)])
+    return d, e
+
+
+def _span(d, e):
+    glo, ghi = spectra.gershgorin_interval(d, e)
+    return ghi - glo
+
+
+def test_tail_route_values_sit_at_the_exact_eigenvalues():
+    # exact rational counts place eigenvalue k within 1e-13 of the span
+    # of the k-th returned value
+    rng = np.random.default_rng(2)
+    for head in (15, 17, 18):
+        d, e = _headed_section(rng, head)
+        vals, route, k0, _ = spectra._eigenvalues(d, e, 1)
+        assert (route, k0) == ("constant_tail", head)
+        delta = 1e-13 * _span(d, e)
+        for k, v in enumerate(vals):
+            assert sturm_oracle.exact_counts(d, e * e, v - delta)[0] <= k, (head, k)
+            assert sturm_oracle.exact_counts(d, e * e, v + delta)[1] > k, (head, k)
+
+
+@pytest.mark.parametrize("n", [60, 2000])
+def test_constant_section_eigenvalues_in_closed_form(n):
+    a, beta = -0.7, 0.45
+    d, e = np.full(n, a), np.full(n - 1, beta)
+    vals, route, _, _ = spectra._eigenvalues(d, e, 1)
+    exact = a + 2.0 * beta * np.cos(np.arange(n, 0, -1) * math.pi / (n + 1))
+    assert route == "constant_tail"
+    assert np.max(np.abs(vals - exact)) <= 1e-15 * _span(d, e)
+
+
+def test_tail_route_matches_stemr_on_shell_sections():
+    # seeded limit and hse sections of 200 to 3000 rows against LAPACK's
+    # MRRR, which shares nothing with the route or with sterf
+    rng = np.random.default_rng(23)
+    for j in range(40):
+        op = _shell_section(rng.uniform(0.3, 0.7), rng.uniform(1.5, 3.0),
+                            int(rng.integers(200, 3001)), ("limit", "hse")[j % 2])
+        d, e = np.asarray(op.diag), np.asarray(op.offdiag)
+        vals, route, _, _ = spectra._eigenvalues(d, e, 1)
+        ref = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stemr")
+        assert route == "constant_tail"
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * _span(d, e), j
+
+
+@pytest.mark.parametrize("case", ["head_spike", "short_tail"])
+def test_sections_off_the_tail_route_get_sterf_bit_for_bit(case):
+    # the sections take the route until a spike in the head puts an
+    # eigenvalue above the band, or one more head row leaves a tail of 31
+    d, e = _headed_section(np.random.default_rng(2), 28)
+    assert spectra._eigenvalues(d, e, 1)[1:3] == ("constant_tail", 28)
+    if case == "head_spike":
+        d[7] = 0.3 + 3.0 * 1.1
+    else:
+        d[28] += 0.1
+    vals, route, k0, steps = spectra._eigenvalues(d, e, 1)
+    assert (route, steps) == ("sterf", 0)
+    assert d.size - k0 == (32 if case == "head_spike" else 31)
+    ref = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+    assert np.array_equal(vals, ref)
+
+
+#: (eta, gamma, n) of the limit sections of the first nine spectrum jobs
+#: of the dense-spectrum benchmark, seeds 1 and 7
+_DENSE_SECTIONS = [
+    (0.509817, 2.1574, 1105), (0.435318, 2.997569, 820), (0.648769, 1.605062, 1369),
+    (0.361923, 2.284024, 747), (0.566741, 2.017791, 1163), (0.471306, 2.711155, 970),
+    (0.695761, 1.762997, 1416), (0.339159, 2.613154, 523), (0.508895, 2.162298, 1122),
+    (0.509637, 2.187202, 1071), (0.449641, 2.908845, 833), (0.647903, 1.537998, 1250),
+    (0.356117, 2.287648, 724), (0.556042, 2.046403, 1218), (0.498715, 2.731499, 940),
+    (0.656073, 1.815249, 1497), (0.328234, 2.466185, 616), (0.540397, 2.127364, 1043)]
+
+
+def test_tail_route_converges_well_inside_the_cap():
+    # most roots start within rounding of C = K + 1 and stop at once; a
+    # root that bisected after its zero step instead would take about
+    # 45 steps, and Newton without the pivot derivative converges slowly
+    for eta, gamma, n in _DENSE_SECTIONS:
+        op = _shell_section(eta, gamma, n, "limit")
+        vals, route, k0, steps = spectra._eigenvalues(op, None, 1)
+        assert route == "constant_tail" and 19 <= k0 <= 89
+        assert 1 <= steps <= 5 < spectra._NEWTON_CAP
+
+
 def _scaled_polytrope_op():
     dist = model.build_mass_distribution(0.5, 2.0, N=700)
     gp = model.gamma_profile(dist, "constant", value=2.0)
@@ -518,11 +612,15 @@ def test_default_tolerance_floor_on_a_nearly_scalar_section():
     assert spectra.default_tol(-2.0, 2.0) == spectra.DEFAULT_RTOL * 4.0
 
 
+def _default_tol(op):
+    return spectra.default_tol(*spectra.gershgorin_interval(op.diag, op.offdiag))
+
+
 def test_lapack_indices_match_sturm_counts(canonical_op):
     d, e = canonical_op.diag, canonical_op.offdiag
-    tol = 1e-9
+    tol = _default_tol(canonical_op)
     window = _index_window(d, e, 100, 139)
-    vals, _ = spectra.eigenpairs_tridiagonal(canonical_op, window=window, tol=tol)
+    vals, _ = spectra.eigenpairs_tridiagonal(canonical_op, window=window)
     assert vals.size == 40
     ks = np.arange(100, 140)
     assert np.array_equal(spectra.sturm_counts(d, e * e, vals - tol), ks)
@@ -543,24 +641,36 @@ def _nudged(vals, tol):
 
 
 def test_certificate_rejects_nudged_value(canonical_op, monkeypatch):
-    tol = 1e-9
+    # canonical_op ends in a constant tail and takes the Newton route
+    assert spectra._eigenvalues(canonical_op, None, 1)[1] == "constant_tail"
+    tol = _default_tol(canonical_op)
+    real = spectra._tail_eigenvalues
+    monkeypatch.setattr(spectra, "_tail_eigenvalues",
+                        lambda *a: (_nudged(real(*a)[0], tol), 1))
+    with pytest.raises(NumericalError, match="certificate failed at eigenvalue index 5:"):
+        spectra.eigenvalues_tridiagonal(canonical_op)
+
+
+def test_certificate_rejects_nudged_sterf_value(monkeypatch):
+    # the scaled polytrope's 2-periodic tail is not constant: sterf
+    op = _scaled_polytrope_op()
+    assert spectra._eigenvalues(op, None, 1)[1] == "sterf"
+    tol = _default_tol(op)
     _lapack_patched(monkeypatch, lambda vals: _nudged(vals, tol))
     with pytest.raises(NumericalError, match="certificate failed at eigenvalue index 5:"):
-        spectra.eigenvalues_tridiagonal(canonical_op, tol=tol)
+        spectra.eigenvalues_tridiagonal(op)
 
 
 def test_polish_repairs_raw_values_and_the_certificate_checks_the_polished(
         canonical_op, monkeypatch):
     # a raw stebz value 10 tol off is restored from its vector; the same
     # nudge applied after the polish still fails the certificate
-    tol = 1e-9
+    tol = _default_tol(canonical_op)
     window = _index_window(canonical_op.diag, canonical_op.offdiag, 100, 139)
-    clean, clean_vecs = spectra.eigenpairs_tridiagonal(canonical_op, window=window,
-                                                       tol=tol)
+    clean, clean_vecs = spectra.eigenpairs_tridiagonal(canonical_op, window=window)
     with monkeypatch.context() as mp:
         _lapack_patched(mp, lambda vals: _nudged(vals, tol))
-        vals, vecs = spectra.eigenpairs_tridiagonal(canonical_op, window=window,
-                                                    tol=tol)
+        vals, vecs = spectra.eigenpairs_tridiagonal(canonical_op, window=window)
     glo, ghi = spectra.gershgorin_interval(canonical_op.diag, canonical_op.offdiag)
     assert np.max(np.abs(vals - clean)) <= 1e-14 * (ghi - glo)
     assert np.max(np.abs(np.abs(np.sum(vecs * clean_vecs, axis=0)) - 1.0)) < 1e-12
@@ -569,7 +679,7 @@ def test_polish_repairs_raw_values_and_the_certificate_checks_the_polished(
     monkeypatch.setattr(spectra, "_rayleigh_ritz",
                         lambda *a: _nudged(real(*a), tol))
     with pytest.raises(NumericalError, match="certificate failed at eigenvalue index 105:"):
-        spectra.eigenpairs_tridiagonal(canonical_op, window=window, tol=tol)
+        spectra.eigenpairs_tridiagonal(canonical_op, window=window)
 
 
 def test_certificate_rejects_window_count_mismatch(canonical_op, monkeypatch):
