@@ -466,9 +466,9 @@ def _run_sl(eff, threads):
         except ValidationError as exc:
             raise ValidationError(
                 f"sl at lambda {lam!r} with analysis.x_max {ana['x_max']!r}: {exc}") from None
-        artifacts[f"trace_{k}.csv"] = {
-            "X": trace.X_grid, "Y": trace.Y, "Y_prime": trace.Y_prime,
-            "x": trace.x_grid, "xi": trace.y, "delta_r": trace.delta_r}
+        # only what the solver computed: x, xi and delta_r follow from X and Y
+        artifacts[f"trace_{k}.csv"] = {"X": trace.X_grid, "Y": trace.Y,
+                                       "Y_prime": trace.Y_prime}
         results.append({
             "lambda": trace.lam,
             "propagator": {"method": "magnus6", "substeps": trace.substeps,
@@ -477,9 +477,10 @@ def _run_sl(eff, threads):
             "regularity": _fields(reg, "fitted_power analytic_power lower_bound "
                                        "monotone within bound_satisfied"),
             "l2_growth": _fields(gr, "slope r_squared max_growth_factor "
-                                     "growth_exponent delta_r_lower diverges"),
+                                     "growth_exponent diverges"),
             "wkb": {"alpha_abs": abs(wkb.alpha), "beta_abs": abs(wkb.beta),
-                    "residual": wkb.residual, "window": list(wkb.window)}})
+                    "residual": wkb.residual, "window": list(wkb.window),
+                    "split": wkb.split}})
         print(f"sl: lambda={lam:g} R_power={reg.fitted_power:.4f} "
               f"(analytic {reg.analytic_power:.4f}) F_slope={gr.slope:.4g} "
               f"diverges={gr.diverges}")

@@ -466,7 +466,7 @@ def canonical_derivative_exponents(eos):
 
 @dataclass(frozen=True)
 class CanonicalTrace:
-    """Integrated canonical solution with the recovered physical fields.
+    """Integrated canonical solution with the recovered radius and ratio.
 
     ``substeps`` is the number of Magnus steps per output interval,
     ``levels`` the steps per interval of every level computed, ending at
@@ -481,14 +481,9 @@ class CanonicalTrace:
     Y_prime: np.ndarray = field(repr=False)
     x_grid: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
-    delta_r: np.ndarray = field(repr=False)
     substeps: int = None
     levels: tuple = None
     error_estimate: float = None
-
-    @property
-    def X_max(self):
-        return float(self.X_grid[-1])
 
 
 #: offset of the outer Gauss nodes from the middle of a step, in steps
@@ -688,9 +683,9 @@ def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10):
     shrink with the local frequency.  Once every step turns the solution
     by at most pi, a doubling that cuts the estimate less than fourfold
     means roundoff has the upper hand, and raises NumericalError.  The
-    physical displacement is recovered on the same grid through
-    y = Y/(pw)**(1/4), delta_r = x*y.  A grid of more than MAX_GRID
-    points is refused before anything is allocated.
+    radius and the displacement ratio are recovered on the same grid
+    through x = x_of_X(X) and y = Y/(pw)**(1/4).  A grid of more than
+    MAX_GRID points is refused before anything is allocated.
     """
     if lam <= 0.0:
         raise ValidationError(f"lam must be positive, got {lam!r}")
@@ -731,8 +726,7 @@ def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10):
     x = form.x_of_X(grid)
     y = Y / (form.eos.p(x) * form.eos.w(x)) ** 0.25
     return CanonicalTrace(lam=float(lam), X_grid=grid, Y=Y, Y_prime=Yp, x_grid=x,
-                          y=y, delta_r=x * y, substeps=2 * m, levels=tuple(levels),
-                          error_estimate=est)
+                          y=y, substeps=2 * m, levels=tuple(levels), error_estimate=est)
 
 
 @dataclass(frozen=True)
@@ -800,13 +794,17 @@ def _pw_minus_quarter_log_deriv(eos, x, D):
 
 @dataclass(frozen=True)
 class WKBFit:
-    """Tail fit of the canonical solution to the WKB pair."""
+    """Tail fit of the canonical solution to the WKB pair.
+
+    ``split`` names the V2 the fit used: "q0", "zero" or "callable".
+    """
 
     alpha: complex
     beta: complex
     residual: float
     window: tuple
     hypothesis_slopes: dict
+    split: str
 
     @property
     def amplitude(self):
@@ -830,9 +828,9 @@ def wkb_fit(trace, form, split=None):
     fitted over the second half of the trace.  ``split`` chooses V2:
     None picks Q when the potential still matters at the window end and
     0 otherwise; explicit choices are {"V2": "zero"}, {"V2": "q0"} or
-    {"V2": callable}; V1 is always Q - V2.  Y and Y' are fitted
-    jointly by least squares and the stacked relative residual is
-    reported.
+    {"V2": callable}; V1 is always Q - V2, and the fit records which V2
+    it used.  Y and Y' are fitted jointly by least squares and the
+    stacked relative residual is reported.
 
     The split must satisfy the asymptotic hypotheses: V1 integrable
     over the tail, and either V2 -> 0 with V2' integrable or, for
@@ -860,6 +858,7 @@ def wkb_fit(trace, form, split=None):
         V2 = Qw
     elif callable(v2):
         V2 = np.asarray(v2(X), dtype=float)
+        v2 = "callable"
     else:
         raise ValidationError(f"split V2 must be zero, q0 or callable, got {v2!r}")
 
@@ -904,7 +903,7 @@ def wkb_fit(trace, form, split=None):
     alpha = 0.5 * (a_c - 1j * b_s)
     beta = 0.5 * (a_c + 1j * b_s)
     return WKBFit(alpha=complex(alpha), beta=complex(beta), residual=resid,
-                  window=(float(X[0]), float(X[-1])), hypothesis_slopes=slopes)
+                  window=(float(X[0]), float(X[-1])), hypothesis_slopes=slopes, split=v2)
 
 
 @dataclass(frozen=True)
@@ -991,7 +990,6 @@ class GrowthReport:
     r_squared: float
     max_growth_factor: float
     growth_exponent: float
-    delta_r_lower: float = None
 
     @property
     def diverges(self):
@@ -1000,18 +998,16 @@ class GrowthReport:
             and self.max_growth_factor >= 10.0
 
 
-def l2_growth(trace, form, total_mass=None, envelope=None):
+def l2_growth(trace, form, envelope=None):
     """Partial L2 integrals of Y and the running max of |delta_r|.
 
     F(X) = int_0^X |Y|^2 grows linearly for bounded non-vanishing
     solutions (never square integrable on the infinite canonical
     half-line); the displacement envelope then diverges at the
     surface, measured by its growth factor across the last two depth
-    decades and the fitted exponent against -log(depth).  With
-    ``total_mass`` the identity int |Y|^2 dX = int delta_r^2 s^2 rho ds
-    turns F into a lower bound sup|delta_r| >= sqrt(4 pi F / mass).
-    An envelope with no samples in the decade above its deepest depth
-    cannot give the growth factor and is refused.
+    decades and the fitted exponent against -log(depth).  An envelope
+    with no samples in the decade above its deepest depth cannot give
+    the growth factor and is refused.
     """
     X, Y = trace.X_grid, trace.Y
     F = np.concatenate([[0.0], np.cumsum(0.5 * (Y[1:] ** 2 + Y[:-1] ** 2) * np.diff(X))])
@@ -1035,9 +1031,5 @@ def l2_growth(trace, form, total_mass=None, envelope=None):
     factor = f_near / f_far if f_far > 0 else np.inf
     sel = D <= lo * 100.0
     coef2 = np.polyfit(-np.log(D[sel]), np.log(dr[sel]), 1)
-    bound = None
-    if total_mass is not None:
-        bound = math.sqrt(4.0 * math.pi * float(F[-1]) / total_mass)
     return GrowthReport(F=F, slope=float(coef[0]), r_squared=r2,
-                        max_growth_factor=float(factor),
-                        growth_exponent=float(coef2[0]), delta_r_lower=bound)
+                        max_growth_factor=float(factor), growth_exponent=float(coef2[0]))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lawe_spectra import cli
+from lawe_spectra import cli, slform
 from lawe_spectra.errors import NumericalError, ValidationError
 
 
@@ -749,9 +749,7 @@ def test_sl_trace_csv_layout(tmp_path, capsys):
     assert "sl: route=integrable_canonical_potential applies=True" in text
     assert "diverges=True" in text
     rows = (out / "trace_0.csv").read_text().splitlines()
-    assert rows[1] == "X,Y,Y_prime,x,xi,delta_r"
-    data = np.loadtxt(rows[2:], delimiter=",")
-    assert np.array_equal(data[:, 5], data[:, 3] * data[:, 4])
+    assert rows[1] == "X,Y,Y_prime"
     case = json.loads((out / "sl_case.json").read_text())
     assert case["route"] == "integrable_canonical_potential"
     res = json.loads((out / "sl.json").read_text())
@@ -763,6 +761,38 @@ def test_sl_trace_csv_layout(tmp_path, capsys):
     assert levels[0] == 2 and levels[-1] == prop["substeps"]
     assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
     assert 0.0 < prop["error_estimate"] <= 1e-8
+
+
+@pytest.mark.parametrize("eos, split", [
+    ({"variant": "polytropic", "a": 2, "b": 4}, "zero"),
+    ({"variant": "linear_thermal", "a": 1, "b": 4, "c": 2.5}, "q0")],
+    ids=["polytropic", "linear_thermal"])
+def test_sl_trace_csv_rebuilds_the_dropped_fields(tmp_path, capsys, eos, split):
+    # trace_k.csv holds only what the solver computed; the radius x, the
+    # ratio xi and delta_r = x*xi follow from its X and Y bit for bit
+    # through the library's closed forms
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", eos=eos,
+                       analysis={"lambdas": [1.0], "x_max": 60.0},
+                       output={"directory": str(out)})
+    assert cli.run("sl", cfg) == 0
+    capsys.readouterr()
+    rows = (out / "trace_0.csv").read_text().splitlines()[2:]
+    X, Y, Y_prime = np.array([[float(c) for c in row.split(",")] for row in rows]).T
+    params = {k: v for k, v in eos.items() if k != "variant"}
+    layer = cli._SL_EOS[eos["variant"]](**params)
+    form = slform.CanonicalForm(layer)
+    tr = slform.integrate_canonical(form, 1.0, X_max=60.0)
+    for col, ref in ((X, tr.X_grid), (Y, tr.Y), (Y_prime, tr.Y_prime)):
+        assert np.array_equal(col, ref)
+    x = form.x_of_X(X)
+    xi = Y / (layer.p(x) * layer.w(x)) ** 0.25
+    assert np.array_equal(x, tr.x_grid)
+    assert np.array_equal(xi, tr.y)
+    assert np.array_equal(x * xi, tr.x_grid * tr.y)
+    res = json.loads((out / "sl.json").read_text())["traces"][0]
+    assert res["wkb"]["split"] == split
+    assert "delta_r_lower" not in res["l2_growth"]
 
 
 def test_sl_artifacts_byte_identical_across_runs(tmp_path, capsys):

@@ -327,12 +327,11 @@ def test_flat_potential_integrates_to_sine():
 
 def test_trace_fields_consistent(poly24_trace):
     form, tr = poly24_trace
-    assert tr.X_max == 600.0
+    assert tr.X_grid[-1] == 600.0
     assert np.all(np.diff(tr.x_grid) > 0)
     sl = form.eos
     pw4 = (sl.p(tr.x_grid) * sl.w(tr.x_grid)) ** 0.25
     assert np.array_equal(tr.y, tr.Y / pw4)
-    assert np.array_equal(tr.delta_r, tr.x_grid * tr.y)
 
 
 def test_envelope_continuation(poly24_trace):
@@ -372,18 +371,17 @@ def test_regularity_decay_thermal(thermal_trace):
 
 def test_l2_growth_polytropic(poly24_trace):
     form, tr = poly24_trace
-    rep = slform.l2_growth(tr, form, total_mass=1.0)
+    rep = slform.l2_growth(tr, form)
     assert rep.slope == pytest.approx(1.104162, abs=1e-3)
     assert rep.r_squared > 0.999
     assert rep.max_growth_factor == pytest.approx(337.96, rel=0.01)
     assert rep.growth_exponent == pytest.approx(2.5, abs=1e-3)
-    assert rep.delta_r_lower == math.sqrt(4.0 * math.pi * rep.F[-1])
     assert rep.diverges
 
 
 def test_l2_growth_thermal(thermal_trace):
     form, tr = thermal_trace
-    rep = slform.l2_growth(tr, form, total_mass=1.0)
+    rep = slform.l2_growth(tr, form)
     assert rep.slope == pytest.approx(0.126593, abs=1e-3)
     assert rep.r_squared > 0.999
     assert rep.max_growth_factor == pytest.approx(18.08, rel=0.02)
@@ -436,12 +434,26 @@ def test_wkb_fit_constant_potential_keeps_it_under_the_root():
         slform.wkb_fit(tr, form, split={"V2": "bogus"})
 
 
+def test_wkb_fit_records_its_split(poly24_trace, thermal_trace):
+    # the automatic split keeps Q under the root only while |Q| at the
+    # window end exceeds 1e-3 lam: P(2,4)'s potential has decayed below
+    # that by X = 600, LT(1,4,2.5)'s has not
+    for (form, tr), auto in ((poly24_trace, "zero"), (thermal_trace, "q0")):
+        assert (abs(float(form.Q(tr.X_grid[-1]))) > 1e-3 * tr.lam) == (auto == "q0")
+        assert slform.wkb_fit(tr, form).split == auto
+    form, tr = poly24_trace
+    assert slform.wkb_fit(tr, form, split={"V2": "q0"}).split == "q0"
+    fit = slform.wkb_fit(tr, form, split={"V2": lambda X: np.zeros_like(X)})
+    assert fit.split == "callable"
+    assert fit.alpha == slform.wkb_fit(tr, form).alpha
+
+
 def test_zero_solution_has_zero_regularity():
     form = slform.CanonicalForm(slform.Polytropic(2, 4))
     X = np.linspace(0.0, 100.0, 2000)
     zero = np.zeros_like(X)
     tr = slform.CanonicalTrace(lam=1.0, X_grid=X, Y=zero, Y_prime=zero,
-                               x_grid=form.x_of_X(X), y=zero, delta_r=zero)
+                               x_grid=form.x_of_X(X), y=zero)
     assert np.all(slform.trace_regularity(tr, form.eos) == 0.0)
 
 
@@ -453,7 +465,7 @@ def test_dying_solution_not_flagged_divergent():
     Y = np.clip(1.0 - X / 50.0, 0.0, None)
     y = Y / (sl.p(xg) * sl.w(xg)) ** 0.25
     tr = slform.CanonicalTrace(lam=1.0, X_grid=X, Y=Y, Y_prime=np.gradient(Y, X),
-                               x_grid=xg, y=y, delta_r=xg * y)
+                               x_grid=xg, y=y)
     with np.errstate(divide="ignore"):
         rep = slform.l2_growth(tr, form)
     assert abs(rep.slope) < 1e-12
@@ -465,7 +477,7 @@ def test_regularity_needs_a_long_trace():
     X = np.linspace(0.0, 5.0, 100)
     one = np.ones_like(X)
     tr = slform.CanonicalTrace(lam=1.0, X_grid=X, Y=one, Y_prime=one,
-                               x_grid=form.x_of_X(X), y=one, delta_r=one)
+                               x_grid=form.x_of_X(X), y=one)
     with pytest.raises(ValidationError, match="trace too short"):
         slform.regularity_check(tr, form.eos)
 
