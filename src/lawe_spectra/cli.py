@@ -390,6 +390,9 @@ def _run_transform_check(eff, threads):
 def _run_scaled(eff, threads):
     ana = eff["analysis"]
     n_trunc = _or(ana["n_trunc"], 2000)
+    if n_trunc < 9:  # the fits of delta_r_growth need 9 shells
+        raise ValidationError(
+            f"analysis.n_trunc must be at least 9 for scaled, got {n_trunc}")
     pd = _build_pd(eff, n_trunc=n_trunc, i_start=1)
     if not pd.e3 < 0.0:  # refused here to name the config key
         raise ValidationError(
@@ -459,8 +462,8 @@ def _run_sl(eff, threads):
             raise NumericalError(
                 f"sl at lambda {lam!r} with analysis.rtol {ana['rtol']!r}: {exc}") from None
         env = slform.extend_trace_asymptotic(trace, form)
-        reg = slform.regularity_check(trace, eos, envelope=env)
-        gr = slform.l2_growth(trace, form, envelope=env)
+        reg = slform.regularity_check(trace, eos, env)
+        gr = slform.l2_growth(trace, env)
         try:
             wkb = slform.wkb_fit(trace, form)
         except ValidationError as exc:

@@ -305,52 +305,42 @@ def _envelope_fit(shells, log_abs):
     return float(coef[0])
 
 
-def delta_r_growth(system, lam=0.0, *, Y=None, i_min=1):
+def delta_r_growth(system, lam):
     """Fit the envelope growth of delta_r = nu**alpha * Y / sqrt(M).
 
-    Y is a tail solution of the weighted-formulation recurrence
+    Y is the tail solution of the weighted-formulation recurrence
     mu(I-1)Y(I-1) + mu(I)Y(I+1) = (theta*nu**(2*alpha) - lam)Y(I) on
-    shells i_min..n, solved here from (Y(i_min-1), Y(i_min)) = (0, 1)
-    unless an explicit array is passed.  Y is renormalized on the fly,
-    only log-magnitudes are kept, so lam outside the essential band
-    (exponentially growing solutions) is handled too.
+    shells 1..n from (Y(0), Y(1)) = (0, 1); the fits need n >= 9.  Y is
+    renormalized on the fly, only log-magnitudes are kept, so lam
+    outside the essential band (exponentially growing solutions) is
+    handled too.
     """
     n = system.n
-    if not (1 <= i_min <= n - 8):
-        raise ValidationError(f"i_min leaves too short a range, got {i_min}")
+    if n < 9:
+        raise ValidationError(f"n = {n} leaves too short a range for the tail fits; "
+                              f"they need n >= 9")
     nu = system.nu
-    idx = np.arange(i_min, n + 1)
+    idx = np.arange(1, n + 1)
     alpha = idx // 2
     mu = system.mu
-    log_abs = np.empty(idx.size)
-
-    if Y is not None:
-        Y = np.asarray(Y, dtype=float)
-        if Y.shape != idx.shape:
-            raise ValidationError(
-                f"Y must cover shells {i_min}..{n} ({idx.size} values), "
-                f"got shape {Y.shape}")
-        with np.errstate(divide="ignore"):
-            log_abs = np.log(np.abs(Y))
-    else:
-        if np.any(mu[i_min - 1:n - 1] == 0.0):
-            raise ValidationError(
-                "couplings mu underflow to zero on the requested range, "
-                "and the weighted tail solve divides by them")
-        rhs = system.theta * np.exp(2.0 * alpha * math.log(nu)) - lam
-        y_prev, y_cur = 0.0, 1.0
-        log_scale = 0.0
-        log_abs[0] = 0.0
-        for k in range(idx.size - 1):
-            i = int(idx[k])
-            y_next = (rhs[k] * y_cur - (mu[i - 2] if i >= 2 else 0.0) * y_prev) / mu[i - 1]
-            y_prev, y_cur = y_cur, y_next
-            m = max(abs(y_prev), abs(y_cur))
-            if m > 1e250:
-                y_prev /= m
-                y_cur /= m
-                log_scale += math.log(m)
-            log_abs[k + 1] = (log_scale + math.log(abs(y_cur))) if y_cur != 0.0 else -math.inf
+    if np.any(mu[:n - 1] == 0.0):
+        raise ValidationError(
+            "couplings mu underflow to zero on the requested range, "
+            "and the weighted tail solve divides by them")
+    rhs = system.theta * np.exp(2.0 * alpha * math.log(nu)) - lam
+    log_abs = np.empty(n)
+    y_prev, y_cur = 0.0, 1.0
+    log_scale = 0.0
+    log_abs[0] = 0.0
+    for k in range(n - 1):
+        y_next = (rhs[k] * y_cur - (mu[k - 1] if k else 0.0) * y_prev) / mu[k]
+        y_prev, y_cur = y_cur, y_next
+        m = max(abs(y_prev), abs(y_cur))
+        if m > 1e250:
+            y_prev /= m
+            y_cur /= m
+            log_scale += math.log(m)
+        log_abs[k + 1] = (log_scale + math.log(abs(y_cur))) if y_cur != 0.0 else -math.inf
 
     sol_rate = _envelope_fit(idx, log_abs)
     gamma = system.gamma

@@ -133,31 +133,25 @@ def construct_dsp(alpha=0.8, p=0.5, spacing=5.0, *, n):
                      blocks=tuple(blocks))
 
 
-def theorem_model(dsp, *, eta=0.5, gamma=2.0, b=None, zeta=0.0, N=None,
-                  binding="attractive"):
+def theorem_model(dsp, *, eta=0.5, gamma=2.0, b=None, zeta=0.0):
     """Shell model whose coupling profile carries the sparse field.
 
     Normalized so the limit coupling is exactly one: Lambda_star =
     1/kappa, giving band edges -zeta*Lambda_star -+ 2.  The canonical
-    strength is b = 1/(Lambda_star*K).  ``binding="attractive"`` adds
-    b*field to the profile, deepening the local wells so eigenvalues
-    accumulate at the lower edge from below; ``"repulsive"`` subtracts
-    it, which weakens the couplings and sheds states above the upper
-    edge instead, leaving nothing under the lower one.
+    strength is b = 1/(Lambda_star*K).  b*field is added to the
+    profile: a positive b deepens the local wells so eigenvalues
+    accumulate at the lower edge from below, and a negative one binds
+    nothing under it.  The model has N = extent + 4 shells, so a
+    section of ``extent`` shells at i_start = 1 assembles.
     """
-    if N is None:
-        # one spare shell so a section of ``extent`` shells at i_start=1 assembles
-        N = dsp.extent + 4
-    if binding not in ("attractive", "repulsive"):
-        raise ValidationError(f"binding must be attractive or repulsive, got {binding!r}")
-    sign = 1.0 if binding == "attractive" else -1.0
+    N = dsp.extent + 4
     kappa = coupling_constant(eta, gamma, zeta)
     dist = build_mass_distribution(eta, gamma, G=1.0 / kappa, N=N)
     if b is None:
         # canonical strength 1/(Lambda_star*K), with K = (4+zeta)/c
         c = profile_constant(eta, gamma, zeta)
         b = c / (dist.lambda_star * (4.0 + zeta))
-    pert = sign * b * dsp.field(N)
+    pert = b * dsp.field(N)
     prof = gamma_profile(dist, "geometric", zeta=zeta, perturbation=pert)
     return build_pd_distribution(dist, prof, zeta=zeta, pressure_mode="limit")
 

@@ -34,6 +34,12 @@ import numpy as np
 from .errors import ValidationError, NumericalError
 
 
+def _edge_coefficients(a, b):
+    """(u, u**2) coefficients of :func:`edge_quadratic`; its constant is 32."""
+    return (-32.0 * (2.0 + a * b),
+            32.0 + 4.0 * a * (7.0 * b - 1.0) + a * a * (3.0 * b * b + 2.0 * b - 1.0))
+
+
 def edge_quadratic(u, a, b):
     """The quadratic controlling the subleading canonical potential.
 
@@ -41,9 +47,8 @@ def edge_quadratic(u, a, b):
     u = x/R_star.  Its value at u=1 factors as a(b+1)(a(3b-1) - 4), so
     it vanishes at the surface exactly when a = 4/(3b-1).
     """
-    ab = a * b
-    c2 = 32.0 + 4.0 * a * (7.0 * b - 1.0) + a * a * (3.0 * b * b + 2.0 * b - 1.0)
-    return 32.0 - 32.0 * (2.0 + ab) * u + c2 * u * u
+    c1, c2 = _edge_coefficients(a, b)
+    return 32.0 + c1 * u + c2 * u * u
 
 
 def _depth_sum(terms, D, k=0):
@@ -103,27 +108,13 @@ class SurfaceLayer:
     def rho(self, x):
         return self.depth(x) ** self.a
 
-    def P(self, x):
-        return _depth_sum(self.P_terms, self.depth(x))
-
     def gamma_P(self, x):
         # a polytrope has Gamma = b; the two-term law's Gamma*P is its gas term
         gas = _depth_sum(self.P_terms[:1], self.depth(x))
         return self.b * gas if self.c is None else gas
 
-    def q_over_x3(self, x):
-        return _depth_sum(self.q_terms, self.depth(x))
-
-    def hse_residual(self, x, G=1.0):
-        """dP/dx + G*rho/x^2, the local hydrostatic defect."""
-        x = np.asarray(x, dtype=float)
-        return -_depth_sum(self.P_terms, self.depth(x), 1) + G * self.rho(x) / x**2
-
     def p(self, x):
         return self.gamma_P(x) * np.asarray(x, dtype=float) ** 4
-
-    def q(self, x):
-        return np.asarray(x, dtype=float) ** 3 * self.q_over_x3(x)
 
     def w(self, x):
         return self.rho(x) * np.asarray(x, dtype=float) ** 4
@@ -230,7 +221,7 @@ class CanonicalForm:
         return self._q1(np.asarray(x, dtype=float), self.eos.depth(x))
 
     def _q1(self, x, D):
-        # q/w with q = x^3 * q_over_x3 and w = rho * x^4
+        # q/w with q = x^3 * sum(q_terms) and w = rho * x^4
         return _depth_sum(self.eos.q_terms, D) / (D ** self.eos.a * x)
 
     def _q1_terms(self):
@@ -264,9 +255,8 @@ class CanonicalForm:
         D = eos.depth(x)
         m = eos.ab - eos.a - 2.0
         u = x / eos.R_star
-        c2 = 32.0 + 4.0 * eos.a * (7.0 * eos.b - 1.0) \
-            + eos.a**2 * (3.0 * eos.b**2 + 2.0 * eos.b - 1.0)
-        dQQ = -32.0 * (2.0 + eos.ab) + 2.0 * c2 * u
+        c1, c2 = _edge_coefficients(eos.a, eos.b)
+        dQQ = c1 + 2.0 * c2 * u
         pref = -eos.pressure_coeff * eos.R_star**2 / 16.0
         return pref * (-m * D ** (m - 1.0) * edge_quadratic(u, eos.a, eos.b) / x**2
                        + D**m * dQQ / (eos.R_star * x**2)
@@ -281,13 +271,6 @@ class CanonicalForm:
         D = self.eos.depth(x)
         W = self.eos.W(x)
         return (self.q1_second(x) + self.s * self.q1_prime(x) / D) / W**2
-
-    def Q2_prime_X(self, x):
-        """dQ2/dX at x: q2'(x)/W(x)."""
-        return self.q2_prime(x) / self.eos.W(x)
-
-    def q2(self, x):
-        return self._q2(np.asarray(x, dtype=float), self.eos.depth(x))
 
     def _q2(self, x, D):
         eos = self.eos
@@ -341,12 +324,13 @@ class CaseReport:
     notes: str = ""
 
 
-def _slope_check(name, fn, eos, exponent, lo=1e-7, hi=1e-3):
-    """Measure the depth slope of ``fn`` and its two-depth quadrature."""
+def _slope_check(name, fn, eos, exponent):
+    """Measure the depth slope of ``fn`` over depths 1e-7..1e-3 and its
+    two-depth quadrature."""
     # fn is elementwise, so one call on the three depth grids gives the
     # same values as one call per grid
-    grids = [np.geomspace(lo, hi, 60)] + [np.geomspace(cut, 1e-2, 400)
-                                          for cut in (1e-5, 1e-8)]
+    grids = [np.geomspace(1e-7, 1e-3, 60)] + [np.geomspace(cut, 1e-2, 400)
+                                              for cut in (1e-5, 1e-8)]
     D, D5, D8 = (g * eos.R_star for g in grids)
     y = np.abs(np.asarray(fn(eos.R_star - np.concatenate([D, D5, D8])), dtype=float))
     y, y5, y8 = y[:60], y[60:460], y[460:]
@@ -764,8 +748,8 @@ def _envelope_fields(eos, amp_Y, amp_Yp, x, D):
 ENVELOPE_DEPTH = 1e-8
 
 
-def extend_trace_asymptotic(trace, form, depth_min=ENVELOPE_DEPTH):
-    """Extend the trace by envelope bounds down to depth_min*R_star.
+def extend_trace_asymptotic(trace, form):
+    """Extend the trace by envelope bounds down to ENVELOPE_DEPTH*R_star.
 
     The Y and Y' amplitudes are read off the last fifth of the trace
     (assumed in the bounded-solution regime, so the amplitudes have
@@ -777,10 +761,10 @@ def extend_trace_asymptotic(trace, form, depth_min=ENVELOPE_DEPTH):
     amp_Y = float(np.max(np.abs(trace.Y[k:])))
     amp_Yp = float(np.max(np.abs(trace.Y_prime[k:])))
     d_hi = float(eos.R_star - trace.x_grid[-1])
-    if depth_min * eos.R_star >= d_hi:
+    if ENVELOPE_DEPTH * eos.R_star >= d_hi:
         raise ValidationError(
-            f"trace already reaches depth {d_hi!r}, below depth_min")
-    D = np.geomspace(depth_min * eos.R_star, d_hi, 500)[::-1]
+            f"trace already reaches depth {d_hi!r}, below ENVELOPE_DEPTH")
+    D = np.geomspace(ENVELOPE_DEPTH * eos.R_star, d_hi, 500)[::-1]
     x = eos.R_star - D
     env_y, env_yp, env_dr, env_R = _envelope_fields(eos, amp_Y, amp_Yp, x, D)
     return TailEnvelope(x=x, depth=D, amp_Y=amp_Y, amp_Yp=amp_Yp, env_y=env_y,
@@ -796,7 +780,7 @@ def _pw_minus_quarter_log_deriv(eos, x, D):
 class WKBFit:
     """Tail fit of the canonical solution to the WKB pair.
 
-    ``split`` names the V2 the fit used: "q0", "zero" or "callable".
+    ``split`` names the V2 the fit used: "q0" or "zero".
     """
 
     alpha: complex
@@ -805,10 +789,6 @@ class WKBFit:
     window: tuple
     hypothesis_slopes: dict
     split: str
-
-    @property
-    def amplitude(self):
-        return abs(self.alpha) + abs(self.beta)
 
 
 def _tail_slope(X, f):
@@ -821,16 +801,15 @@ def _tail_slope(X, f):
     return float(coef[0])
 
 
-def wkb_fit(trace, form, split=None):
+def wkb_fit(trace, form):
     """Fit the trace tail to alpha*u+ + beta*u-, u+- = exp(+-i*phi).
 
     phi' = sqrt(lam - V2) with the envelope factor (lam - V2)**(-1/4),
-    fitted over the second half of the trace.  ``split`` chooses V2:
-    None picks Q when the potential still matters at the window end and
-    0 otherwise; explicit choices are {"V2": "zero"}, {"V2": "q0"} or
-    {"V2": callable}; V1 is always Q - V2, and the fit records which V2
-    it used.  Y and Y' are fitted jointly by least squares and the
-    stacked relative residual is reported.
+    fitted over the second half of the trace.  V2 is Q ("q0") while
+    |Q| at the window end exceeds 1e-3 lam and 0 ("zero") otherwise;
+    V1 is Q - V2, and the fit records which V2 it used.  Y and Y' are
+    fitted jointly by least squares and the stacked relative residual
+    is reported.
 
     The split must satisfy the asymptotic hypotheses: V1 integrable
     over the tail, and either V2 -> 0 with V2' integrable or, for
@@ -848,19 +827,9 @@ def wkb_fit(trace, form, split=None):
     Yw = trace.Y[k:]
     Yp = trace.Y_prime[k:]
 
-    v2 = None if split is None else split.get("V2")
     Qw = form.Q(X)
-    if v2 is None:
-        v2 = "q0" if abs(Qw[-1]) > 1e-3 * lam else "zero"
-    if v2 == "zero":
-        V2 = np.zeros_like(X)
-    elif v2 == "q0":
-        V2 = Qw
-    elif callable(v2):
-        V2 = np.asarray(v2(X), dtype=float)
-        v2 = "callable"
-    else:
-        raise ValidationError(f"split V2 must be zero, q0 or callable, got {v2!r}")
+    v2 = "q0" if abs(Qw[-1]) > 1e-3 * lam else "zero"
+    V2 = Qw if v2 == "q0" else np.zeros_like(X)
 
     under = lam - V2
     if np.any(under <= 0.0):
@@ -940,7 +909,7 @@ def trace_regularity(trace, eos):
     return eos.gamma_P(x) * (3.0 * trace.y + x * yp)
 
 
-def regularity_check(trace, eos, envelope=None):
+def regularity_check(trace, eos, envelope):
     """Fit the decay power of the regularity envelope near the surface.
 
     The trace itself cannot reach the fit depths directly (the
@@ -951,12 +920,11 @@ def regularity_check(trace, eos, envelope=None):
     is (ab+a)/4, set by the x*Gamma*P*y' term; the classical
     requirement is only a positive power, with (a+1)/2 the guaranteed
     lower bound for the polytropic layer (3/4 for the two-term layer
-    with a weak second source).
+    with a weak second source).  ``envelope`` is the trace's
+    :func:`extend_trace_asymptotic`.
     """
     if trace.X_grid.size < 200:
         raise ValidationError("trace too short for a tail fit")
-    if envelope is None:
-        envelope = extend_trace_asymptotic(trace, CanonicalForm(eos))
     D, R = envelope.depth, envelope.env_R
 
     # envelope sanity: max |R| over the trace tail vs the bound there
@@ -998,16 +966,17 @@ class GrowthReport:
             and self.max_growth_factor >= 10.0
 
 
-def l2_growth(trace, form, envelope=None):
+def l2_growth(trace, envelope):
     """Partial L2 integrals of Y and the running max of |delta_r|.
 
     F(X) = int_0^X |Y|^2 grows linearly for bounded non-vanishing
     solutions (never square integrable on the infinite canonical
     half-line); the displacement envelope then diverges at the
     surface, measured by its growth factor across the last two depth
-    decades and the fitted exponent against -log(depth).  An envelope
-    with no samples in the decade above its deepest depth cannot give
-    the growth factor and is refused.
+    decades and the fitted exponent against -log(depth), both read off
+    ``envelope``, the trace's :func:`extend_trace_asymptotic`.  An
+    envelope with no samples in the decade above its deepest depth
+    cannot give the growth factor and is refused.
     """
     X, Y = trace.X_grid, trace.Y
     F = np.concatenate([[0.0], np.cumsum(0.5 * (Y[1:] ** 2 + Y[:-1] ** 2) * np.diff(X))])
@@ -1017,8 +986,6 @@ def l2_growth(trace, form, envelope=None):
     ss = float(np.sum((F[k:] - F[k:].mean()) ** 2))
     r2 = 1.0 if ss == 0.0 or res.size == 0 else 1.0 - float(res[0]) / ss
 
-    if envelope is None:
-        envelope = extend_trace_asymptotic(trace, form)
     D, dr = envelope.depth, envelope.env_delta_r
     lo = D.min()
     far = (D <= lo * 100.0) & (D > lo * 10.0)

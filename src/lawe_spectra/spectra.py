@@ -87,12 +87,6 @@ def default_tol(glo, ghi):
                64.0 * np.finfo(float).eps * max(abs(glo), abs(ghi)))
 
 
-def _as_diagonals(op_or_diag, offdiag=None):
-    if offdiag is None:
-        return np.asarray(op_or_diag.diag, float), np.asarray(op_or_diag.offdiag, float)
-    return np.asarray(op_or_diag, float), np.asarray(offdiag, float)
-
-
 def gershgorin_interval(diag, offdiag):
     r = np.zeros(diag.shape[0])
     r[:-1] += np.abs(offdiag)
@@ -466,9 +460,9 @@ def sturm_counts(diag, off2, shifts, threads=1):
     return count
 
 
-def _diagonals_and_tol(op_or_diag, offdiag):
+def _diagonals_and_tol(op):
     """(diag, offdiag, glo, ghi, :func:`default_tol`) of a finite section."""
-    diag, off = _as_diagonals(op_or_diag, offdiag)
+    diag, off = np.asarray(op.diag, float), np.asarray(op.offdiag, float)
     glo, ghi = gershgorin_interval(diag, off)
     if not (math.isfinite(glo) and math.isfinite(ghi)):
         row = np.flatnonzero(~np.isfinite(diag + np.append(off, 0.0)))[0]
@@ -502,8 +496,9 @@ def _certify(diag, off, vals, tol, threads, window=None):
             f"below value - tol and {int(c[m + j])} below value + tol")
 
 
-def eigenvalues_tridiagonal(op_or_diag, offdiag=None, *, threads=1):
-    """Full spectrum of a symmetric tridiagonal section, certified by Sturm counts.
+def eigenvalues_tridiagonal(op, *, threads=1):
+    """Full spectrum of the symmetric tridiagonal section ``op`` (its
+    ``diag`` and ``offdiag``), certified by Sturm counts.
 
     A section that ends in at least 32 exactly constant rows (diagonal a,
     coupling beta) gets its values as the roots of its continuous Sturm
@@ -516,14 +511,14 @@ def eigenvalues_tridiagonal(op_or_diag, offdiag=None, *, threads=1):
     ``threads`` splits the sweep.  Raises NumericalError naming the first
     index that fails.
     """
-    return _eigenvalues(op_or_diag, offdiag, threads)[0]
+    return _eigenvalues(op, threads)[0]
 
 
-def _eigenvalues(op_or_diag, offdiag, threads):
+def _eigenvalues(op, threads):
     """(values, route, k0, Newton steps) of :func:`eigenvalues_tridiagonal`;
     route is ``"constant_tail"`` or ``"sterf"``, k0 the first row of the
     constant tail (n without one)."""
-    diag, off, _, _, tol = _diagonals_and_tol(op_or_diag, offdiag)
+    diag, off, _, _, tol = _diagonals_and_tol(op)
     off2 = off * off
     k0 = _tail_start(diag, off2)
     vals, steps = None, 0
@@ -544,9 +539,9 @@ def _eigenvalues(op_or_diag, offdiag, threads):
     return vals, route, k0, steps
 
 
-def eigenpairs_tridiagonal(op_or_diag, offdiag=None, *, window, threads=1):
-    """Certified eigenpairs (values, vectors) whose values lie in the
-    half-open window (a, b].
+def eigenpairs_tridiagonal(op, *, window, threads=1):
+    """Certified eigenpairs (values, vectors) of the section ``op`` whose
+    values lie in the half-open window (a, b].
 
     LAPACK ``stebz`` bisects each value only to the certificate's width
     ``tol``; inverse iteration at those values gives the vectors, and a
@@ -558,7 +553,7 @@ def eigenpairs_tridiagonal(op_or_diag, offdiag=None, *, window, threads=1):
     columns.
     """
     from scipy.linalg import eigvalsh_tridiagonal
-    diag, off, glo, ghi, tol = _diagonals_and_tol(op_or_diag, offdiag)
+    diag, off, glo, ghi, tol = _diagonals_and_tol(op)
     if not window[0] < window[1]:
         raise ValidationError(f"empty window {window!r}")
     try:
@@ -695,18 +690,17 @@ class FillReport:
         return self.n_outliers == 0 and self.max_gap < self.pad
 
 
-def spectrum_fill_report(op, interval=None, *, pad=0.05, threads=1):
-    """Full spectrum of the section and its coverage of ``interval``.
+def spectrum_fill_report(op, *, pad=0.05, threads=1):
+    """Full spectrum of the section and its coverage of the model's
+    essential interval ``op.scaling.interval``.
 
     The maximal gap is measured between consecutive eigenvalues inside
     the interval, including the distances from the interval endpoints to
     the nearest eigenvalue; outliers are eigenvalues farther than ``pad``
     outside.
     """
-    if interval is None:
-        interval = op.scaling.interval
-    lo, hi = float(interval[0]), float(interval[1])
-    vals, route, k0, steps = _eigenvalues(op, None, threads)
+    lo, hi = (float(v) for v in op.scaling.interval)
+    vals, route, k0, steps = _eigenvalues(op, threads)
     inside = vals[(vals >= lo - pad) & (vals <= hi + pad)]
     outliers = vals[(vals < lo - pad) | (vals > hi + pad)]
     knots = np.concatenate([[lo], np.sort(np.clip(inside, lo, hi)), [hi]])

@@ -5,8 +5,12 @@ batches the displacement verdicts in ``discrete.delta_r_bounded``, which
 takes the log-mass term inline, and no job assembles the 2-periodic
 comparison operator whose bands ``spectra.band_structure`` gives in
 closed form.  The tests check the gauge symmetry, the batched verdicts
-and the band edges against them.
+and the band edges against them.  :func:`with_interval` lends a section
+without a model the essential interval that ``spectrum_fill_report``
+measures against.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,6 +25,13 @@ def gauge_flipped(op):
     """
     return JacobiOperator(diag=op.diag, offdiag=-op.offdiag,
                           i_start=op.i_start, pd=op.pd)
+
+
+def with_interval(op, interval):
+    """Copy of ``op`` whose model data holds only ``scaling.interval``."""
+    scaling = SimpleNamespace(interval=interval)
+    return JacobiOperator(diag=op.diag, offdiag=op.offdiag, i_start=op.i_start,
+                          pd=SimpleNamespace(scaling=scaling))
 
 
 def delta_r_log(X, dist, i_start=1):

@@ -1,6 +1,29 @@
-"""Nested-derivative reference for the canonical potential of ``slform``."""
+"""Nested-derivative reference for the canonical potential of ``slform``.
+
+The layer's pressure P, its q and its hydrostatic defect are sums over the
+(coefficient, power) pairs of a ``SurfaceLayer``; no job needs them, so
+they live here as the references for the layer tests.
+"""
 
 import numpy as np
+
+
+def pressure(eos, x):
+    """P = sum(cf * D**pw) over the layer's pressure terms."""
+    D = eos.depth(x)
+    return sum(cf * D**pw for cf, pw in eos.P_terms)
+
+
+def q(eos, x):
+    """q = x**3 * sum(cf * D**pw) over the layer's q terms."""
+    D = eos.depth(x)
+    return np.asarray(x, dtype=float) ** 3 * sum(cf * D**pw for cf, pw in eos.q_terms)
+
+
+def hse_residual(eos, x, G=1.0):
+    """dP/dx + G*rho/x**2, the local hydrostatic defect."""
+    D = eos.depth(x)
+    return -sum(cf * pw * D ** (pw - 1) for cf, pw in eos.P_terms) + G * eos.rho(x) / x**2
 
 
 def q0_fd(form, x, h=None, levels=4):
@@ -23,7 +46,7 @@ def q0_fd(form, x, h=None, levels=4):
         return np.sqrt(eos.p(t) / eos.w(t)) * _richardson(f, t, h * 0.5, levels)
 
     inner = _richardson(g, x, h, levels)
-    return float(eos.q(x) / eos.w(x) - (eos.p(x) / eos.w(x) ** 3) ** 0.25 * inner)
+    return float(q(eos, x) / eos.w(x) - (eos.p(x) / eos.w(x) ** 3) ** 0.25 * inner)
 
 
 def _richardson(fn, x, h, levels):

@@ -69,7 +69,8 @@ def test_criterion_02_spectrum_fills_interval():
     t0 = time.perf_counter()
     pd = _limit_pd(4020)
     op = discrete.assemble_jacobi(pd, 4000, i_start=16)
-    rep = spectra.spectrum_fill_report(op, INTERVAL, pad=0.05)
+    assert op.scaling.interval == pytest.approx(INTERVAL)
+    rep = spectra.spectrum_fill_report(op, pad=0.05)
     dt = time.perf_counter() - t0
     ok = rep.n_outliers == 0 and rep.max_gap < 0.05 and dt < 30.0
     _line(2, ok, f"n={rep.values.size} outliers={rep.n_outliers} "
@@ -222,8 +223,8 @@ def test_criterion_10_regularity_and_divergence(eos, analytic):
     form = slform.CanonicalForm(eos)
     trace = slform.integrate_canonical(form, 1.0, X_max=2000.0)
     env = slform.extend_trace_asymptotic(trace, form)
-    reg = slform.regularity_check(trace, eos, envelope=env)
-    gr = slform.l2_growth(trace, form, envelope=env)
+    reg = slform.regularity_check(trace, eos, env)
+    gr = slform.l2_growth(trace, env)
     dt = time.perf_counter() - t0
     ok = reg.monotone and reg.within and gr.slope > 0 \
         and gr.r_squared > 0.99 and gr.max_growth_factor >= 10.0 and dt < 60.0
@@ -261,7 +262,8 @@ def test_criterion_12_free_operator_eigenvalues():
     t0 = time.perf_counter()
     worst = 0.0
     for N in (3, 10, 100, 512):
-        vals = spectra.eigenvalues_tridiagonal(np.zeros(N), np.ones(N - 1))
+        op = discrete.JacobiOperator(diag=np.zeros(N), offdiag=np.ones(N - 1), i_start=1)
+        vals = spectra.eigenvalues_tridiagonal(op)
         k = np.arange(1, N + 1)
         exact = 2.0 * np.cos(k * math.pi / (N + 1))
         worst = max(worst, float(np.max(np.abs(np.sort(vals) - np.sort(exact)))))

@@ -219,6 +219,9 @@ PROBES = {
                     "analysis.lambdas"),
     "pad-string": ("spectrum", {"analysis": {"pad": "x"}}, [], "analysis.pad"),
     "i_min-string": ("scaled", {"analysis": {"i_min": "q"}}, [], "analysis.i_min"),
+    "n_trunc-short-scaled": ("scaled", {"eos": {"variant": "polytrope"},
+                                        "analysis": {"n_trunc": 5}}, [],
+                             "analysis.n_trunc must be at least 9 for scaled, got 5"),
     "threads-string": ("spectrum", {"analysis": {"threads": "two"}}, [],
                        "analysis.threads"),
     "threads-zero": ("spectrum", {"analysis": {"threads": 0}}, [],
@@ -1019,12 +1022,28 @@ _FEEDER_JOBS = [
 ]
 
 
+def _public_code(lawe_spectra):
+    """{code object: name} of every public function, and of every method
+    and property written in the source of a public class; the methods a
+    dataclass generates have no source file of their own."""
+    public = {}
+    for name in lawe_spectra.__all__:
+        obj = getattr(lawe_spectra, name)
+        if inspect.isfunction(obj):
+            public[obj.__code__] = name
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                fn = member.fget if isinstance(member, property) else member
+                if inspect.isfunction(fn) and fn.__code__.co_filename == inspect.getfile(obj):
+                    public[fn.__code__] = f"{name}.{attr}"
+    return public
+
+
 def test_every_public_function_feeds_a_job(tmp_path, capsys):
-    # a module-level function that no subcommand reaches serves no result
-    # of the program: it belongs in tests/ as an oracle, or nowhere
+    # a function, method or property that no subcommand reaches serves no
+    # result of the program: it belongs in tests/ as an oracle, or nowhere
     import lawe_spectra
-    public = {getattr(lawe_spectra, name).__code__: name for name in lawe_spectra.__all__
-              if inspect.isfunction(getattr(lawe_spectra, name))}
+    public = _public_code(lawe_spectra)
     called = set()
 
     def profile(frame, event, arg):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lawe_spectra import discrete, model, polytrans, spectra
 from lawe_spectra.errors import ValidationError
 
+import discrete_oracle
 import grading_oracle
 
 HALF_LOG2 = 0.5 * math.log(2.0)
@@ -251,7 +252,8 @@ def test_scaled_system_refuses_a_geometric_profile(mode):
 
 def test_weighted_section_fills_single_band(stiff_pd):
     sys = polytrans.build_scaled_system(stiff_pd, 1200)
-    rep = spectra.spectrum_fill_report(_weighted_operator(sys), (-8.0, 8.0), pad=0.05)
+    op = discrete_oracle.with_interval(_weighted_operator(sys), (-8.0, 8.0))
+    rep = spectra.spectrum_fill_report(op, pad=0.05)
     assert rep.fills
     assert rep.n_outliers == 0
     assert rep.max_gap == pytest.approx(0.0208, abs=5e-4)
@@ -331,38 +333,29 @@ def test_cross_formulation_identity(stiff_pd, stiff_sys):
 
 
 def test_delta_r_growth_balanced(stiff_sys):
-    gr = polytrans.delta_r_growth(stiff_sys, 0.0, i_min=2)
+    gr = polytrans.delta_r_growth(stiff_sys, 0.0)
     assert abs(gr.solution_rate) < 1e-10
     assert gr.theory_solution_rate == 0.0
     assert gr.theory_displacement_rate == pytest.approx(HALF_LOG2, abs=1e-15)
     assert gr.displacement_rate == pytest.approx(HALF_LOG2, rel=1e-12)
 
 
-def test_delta_r_growth_explicit_envelope(stiff_sys):
-    n_y = stiff_sys.n - 2 + 1
-    gr = polytrans.delta_r_growth(stiff_sys, 0.0, Y=np.ones(n_y), i_min=2)
-    assert gr.solution_rate == 0.0
-    assert gr.displacement_rate == pytest.approx(HALF_LOG2, abs=1e-14)
-    with pytest.raises(ValidationError, match="Y must cover shells"):
-        polytrans.delta_r_growth(stiff_sys, 0.0, Y=np.ones(7), i_min=2)
-
-
 def test_delta_r_growth_outside_band(stiff_sys):
     # lam = 10 sits beyond the weighted band [-8, 8]; the recurrence
     # solution grows like 2**I (root of 4*(s + 1/s) = 10)
-    gr = polytrans.delta_r_growth(stiff_sys, 10.0, i_min=2)
+    gr = polytrans.delta_r_growth(stiff_sys, 10.0)
     assert gr.solution_rate == pytest.approx(math.log(2.0), rel=0.05)
 
 
 def test_delta_r_growth_guards(stiff_sys):
-    with pytest.raises(ValidationError, match="i_min leaves too short"):
-        polytrans.delta_r_growth(stiff_sys, 0.0, i_min=stiff_sys.n)
+    with pytest.raises(ValidationError, match="n = 8 leaves too short a range"):
+        polytrans.delta_r_growth(polytrans.build_scaled_system(stiff_sys.pd, 8), 0.0)
     # the smallest C_star leaves the innermost couplings subnormal or zero
     dist = model.build_mass_distribution(0.99, 2.0, N=60)
     pd = model.build_pd_distribution(dist, model.gamma_profile(dist, "constant", value=2.0),
                                      pressure_mode="polytrope", C_star=5e-324)
     with pytest.raises(ValidationError, match="underflow to zero"):
-        polytrans.delta_r_growth(polytrans.build_scaled_system(pd, 50), 0.0, i_min=2)
+        polytrans.delta_r_growth(polytrans.build_scaled_system(pd, 50), 0.0)
 
 
 def test_unbalanced_scaling_base():
@@ -379,7 +372,7 @@ def test_unbalanced_scaling_base():
     assert sys.beta[-1] == pytest.approx(sys.beta_inf, rel=1e-12)
     lf = polytrans.local_frequencies(sys, 0.0, i_min=2)
     assert lf.slope() == pytest.approx(0.5 * math.log(1.0 / sys.nu), rel=1e-12)
-    gr = polytrans.delta_r_growth(sys, 0.0, i_min=2)
+    gr = polytrans.delta_r_growth(sys, 0.0)
     expected = 0.5 * (1.5 * math.log(2.0) - math.log(1.0 / sys.nu))
     assert gr.theory_displacement_rate == pytest.approx(expected, abs=1e-15)
     assert gr.displacement_rate == pytest.approx(expected, rel=1e-4)

@@ -69,8 +69,6 @@ def test_theorem_model_normalization(dsp):
     i = np.arange(s, s + L + 1)
     bump = pd.gamma.scaled[i] - base
     assert np.allclose(bump, 0.32 * i.astype(float) ** -0.8, rtol=1e-12)
-    with pytest.raises(ValidationError, match="binding must be"):
-        ppmodes.theorem_model(dsp, binding="neutral")
 
 
 def test_ladder_below_lower_edge(edge_modes):
@@ -121,7 +119,8 @@ def test_nested_sections_interlace(dsp):
 
 
 def test_repulsive_field_binds_nothing(dsp):
-    pd = ppmodes.theorem_model(dsp, binding="repulsive")
+    # a negative strength (analysis.b) subtracts the canonical field
+    pd = ppmodes.theorem_model(dsp, b=-0.32)
     op = discrete.assemble_jacobi(pd, dsp.extent, i_start=1)
     em = ppmodes.detect_edge_eigenvalues(op, dsp)
     assert em.count == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,12 +30,12 @@ def test_polytropic_profile_closed_forms():
     x = np.array([0.55, 0.7, 0.9])
     D = 1.0 - x
     assert np.allclose(eos.rho(x), D**2, rtol=1e-15)
-    assert np.allclose(eos.P(x), D**6, rtol=1e-15)
+    assert np.allclose(q0_oracle.pressure(eos, x), D**6, rtol=1e-15)
     assert np.allclose(eos.gamma_P(x), 3.0 * D**6, rtol=1e-15)
     assert np.allclose(sl.p(x), 3.0 * D**6 * x**4, rtol=1e-15)
     assert np.allclose(sl.w(x), D**2 * x**4, rtol=1e-15)
     # q = x^3 * K*a*b*(3b-4)*D^(ab-1)
-    assert np.allclose(sl.q(x), 30.0 * D**5 * x**3, rtol=1e-14)
+    assert np.allclose(q0_oracle.q(sl, x), 30.0 * D**5 * x**3, rtol=1e-14)
     assert np.allclose(sl.W(x), D**-2 / math.sqrt(3.0), rtol=1e-15)
 
 
@@ -43,12 +44,13 @@ def test_linear_thermal_profile_closed_forms():
     x = np.array([0.55, 0.7, 0.9])
     D = 1.0 - x
     assert np.allclose(eos.rho(x), D, rtol=1e-15)
-    assert np.allclose(eos.P(x), 2.0 * D**4 + 0.5 * D**2.5, rtol=1e-15)
+    assert np.allclose(q0_oracle.pressure(eos, x), 2.0 * D**4 + 0.5 * D**2.5, rtol=1e-15)
     assert np.allclose(eos.gamma_P(x), 2.0 * D**4, rtol=1e-15)
     assert np.allclose(eos.p(x), 2.0 * D**4 * x**4, rtol=1e-15)
     assert np.allclose(eos.w(x), D * x**4, rtol=1e-15)
     # q = -x^3 * (ab*K0*D^(ab-1) + 4*c*L0*D^(c-1))
-    assert np.allclose(eos.q(x), -(8.0 * D**3 + 5.0 * D**1.5) * x**3, rtol=1e-14)
+    assert np.allclose(q0_oracle.q(eos, x), -(8.0 * D**3 + 5.0 * D**1.5) * x**3,
+                       rtol=1e-14)
     assert np.allclose(eos.W(x), D**-1.5 / math.sqrt(2.0), rtol=1e-15)
 
 
@@ -63,10 +65,10 @@ def test_q_is_minus_x3_derivative_of_3gamma_minus_4_pressure(eos):
     h = 1e-5 * (eos.R_star - x)
 
     def f(t):
-        return 3.0 * eos.gamma_P(t) - 4.0 * eos.P(t)
+        return 3.0 * eos.gamma_P(t) - 4.0 * q0_oracle.pressure(eos, t)
 
     want = -x**3 * (f(x + h) - f(x - h)) / (2.0 * h)
-    assert np.allclose(eos.q(x), want, rtol=1e-8, atol=0.0)
+    assert np.allclose(q0_oracle.q(eos, x), want, rtol=1e-8, atol=0.0)
 
 
 def test_profile_validation():
@@ -92,9 +94,9 @@ def test_hse_residual_matches_numeric_pressure_gradient():
     h, G = 1e-6, 1.7
     for eos in (slform.Polytropic(2, 3), slform.LinearThermal(1, 4, 2.5)):
         for x in (0.6, 0.8, 0.95):
-            dP = (eos.P(x + h) - eos.P(x - h)) / (2.0 * h)
+            dP = (q0_oracle.pressure(eos, x + h) - q0_oracle.pressure(eos, x - h)) / (2.0 * h)
             want = dP + G * eos.rho(x) / x**2
-            assert eos.hse_residual(x, G) == pytest.approx(want, rel=1e-9)
+            assert q0_oracle.hse_residual(eos, x, G) == pytest.approx(want, rel=1e-9)
 
 
 def test_transform_closed_form_value():
@@ -184,7 +186,7 @@ def test_marginal_adiabatic_exponent_kills_first_order_term():
     form = slform.CanonicalForm(slform.Polytropic(3, 4.0 / 3.0))
     x = np.linspace(0.55, 0.95, 20)
     assert np.all(form.q1(x) == 0.0)
-    assert np.array_equal(form.q0(x), form.q2(x))
+    assert np.array_equal(form.q0(x), form._q2(x, form.eos.depth(x)))
 
 
 Q0_SLOPE_CASES = [
@@ -232,7 +234,8 @@ def test_canonical_derivative_exponents(c, analytic, fitted):
     assert slform.canonical_derivative_exponents(eos) == pytest.approx(analytic, abs=1e-12)
     D = np.geomspace(1e-7, 1e-3, 60)
     x = eos.R_star * (1.0 - D)
-    for fn, ana, frz in zip((form.Q1_prime_X, form.Q1_second_X, form.Q2_prime_X),
+    for fn, ana, frz in zip((form.Q1_prime_X, form.Q1_second_X,
+                             lambda x: form.q2_prime(x) / eos.W(x)),
                             analytic, fitted):
         slope = np.polyfit(np.log(D), np.log(np.abs(fn(x))), 1)[0]
         assert slope == pytest.approx(frz, abs=1e-4)
@@ -345,14 +348,15 @@ def test_envelope_continuation(poly24_trace):
     for fld in (env.env_y, env.env_yp, env.env_delta_r):
         assert np.all(np.diff(fld) > 0)
     assert np.all(np.diff(env.env_R) < 0)
-    d_hi = form.eos.R_star - tr.x_grid[-1]
+    # a trace that ends below ENVELOPE_DEPTH leaves nothing to continue
+    deep = dataclasses.replace(tr, x_grid=np.append(tr.x_grid[:-1], 1.0 - 1e-9))
     with pytest.raises(ValidationError, match="trace already reaches depth"):
-        slform.extend_trace_asymptotic(tr, form, depth_min=1.5 * d_hi)
+        slform.extend_trace_asymptotic(deep, form)
 
 
 def test_regularity_decay_polytropic(poly24_trace):
     form, tr = poly24_trace
-    rep = slform.regularity_check(tr, form.eos)
+    rep = slform.regularity_check(tr, form.eos, slform.extend_trace_asymptotic(tr, form))
     assert rep.analytic_power == 2.5
     assert rep.lower_bound == 1.5
     assert rep.fitted_power == pytest.approx(2.5, abs=1e-3)
@@ -362,7 +366,7 @@ def test_regularity_decay_polytropic(poly24_trace):
 
 def test_regularity_decay_thermal(thermal_trace):
     form, tr = thermal_trace
-    rep = slform.regularity_check(tr, form.eos)
+    rep = slform.regularity_check(tr, form.eos, slform.extend_trace_asymptotic(tr, form))
     assert rep.analytic_power == 1.25
     assert rep.lower_bound == 1.0
     assert rep.fitted_power == pytest.approx(1.250221, abs=1e-3)
@@ -371,7 +375,7 @@ def test_regularity_decay_thermal(thermal_trace):
 
 def test_l2_growth_polytropic(poly24_trace):
     form, tr = poly24_trace
-    rep = slform.l2_growth(tr, form)
+    rep = slform.l2_growth(tr, slform.extend_trace_asymptotic(tr, form))
     assert rep.slope == pytest.approx(1.104162, abs=1e-3)
     assert rep.r_squared > 0.999
     assert rep.max_growth_factor == pytest.approx(337.96, rel=0.01)
@@ -381,7 +385,7 @@ def test_l2_growth_polytropic(poly24_trace):
 
 def test_l2_growth_thermal(thermal_trace):
     form, tr = thermal_trace
-    rep = slform.l2_growth(tr, form)
+    rep = slform.l2_growth(tr, slform.extend_trace_asymptotic(tr, form))
     assert rep.slope == pytest.approx(0.126593, abs=1e-3)
     assert rep.r_squared > 0.999
     assert rep.max_growth_factor == pytest.approx(18.08, rel=0.02)
@@ -393,10 +397,10 @@ def test_l2_growth_refuses_an_envelope_under_a_decade(poly24_trace):
     # the growth factor compares the deepest depth decade with the one
     # above; an envelope that stops inside the first has no second
     form, tr = poly24_trace
-    d_end = form.eos.R_star - tr.x_grid[-1]
-    env = slform.extend_trace_asymptotic(tr, form, depth_min=d_end / 3.0)
+    short = dataclasses.replace(tr, x_grid=np.append(tr.x_grid[:-1], 1.0 - 3e-8))
+    env = slform.extend_trace_asymptotic(short, form)
     with pytest.raises(ValidationError, match="envelope spans depths .* decade above"):
-        slform.l2_growth(tr, form, envelope=env)
+        slform.l2_growth(short, env)
 
 
 def test_wkb_fit_polytropic(poly24_trace):
@@ -416,7 +420,6 @@ def test_wkb_fit_thermal(thermal_trace):
     fit = slform.wkb_fit(tr, form)
     assert fit.residual < 1e-4
     assert abs(fit.alpha) == pytest.approx(0.254384, abs=2e-3)
-    assert fit.amplitude == pytest.approx(abs(fit.alpha) + abs(fit.beta))
     assert list(fit.hypothesis_slopes) == ["V2'"]
 
 
@@ -428,10 +431,21 @@ def test_wkb_fit_constant_potential_keeps_it_under_the_root():
     fit = slform.wkb_fit(tr, form)
     assert fit.residual < 1e-6
     assert set(fit.hypothesis_slopes) == {"V2''/(lam-V2)^1.5", "V2'^2/(lam-V2)^2.5"}
+
+
+class _SlowTailForm(_FlatForm):
+    """A small potential decaying like X**-1/2, too slowly to be integrable."""
+
+    def Q(self, X):
+        return 1e-4 / np.sqrt(1.0 + np.asarray(X, dtype=float))
+
+
+def test_wkb_fit_refuses_a_divergent_v1():
+    # |Q| ends below 1e-3 lam, so the split takes V2 = 0 and V1 = Q, whose
+    # tail slope -1/2 fails the V1 quadrature
+    tr = slform.integrate_canonical(_SlowTailForm(), 1.0, X_max=100.0)
     with pytest.raises(ValidationError, match="V1 quadrature diverges"):
-        slform.wkb_fit(tr, form, split={"V2": "zero"})
-    with pytest.raises(ValidationError, match="split V2 must be zero, q0 or callable"):
-        slform.wkb_fit(tr, form, split={"V2": "bogus"})
+        slform.wkb_fit(tr, _SlowTailForm())
 
 
 def test_wkb_fit_records_its_split(poly24_trace, thermal_trace):
@@ -441,11 +455,6 @@ def test_wkb_fit_records_its_split(poly24_trace, thermal_trace):
     for (form, tr), auto in ((poly24_trace, "zero"), (thermal_trace, "q0")):
         assert (abs(float(form.Q(tr.X_grid[-1]))) > 1e-3 * tr.lam) == (auto == "q0")
         assert slform.wkb_fit(tr, form).split == auto
-    form, tr = poly24_trace
-    assert slform.wkb_fit(tr, form, split={"V2": "q0"}).split == "q0"
-    fit = slform.wkb_fit(tr, form, split={"V2": lambda X: np.zeros_like(X)})
-    assert fit.split == "callable"
-    assert fit.alpha == slform.wkb_fit(tr, form).alpha
 
 
 def test_zero_solution_has_zero_regularity():
@@ -467,7 +476,7 @@ def test_dying_solution_not_flagged_divergent():
     tr = slform.CanonicalTrace(lam=1.0, X_grid=X, Y=Y, Y_prime=np.gradient(Y, X),
                                x_grid=xg, y=y)
     with np.errstate(divide="ignore"):
-        rep = slform.l2_growth(tr, form)
+        rep = slform.l2_growth(tr, slform.extend_trace_asymptotic(tr, form))
     assert abs(rep.slope) < 1e-12
     assert not rep.diverges
 
@@ -479,7 +488,7 @@ def test_regularity_needs_a_long_trace():
     tr = slform.CanonicalTrace(lam=1.0, X_grid=X, Y=one, Y_prime=one,
                                x_grid=form.x_of_X(X), y=one)
     with pytest.raises(ValidationError, match="trace too short"):
-        slform.regularity_check(tr, form.eos)
+        slform.regularity_check(tr, form.eos, slform.extend_trace_asymptotic(tr, form))
 
 
 def _oracle(form, lam, grid):

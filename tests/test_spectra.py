@@ -22,6 +22,12 @@ def canonical_op():
     return discrete.assemble_jacobi(pd, 600, i_start=16)
 
 
+def _op(diag, off):
+    """The section with diagonal ``diag`` and couplings ``off``."""
+    return discrete.JacobiOperator(diag=np.asarray(diag, float),
+                                   offdiag=np.asarray(off, float), i_start=1)
+
+
 def _index_window(diag, off, k_lo, k_hi):
     """Window (a, b] holding exactly eigenvalues k_lo..k_hi (0-based) of the
     section: each end lies midway between two neighbouring eigenvalues, or
@@ -138,7 +144,7 @@ def test_windowed_and_indexed_queries():
 def test_query_validation():
     d, e = np.zeros(10), np.ones(9)
     with pytest.raises(ValidationError, match="empty window"):
-        spectra.eigenpairs_tridiagonal(d, e, window=(1.0, 1.0))
+        spectra.eigenpairs_tridiagonal(_op(d, e), window=(1.0, 1.0))
 
 
 def test_threaded_counts_agree():
@@ -484,7 +490,7 @@ def test_tail_route_values_sit_at_the_exact_eigenvalues():
     rng = np.random.default_rng(2)
     for head in (15, 17, 18):
         d, e = _headed_section(rng, head)
-        vals, route, k0, _ = spectra._eigenvalues(d, e, 1)
+        vals, route, k0, _ = spectra._eigenvalues(_op(d, e), 1)
         assert (route, k0) == ("constant_tail", head)
         delta = 1e-13 * _span(d, e)
         for k, v in enumerate(vals):
@@ -496,7 +502,7 @@ def test_tail_route_values_sit_at_the_exact_eigenvalues():
 def test_constant_section_eigenvalues_in_closed_form(n):
     a, beta = -0.7, 0.45
     d, e = np.full(n, a), np.full(n - 1, beta)
-    vals, route, _, _ = spectra._eigenvalues(d, e, 1)
+    vals, route, _, _ = spectra._eigenvalues(_op(d, e), 1)
     exact = a + 2.0 * beta * np.cos(np.arange(n, 0, -1) * math.pi / (n + 1))
     assert route == "constant_tail"
     assert np.max(np.abs(vals - exact)) <= 1e-15 * _span(d, e)
@@ -510,7 +516,7 @@ def test_tail_route_matches_stemr_on_shell_sections():
         op = _shell_section(rng.uniform(0.3, 0.7), rng.uniform(1.5, 3.0),
                             int(rng.integers(200, 3001)), ("limit", "hse")[j % 2])
         d, e = np.asarray(op.diag), np.asarray(op.offdiag)
-        vals, route, _, _ = spectra._eigenvalues(d, e, 1)
+        vals, route, _, _ = spectra._eigenvalues(op, 1)
         ref = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stemr")
         assert route == "constant_tail"
         assert np.max(np.abs(vals - ref)) <= 1e-13 * _span(d, e), j
@@ -521,12 +527,12 @@ def test_sections_off_the_tail_route_get_sterf_bit_for_bit(case):
     # the sections take the route until a spike in the head puts an
     # eigenvalue above the band, or one more head row leaves a tail of 31
     d, e = _headed_section(np.random.default_rng(2), 28)
-    assert spectra._eigenvalues(d, e, 1)[1:3] == ("constant_tail", 28)
+    assert spectra._eigenvalues(_op(d, e), 1)[1:3] == ("constant_tail", 28)
     if case == "head_spike":
         d[7] = 0.3 + 3.0 * 1.1
     else:
         d[28] += 0.1
-    vals, route, k0, steps = spectra._eigenvalues(d, e, 1)
+    vals, route, k0, steps = spectra._eigenvalues(_op(d, e), 1)
     assert (route, steps) == ("sterf", 0)
     assert d.size - k0 == (32 if case == "head_spike" else 31)
     ref = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
@@ -550,7 +556,7 @@ def test_tail_route_converges_well_inside_the_cap():
     # 45 steps, and Newton without the pivot derivative converges slowly
     for eta, gamma, n in _DENSE_SECTIONS:
         op = _shell_section(eta, gamma, n, "limit")
-        vals, route, k0, steps = spectra._eigenvalues(op, None, 1)
+        vals, route, k0, steps = spectra._eigenvalues(op, 1)
         assert route == "constant_tail" and 19 <= k0 <= 89
         assert 1 <= steps <= 5 < spectra._NEWTON_CAP
 
@@ -604,7 +610,7 @@ def test_default_tolerance_floor_on_a_nearly_scalar_section():
     glo, ghi = spectra.gershgorin_interval(d, e)
     tol = spectra.default_tol(glo, ghi)
     assert spectra.DEFAULT_RTOL * (ghi - glo) < np.spacing(4.0) < tol
-    vals = spectra.eigenvalues_tridiagonal(d, e)
+    vals = spectra.eigenvalues_tridiagonal(_op(d, e))
     ks = np.arange(120)
     assert np.array_equal(spectra.sturm_counts(d, e * e, vals + tol), ks + 1)
     assert np.max(np.abs(vals - _eigenvalues_bisect(d, e))) <= tol
@@ -642,7 +648,7 @@ def _nudged(vals, tol):
 
 def test_certificate_rejects_nudged_value(canonical_op, monkeypatch):
     # canonical_op ends in a constant tail and takes the Newton route
-    assert spectra._eigenvalues(canonical_op, None, 1)[1] == "constant_tail"
+    assert spectra._eigenvalues(canonical_op, 1)[1] == "constant_tail"
     tol = _default_tol(canonical_op)
     real = spectra._tail_eigenvalues
     monkeypatch.setattr(spectra, "_tail_eigenvalues",
@@ -654,7 +660,7 @@ def test_certificate_rejects_nudged_value(canonical_op, monkeypatch):
 def test_certificate_rejects_nudged_sterf_value(monkeypatch):
     # the scaled polytrope's 2-periodic tail is not constant: sterf
     op = _scaled_polytrope_op()
-    assert spectra._eigenvalues(op, None, 1)[1] == "sterf"
+    assert spectra._eigenvalues(op, 1)[1] == "sterf"
     tol = _default_tol(op)
     _lapack_patched(monkeypatch, lambda vals: _nudged(vals, tol))
     with pytest.raises(NumericalError, match="certificate failed at eigenvalue index 5:"):
@@ -720,7 +726,8 @@ def test_near_degenerate_cluster_gets_certified_ritz_pairs(coupling):
     e = np.concatenate([e_half, [coupling], e_half])
     glo, ghi = spectra.gershgorin_interval(d, e)
     span = ghi - glo
-    vals, V = spectra.eigenpairs_tridiagonal(d, e, window=_index_window(d, e, 0, 59))
+    vals, V = spectra.eigenpairs_tridiagonal(_op(d, e),
+                                           window=_index_window(d, e, 0, 59))
     assert np.max(np.diff(vals)[::2]) < 1e-8 * span
     ref = scipy.linalg.eigvalsh_tridiagonal(d, e)
     assert np.max(np.abs(vals - ref)) <= 1e-14 * span
@@ -736,7 +743,7 @@ def test_lapack_route_refuses_non_finite_section():
     e = np.ones(7)
     e[4] = np.inf
     with pytest.raises(NumericalError, match="non-finite entry in row 4"):
-        spectra.eigenvalues_tridiagonal(d, e)
+        spectra.eigenvalues_tridiagonal(_op(d, e))
 
 
 def test_inverse_iteration_residuals(canonical_op):
@@ -784,7 +791,8 @@ def test_fill_report_flags_sparse_coverage():
     # two far-apart eigenvalues cannot fill (-3.2, 3.2)
     op = discrete.JacobiOperator(diag=np.array([-3.0, 3.0]),
                                  offdiag=np.zeros(1), i_start=1)
-    rep = spectra.spectrum_fill_report(op, (-3.2, 3.2), pad=0.05)
+    rep = spectra.spectrum_fill_report(discrete_oracle.with_interval(op, (-3.2, 3.2)),
+                                       pad=0.05)
     assert not rep.fills
     assert rep.max_gap > 5.0
 
