@@ -255,19 +255,6 @@ def _or(value, default):
     return default if value is None else value
 
 
-_TO_SCALED = "run the scaled subcommand, which analyses the rescaled operator"
-
-
-def _graded_remedy(e3):
-    # scaled rescales only a polytrope whose couplings grow, e3 < 0
-    if e3 < 0.0:
-        return _TO_SCALED
-    if e3 >= 0.0:
-        return (f"its couplings decay (e3 = {e3:.6g} >= 0), and no subcommand "
-                f"analyses a decaying-coupling polytrope yet")
-    return "no subcommand analyses it yet"
-
-
 def _refuse_graded(op):
     # eigenvalues are certified to an absolute tolerance, a fraction of the
     # whole span; unless it lies far below the smallest Gershgorin row
@@ -281,7 +268,7 @@ def _refuse_graded(op):
         raise ValidationError(
             f"the section is graded: row scales run from {np.min(scale):.3e} to "
             f"{np.max(scale):.3e}, so the certificate tolerance {tol:.3e} "
-            f"exceeds 1e-6 of the smallest; {_graded_remedy(op.pd.e3)}")
+            f"exceeds 1e-6 of the smallest")
 
 
 def _shell_model(eff):
@@ -292,21 +279,12 @@ def _shell_model(eff):
 
 
 def _run_spectrum(eff, threads):
-    # a polytrope's raw couplings scale like eta**(e3*I) over shell widths
-    # that underflow; where its entries or row scales leave the float range
-    # the section is graded past any certificate, and no inf or NaN of it
-    # may reach the solver
-    e3 = math.nan
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            pd, n_trunc, i_start = _shell_model(eff)
-            e3 = pd.e3
-            op = discrete.assemble_jacobi(pd, n_trunc, i_start=i_start)
-            _refuse_graded(op)
-    except FloatingPointError:
-        raise ValidationError(f"the section is graded past any certificate: its "
-                              f"entries or row scales leave the float range; "
-                              f"{_graded_remedy(e3)}") from None
+    pd, n_trunc, i_start = _shell_model(eff)
+    # the model's essential interval; a polytrope whose couplings grow
+    # (e3 < 0) has none and is refused here, before any entry is formed
+    pd.scaling
+    op = discrete.assemble_jacobi(pd, n_trunc, i_start=i_start)
+    _refuse_graded(op)
     rep = spectra.spectrum_fill_report(op, pad=eff["analysis"]["pad"], threads=threads)
     print(f"spectrum: n={rep.values.size} inside={rep.n_inside} "
           f"outliers={rep.n_outliers} max_gap={rep.max_gap:.3e} fills={rep.fills}")
@@ -349,8 +327,10 @@ def _run_ppmodes(eff, threads):
                                zeta=m["zeta"])
     op = discrete.assemble_jacobi(pd, dsp.extent, i_start=1)
     modes = ppmodes.detect_edge_eigenvalues(op, dsp, threads=threads)
+    # fewer than three bound modes leave no ladder to fit: slope and r2 are null
     slope, r2 = modes.ladder_fit()
-    print(f"ppmodes: count={modes.count} ladder_slope={slope:.4f} r2={r2:.4f}")
+    fit = "none" if slope is None else f"{slope:.4f} r2={r2:.4f}"
+    print(f"ppmodes: count={modes.count} ladder_slope={fit}")
     return {"ppmodes.csv": {"value": modes.values, "depth": modes.depths,
                             "block": modes.blocks, "in_block": modes.in_block,
                             "dr_bounded": modes.dr_bounded},

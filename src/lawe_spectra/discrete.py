@@ -17,11 +17,19 @@ and the diagonal
     Rm(I) = (r(I)/r(I-1))**2 * eta**(-gamma/2).
 
 The lower-neighbour terms are absent at I = 1 (the core is a point).
-For decaying adiabatic profiles Gamma(I) = Gs(I)*eta**I the eta powers
-cancel against the shell widths, G3(I) = 4*pi*Gs(I)*(P/M)(I)
-* r(I+1)**2 * eta**(1-gamma/2) / (R_star*(1-eta)), so entries stay O(1)
-however deep the truncation; the assembly below always uses the
-cancelled forms.  sqrt(M(I)/M(I+1)) = eta**(-gamma/2) is exact.
+The shell widths underflow beyond a few hundred shells, so the assembly
+below never forms one; it uses the cancelled forms.  For decaying
+adiabatic profiles Gamma(I) = Gs(I)*eta**I the eta powers cancel against
+the widths, G3(I) = 4*pi*Gs(I)*(P/M)(I) * r(I+1)**2 * eta**(1-gamma/2)
+/ (R_star*(1-eta)), so entries stay O(1) however deep the truncation.
+The polytrope's constant Gamma goes with the pressure law
+(P/M)(I) = 4*pi*C_star*r(I)**2*width(I)*eta**(e3*I), whose width cancels
+outright: G3(I) = mu(I)*eta**(e3*I) with the closed form
+mu(I) = 16*pi**2*C_star*Gamma*r(I)**2*r(I+1)**2*eta**(-gamma/2)
+(``PressureDensityDistribution.polytrope_coupling`` in ``model``).  Its
+couplings decay for e3 > 0, tend to mu_inf for e3 = 0 and grow for
+e3 < 0, where ``polytrans`` rescales them.
+sqrt(M(I)/M(I+1)) = eta**(-gamma/2) is exact.
 """
 
 from __future__ import annotations
@@ -64,19 +72,27 @@ class JacobiOperator:
 
 
 def coupling_values(pd, i_lo, i_hi):
-    """G3(I) for I = i_lo..i_hi inclusive, in the cancelled scale-free form."""
+    """G3(I) for I = i_lo..i_hi inclusive, in the cancelled scale-free form.
+
+    A polytrope's G3(I) = mu(I)*eta**(e3*I) takes its power of eta in one
+    ``pow``: where it underflows the coupling is 0.0, never 0/0.  ``pow``
+    carries ln(eta) beyond double precision, which exp(e3*I*ln(eta)) would
+    round and then amplify by |e3*I*ln(eta)|, up to about 700 where the
+    coupling is still a normal double.
+    """
     dist = pd.dist
     if i_lo < 1 or i_hi > dist.N - 1:
         raise ValidationError(
             f"couplings need 1 <= I <= N-1 = {dist.N - 1}, got [{i_lo}, {i_hi}]")
     here = slice(i_lo, i_hi + 1)
     eta, gamma = dist.eta, dist.gamma
-    common = (FOUR_PI * pd.gamma.scaled[here] * pd.P_over_M[here]
-              * dist.radius[i_lo + 1 : i_hi + 2] ** 2)
-    if pd.gamma.kind == "geometric":
-        return common * eta ** (1.0 - gamma / 2.0) / (dist.R_star * (1.0 - eta))
-    # constant profile: keep the raw 1/width, which grows like eta**-I
-    return common * eta ** (-gamma / 2.0) / dist.width[here]
+    r_out = dist.radius[i_lo + 1 : i_hi + 2]
+    if pd.pressure_mode == "polytrope":
+        idx = np.arange(i_lo, i_hi + 1, dtype=float)
+        mu = pd.polytrope_coupling(pd.gamma.scaled[here], dist.radius[here], r_out)
+        return mu * eta ** (pd.e3 * idx)
+    return (FOUR_PI * pd.gamma.scaled[here] * pd.P_over_M[here] * r_out ** 2
+            * eta ** (1.0 - gamma / 2.0) / (dist.R_star * (1.0 - eta)))
 
 
 def assemble_jacobi(pd, n, i_start=1):

@@ -12,8 +12,10 @@ mass, so that the enclosed masses
 
     Mfrak(I) = sum_{J<=I} M(J) = M_star * (1 - eta**(gamma*(I+1)))
 
-are exact partial geometric sums.  Widths never come from subtraction:
-r(I) - r(I-1) = R_star * eta**(I-1) * (1 - eta) holds in closed form.
+are exact partial geometric sums.  The widths
+r(I) - r(I-1) = R_star * eta**(I-1) * (1 - eta) are never formed: they
+underflow beyond a few hundred shells, and they cancel in closed form
+from every operator entry.
 
 On top of the mass distribution sit an adiabatic-exponent profile and a
 pressure law; together they fix the coefficients of the oscillation
@@ -33,9 +35,7 @@ FOUR_PI = 4.0 * math.pi
 
 #: a power below e**709 stays inside the float range (at most e**709.78)
 _LOG_MAX = 709.0
-#: exp(x) is exactly 0.0 below x = -745.14, and -expm1(x) exactly 1.0
-#: below x = -37.43; the cut-offs keep a margin
-_EXP_ZERO = 746.0
+#: -expm1(x) is exactly 1.0 below x = -37.43; the cut-off keeps a margin
 _EXPM1_ONE = 40.0
 
 
@@ -68,13 +68,14 @@ def check_power_law(eta, gamma, *, prefix=""):
 
 @dataclass(frozen=True)
 class MassDistribution:
-    """Shell masses, radii and enclosed masses for a geometric envelope.
+    """Radii, enclosed masses and log shell masses of a geometric envelope.
 
     Arrays are indexed by shell number I = 0..N.  Index 0 holds the formal
-    core: radius 0, the central point mass and zero width.  Beyond I ~ 500
-    the raw shell masses underflow to zero in double precision; use
-    :meth:`log_shell_mass` and :meth:`log_width` whenever the absolute
-    values matter.
+    core: radius 0 and the central point mass.  The raw shell masses and
+    widths underflow to zero in double precision beyond a few hundred
+    shells, so none is stored: :meth:`log_shell_mass` gives ln M(I) for
+    any index, and every operator entry uses forms in which the widths
+    cancel.
     """
 
     eta: float
@@ -84,8 +85,6 @@ class MassDistribution:
     G: float
     N: int
     radius: np.ndarray = field(repr=False)
-    width: np.ndarray = field(repr=False)
-    shell_mass: np.ndarray = field(repr=False)
     enclosed_mass: np.ndarray = field(repr=False)
 
     @property
@@ -97,11 +96,6 @@ class MassDistribution:
         """ln M(i), exact for any index (no underflow)."""
         i = np.asarray(i, dtype=float)
         return math.log(self.M_star * (1.0 - self.eta**self.gamma)) + self.gamma * i * math.log(self.eta)
-
-    def log_width(self, i):
-        """ln width(i) for i >= 1, exact for any index."""
-        i = np.asarray(i, dtype=float)
-        return math.log(self.R_star * (1.0 - self.eta)) + (i - 1.0) * math.log(self.eta)
 
 
 def build_mass_distribution(eta, gamma, *, M_star=1.0, R_star=1.0, G=1.0, N=64):
@@ -120,12 +114,11 @@ def build_mass_distribution(eta, gamma, *, M_star=1.0, R_star=1.0, G=1.0, N=64):
         Largest shell index to materialize.
 
     Each power is evaluated only on the shells where it still differs from
-    its limit.  exp(x) rounds to exactly 0.0 below x = -745.14, and
-    -expm1(x) to exactly 1.0 below x = -37.43, where e**x is under half an
-    ulp of 1.  So widths and shell masses are evaluated while their
-    exponent stays above -746, radii and enclosed masses while theirs stays
-    above -40, and beyond those shells the arrays hold 0.0, R_star*1.0 and
-    M_star*1.0: the very values the formulas round to there.
+    its limit.  -expm1(x) rounds to exactly 1.0 below x = -37.43, where e**x
+    is under half an ulp of 1.  So radii and enclosed masses are evaluated
+    while their exponent stays above -40, and beyond those shells the
+    arrays hold R_star*1.0 and M_star*1.0: the very values the formulas
+    round to there.
     """
     if not (0.0 < eta < 1.0):
         raise ValidationError(f"eta must lie in (0,1), got {eta!r}")
@@ -143,12 +136,6 @@ def build_mass_distribution(eta, gamma, *, M_star=1.0, R_star=1.0, G=1.0, N=64):
     k = _live(rate, _EXPM1_ONE, N + 1)
     radius = np.full(N + 1, R_star * 1.0)
     radius[:k] = R_star * (-np.expm1(idx[:k] * math.log(eta)))  # R*(1 - eta^I), accurate near the surface
-    k = _live(rate, _EXP_ZERO, N + 1)
-    width = np.zeros(N + 1)
-    width[1:k] = R_star * (1.0 - eta) * np.exp((idx[1:k] - 1.0) * math.log(eta))
-    k = _live(gamma * rate, _EXP_ZERO, N + 1)
-    shell_mass = np.zeros(N + 1)
-    shell_mass[:k] = M_star * (1.0 - eta**gamma) * np.exp(gamma * idx[:k] * math.log(eta))
     k = _live(gamma * rate, _EXPM1_ONE, N + 1)
     enclosed_mass = np.full(N + 1, M_star * 1.0)
     enclosed_mass[:k] = M_star * (-np.expm1(gamma * (idx[:k] + 1.0) * math.log(eta)))
@@ -156,8 +143,7 @@ def build_mass_distribution(eta, gamma, *, M_star=1.0, R_star=1.0, G=1.0, N=64):
     return MassDistribution(
         eta=float(eta), gamma=float(gamma), M_star=float(M_star),
         R_star=float(R_star), G=float(G), N=N,
-        radius=radius, width=width, shell_mass=shell_mass,
-        enclosed_mass=enclosed_mass,
+        radius=radius, enclosed_mass=enclosed_mass,
     )
 
 
@@ -262,8 +248,11 @@ def gamma_profile(dist, kind="geometric", *, value=None, zeta=0.0, perturbation=
 class PressureDensityDistribution:
     """Mass distribution plus pressure law and adiabatic profile.
 
-    ``P_over_M`` stores the specific pressure (P/M)(I) of each shell, the
-    only combination the operator assembly ever needs.
+    ``P_over_M`` stores the specific pressure (P/M)(I) of each shell under
+    the limit and hse laws, the only combination their operator assembly
+    needs.  A polytrope's is (P/M)(I) = 4*pi*C_star*r(I)**2*width(I)
+    *eta**(e3*I), whose width cancels from every coupling, so it stores
+    none (``None``): see :meth:`polytrope_coupling`.
     """
 
     dist: MassDistribution
@@ -281,7 +270,28 @@ class PressureDensityDistribution:
         Under "hse" (P/M) tends to q/(1-q) of the limit law's, q = eta**gamma,
         which scales the coupling by q/(1-q) and moves the centre to
         Lambda_star*(4 - (4+zeta)*q/(1-q)).
+
+        A polytrope's couplings G3(I) = mu(I)*eta**(e3*I) tend to zero for
+        e3 > 0, where the essential spectrum is the point 4*Lambda_star,
+        and to mu_inf for e3 = 0, where it is the band c +- 2*mu_inf with
+        c = 4*Lambda_star - mu_inf*(eta**(gamma/2) + eta**(-gamma/2)).  For
+        e3 < 0 they grow without bound and no interval exists: that model
+        is refused, and the scaled system analyses it.
         """
+        if self.pressure_mode == "polytrope":
+            lam = self.dist.lambda_star
+            if self.e3 > 0.0:
+                return ScalingParams(lambda_star=lam, kappa=0.0, centre=4.0 * lam)
+            if self.e3 < 0.0:
+                raise ValidationError(
+                    f"the section is graded: a polytrope's couplings grow like "
+                    f"eta**(e3*I) with e3 = {self.e3:.6g} < 0; run the scaled "
+                    f"subcommand, which analyses the rescaled operator")
+            r, eta, gamma = self.dist.R_star, self.dist.eta, self.dist.gamma
+            mu_inf = self.polytrope_coupling(self.gamma.c, r, r)
+            return ScalingParams(
+                lambda_star=lam, kappa=mu_inf / lam,
+                centre=4.0 * lam - mu_inf * (eta ** (gamma / 2.0) + eta ** (-gamma / 2.0)))
         sp = scaling_params(self.dist, self.zeta)
         if self.pressure_mode != "hse":
             return sp
@@ -289,6 +299,17 @@ class PressureDensityDistribution:
         ratio = math.exp(log_q) / -math.expm1(log_q)
         return ScalingParams(lambda_star=sp.lambda_star, kappa=sp.kappa * ratio,
                              centre=sp.lambda_star * (4.0 - (4.0 + self.zeta) * ratio))
+
+    def polytrope_coupling(self, Gamma, r_in, r_out):
+        """mu = 16*pi**2*C_star*Gamma*r_in**2*r_out**2*eta**(-gamma/2).
+
+        With r_in = r(I), r_out = r(I+1) this is eta**(-e3*I)*G3(I), a
+        polytrope's coupling with its power of eta taken off: every shell
+        width cancels between the pressure law and G3.  At r_in = r_out =
+        R_star it is the limit coupling mu_inf.
+        """
+        return (16.0 * math.pi**2 * self.C_star * Gamma * r_in**2 * r_out**2
+                * self.dist.eta ** (-self.dist.gamma / 2.0))
 
 
 def _pressure_limit(dist):
@@ -336,36 +357,6 @@ def _pressure_hse(dist):
     return out
 
 
-def _pressure_power_law(dist, gamma_prof, C_star):
-    """(P/M)(I) = 4*pi*C_star*r(I)**2*width(I)*eta**(e3*I) for the stiff family.
-
-    e3 = (gamma-1)*(Gamma-1) - 2 makes P*rho/M**2 an exact power law.  For
-    every e3 < 0 the scaled couplings nu**I*G3(I), nu = eta**-e3, are then
-    I-independent up to the surface curvature factor r(I)**2*r(I+1)**2
-    (see ``polytrans``), not only at (gamma-1)*(Gamma-1) = 1.  For e3 < -1
-    P/M grows like eta**((e3+1)*I) and overflows to inf in deep shells,
-    quietly: the scaled system never reads it, and the CLI refuses a raw
-    section that would.
-    """
-    Gamma = gamma_prof.c
-    e3 = (dist.gamma - 1.0) * (Gamma - 1.0) - 2.0
-    if C_star is None:
-        C_star = dist.lambda_star * dist.eta / (16.0 * math.pi**2 * dist.R_star**4 * (1.0 - dist.eta))
-    _check_positive("C_star", C_star)
-    idx = np.arange(dist.N + 1, dtype=float)
-    # r^2 * width * eta^(e3*I) in log space: the power can grow or shrink
-    log_term = np.full(dist.N + 1, -np.inf)
-    log_term[1:] = (
-        2.0 * np.log(dist.radius[1:])
-        + dist.log_width(idx[1:])
-        + e3 * idx[1:] * math.log(dist.eta)
-    )
-    with np.errstate(over="ignore"):
-        out = FOUR_PI * C_star * np.exp(log_term)
-    out[0] = np.nan
-    return out, float(C_star), float(e3)
-
-
 def build_pd_distribution(dist, gamma_prof=None, *, zeta=0.0, pressure_mode="limit",
                           C_star=None):
     """Attach a pressure law and adiabatic profile to a mass distribution.
@@ -375,8 +366,9 @@ def build_pd_distribution(dist, gamma_prof=None, *, zeta=0.0, pressure_mode="lim
                        geometric approach to the tail value.
         "hse"       -- unique bounded solution of the discrete hydrostatic
                        balance; admissible to machine precision.
-        "polytrope" -- exact power law in P*rho/M**2 with amplitude C_star,
-                       used with constant Gamma profiles.
+        "polytrope" -- exact power law in P*rho/M**2 with amplitude C_star
+                       and exponent e3 = (gamma-1)*(Gamma-1) - 2, used
+                       with constant Gamma profiles; it stores no P/M.
     "limit" and "hse" take geometric profiles, whose constant carries zeta.
     """
     if gamma_prof is None:
@@ -386,13 +378,16 @@ def build_pd_distribution(dist, gamma_prof=None, *, zeta=0.0, pressure_mode="lim
     kind = "constant" if pressure_mode == "polytrope" else "geometric"
     if gamma_prof.kind != kind:
         raise ValidationError(f'pressure_mode="{pressure_mode}" requires a {kind} Gamma profile')
-    C_out, e3 = np.nan, np.nan
+    p_over_m, C_out, e3 = None, np.nan, np.nan
     if pressure_mode == "limit":
         p_over_m = _pressure_limit(dist)
     elif pressure_mode == "hse":
         p_over_m = _pressure_hse(dist)
     elif pressure_mode == "polytrope":
-        p_over_m, C_out, e3 = _pressure_power_law(dist, gamma_prof, C_star)
+        if C_star is None:
+            C_star = dist.lambda_star * dist.eta / (16.0 * math.pi**2 * dist.R_star**4 * (1.0 - dist.eta))
+        _check_positive("C_star", C_star)
+        C_out, e3 = float(C_star), (dist.gamma - 1.0) * (gamma_prof.c - 1.0) - 2.0
     else:
         raise ValidationError(f"unknown pressure_mode {pressure_mode!r}")
 

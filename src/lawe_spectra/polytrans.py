@@ -1,13 +1,17 @@
 """Diagonal rescaling of stiff (non-decaying) profile operators.
 
-For the polytrope's constant adiabatic exponent the couplings G3(I)
-grow like nu**-I for the scaling base nu = eta**-e3 in (0, 1) set by
-its pressure power law (nu = eta for the balanced case P*rho/M**2 ~
-eta**-I), and the raw matrix is useless beyond a thousand shells.
-Conjugating by H = diag(nu**floor(I/2)) tames it: with
+A polytrope's couplings are G3(I) = mu(I)*eta**(e3*I), with the closed
+form mu(I) = 16*pi**2*C_star*Gamma*r(I)**2*r(I+1)**2*eta**(-gamma/2)
+(``PressureDensityDistribution.polytrope_coupling`` in ``model``) and
+e3 = (gamma-1)*(Gamma-1) - 2 set by its pressure power law.  For
+e3 >= 0 they decay or settle and the raw section has an essential
+interval of its own (``PressureDensityDistribution.scaling``).  For e3 < 0
+they grow like nu**-I for the scaling base nu = eta**-e3 in (0, 1)
+(nu = eta for the balanced case P*rho/M**2 ~ eta**-I), and the raw
+matrix is useless beyond a thousand shells.  Conjugating by
+H = diag(nu**floor(I/2)) tames it: with
 
-    mu(I)   = nu**I * G3(I)
-            = 16*pi**2*C_star*Gamma*r(I)**2*r(I+1)**2*eta**(-gamma/2),
+    mu(I)   = nu**I * G3(I),
     beta(I) = nu**I * (4*Lambda_star - G2(I))
             = mu(I)*Rp(I) + nu*mu(I-1)*Rm(I) - t(I),
     t(I)    = 4*Lambda_star*nu**I * [ Mfrak(I)/(Mfrak_inf*(1-eta**I)**3) - 1 ],
@@ -15,12 +19,11 @@ Conjugating by H = diag(nu**floor(I/2)) tames it: with
 the scaled matrix has O(1) couplings mu(I) and diagonal
 4*Lambda_star*nu**(2*alpha(I)) - beta(I)*nu**(2*alpha(I)-I),
 alpha(I) = floor(I/2), whose tail alternates between -beta/nu and
--beta.  Every power of eta cancels in mu, since (P/M)(I) =
-4*pi*C_star*r(I)**2*width(I)*eta**(e3*I) and G3 divides it by width(I):
-mu is evaluated in that closed form and tends to mu_inf, the same
-expression at r = R_star.  Geometric profiles (the limit and hse
-laws) scale to the trivial zero-coupling limit and are refused.  The
-exact mechanism behind the scaling is the grading identity checked by
+-beta.  mu is evaluated in its closed form, which forms no power of
+eta**I, and tends to mu_inf, the same expression at r = R_star.
+Geometric profiles (the limit and hse laws) scale to the trivial
+zero-coupling limit and are refused.  The exact mechanism behind the
+scaling is the grading identity checked by
 :func:`similarity_check`: conjugating a tridiagonal matrix with
 geometrically graded entries by the diagonal built from the mirrored
 exponent pattern strips the powers off both off-diagonals and
@@ -116,12 +119,6 @@ def similarity_check(diag, sub, sup, x, y):
     return TransformCheck(max_residual=worst, n=n, exact=exact)
 
 
-def _coupling(pd, Gamma, r_in, r_out):
-    """mu = 16*pi**2*C_star*Gamma*r_in**2*r_out**2*eta**(-gamma/2)."""
-    return (16.0 * math.pi**2 * pd.C_star * Gamma * r_in**2 * r_out**2
-            * pd.dist.eta ** (-pd.dist.gamma / 2.0))
-
-
 @dataclass(frozen=True)
 class ScaledSystem:
     """Scaled tridiagonal data mu(I), beta(I) of a polytrope, shells I = 1..n."""
@@ -150,7 +147,7 @@ class ScaledSystem:
     def mu_inf(self):
         """Limit coupling: mu at r = R_star."""
         r = self.pd.dist.R_star
-        return _coupling(self.pd, self.pd.gamma.c, r, r)
+        return self.pd.polytrope_coupling(self.pd.gamma.c, r, r)
 
     @property
     def beta_inf(self):
@@ -197,7 +194,7 @@ def build_scaled_system(pd, n):
     log_nu = math.log(nu)
     idx = np.arange(1, n + 1)
     r = dist.radius
-    mu = _coupling(pd, pd.gamma.scaled[idx], r[idx], r[idx + 1])
+    mu = pd.polytrope_coupling(pd.gamma.scaled[idx], r[idx], r[idx + 1])
 
     theta = 4.0 * dist.lambda_star
     # t(I) = nu**I * (4 G Mfrak(I)/r(I)**3 - theta), via exact mass fractions
@@ -276,18 +273,15 @@ class GrowthReport:
     ``solution_rate`` is the fitted log-growth per shell of the solution
     Y of lam*Y = T*Y; for lam in the open interior of the essential band
     [-2*mu_inf, 2*mu_inf] the solutions are bounded and oscillatory, so
-    the theoretical value is 0.  ``displacement_rate`` adds the
-    bookkeeping factors nu**alpha(I)/sqrt(M(I)) that turn Y into the
-    relative displacement delta_r; bounded Y makes its envelope grow at
-    exactly (gamma*ln(1/eta) - ln(1/nu))/2 per shell.
+    it should vanish.  ``displacement_rate`` adds the bookkeeping factors
+    nu**alpha(I)/sqrt(M(I)) that turn Y into the relative displacement
+    delta_r; bounded Y makes its envelope grow at exactly
+    ``theory_displacement_rate`` = (gamma*ln(1/eta) - ln(1/nu))/2 per shell.
     """
 
     solution_rate: float
     displacement_rate: float
-    theory_solution_rate: float
     theory_displacement_rate: float
-    shells: np.ndarray = field(repr=False)
-    log_abs_y: np.ndarray = field(repr=False)
 
 
 def _envelope_fit(shells, log_abs):
@@ -348,6 +342,4 @@ def delta_r_growth(system, lam):
     disp = log_abs + alpha * math.log(nu) - 0.5 * system.pd.dist.log_shell_mass(idx)
     disp_rate = _envelope_fit(idx, disp)
     return GrowthReport(solution_rate=sol_rate, displacement_rate=disp_rate,
-                        theory_solution_rate=0.0,
-                        theory_displacement_rate=disp_step,
-                        shells=idx, log_abs_y=log_abs)
+                        theory_displacement_rate=disp_step)

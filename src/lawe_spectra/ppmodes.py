@@ -185,6 +185,8 @@ class EdgeModes:
 
         Takes the deepest mode per assigned block and fits its depth
         against the block index, matching the per-well depth bound.
+        Fewer than three assigned blocks leave nothing to fit: the slope
+        and r**2 are then ``None``.
         """
         best = {}
         for v, m in zip(self.values, self.blocks):
@@ -196,7 +198,7 @@ class EdgeModes:
         keep = ms >= 1      # block 0 holds modes that no block claims
         ms, depths = ms[keep], depths[keep]
         if ms.size < 3:
-            raise ValidationError("need at least three modes to fit")
+            return None, None
         lx, ly = np.log(ms), np.log(depths)
         A = np.vstack([lx, np.ones_like(lx)]).T
         coef, res, _, _ = np.linalg.lstsq(A, ly, rcond=None)

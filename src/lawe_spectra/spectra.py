@@ -677,7 +677,6 @@ class FillReport:
     max_gap: float = np.nan
     n_inside: int = 0
     n_outliers: int = 0
-    outliers: np.ndarray = field(repr=False, default=None)
     #: how :func:`eigenvalues_tridiagonal` found the values: the route
     #: (``"constant_tail"`` or ``"sterf"``), the first row k0 of the
     #: constant tail (n without one) and the Newton steps taken
@@ -702,12 +701,11 @@ def spectrum_fill_report(op, *, pad=0.05, threads=1):
     lo, hi = (float(v) for v in op.scaling.interval)
     vals, route, k0, steps = _eigenvalues(op, threads)
     inside = vals[(vals >= lo - pad) & (vals <= hi + pad)]
-    outliers = vals[(vals < lo - pad) | (vals > hi + pad)]
     knots = np.concatenate([[lo], np.sort(np.clip(inside, lo, hi)), [hi]])
     max_gap = float(np.max(np.diff(knots))) if inside.size else hi - lo
     return FillReport(interval=(lo, hi), pad=float(pad), values=vals,
                       max_gap=max_gap, n_inside=int(inside.size),
-                      n_outliers=int(outliers.size), outliers=outliers,
+                      n_outliers=int(vals.size - inside.size),
                       route=route, tail_start=k0, newton_steps=steps)
 
 

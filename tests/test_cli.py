@@ -388,6 +388,23 @@ def test_ppmodes_smoke(tmp_path, capsys):
     assert len(rows) == 2 + 25
 
 
+@pytest.mark.parametrize("analysis, count", [({"n_trunc": 40}, 2),
+                                             ({"n_trunc": 2500, "b": -0.32}, 0)],
+                         ids=["two-modes", "repulsive"])
+def test_ppmodes_writes_a_short_ladder_without_a_fit(tmp_path, capsys, analysis, count):
+    # fewer than three bound modes leave no ladder to fit; the job once
+    # exited 1 and wrote nothing, though the count is itself the result
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", analysis=analysis,
+                       output={"directory": str(out)})
+    assert cli.run("ppmodes", cfg) == 0
+    assert f"ppmodes: count={count} ladder_slope=none" in capsys.readouterr().out
+    art = json.loads((out / "ppmodes.json").read_text())
+    assert art["count"] == count
+    assert art["ladder_slope"] is None and art["ladder_r_squared"] is None
+    assert len((out / "ppmodes.csv").read_text().splitlines()) == 2 + count
+
+
 #: the eos variants each subcommand runs on, and a valid eos block of each
 _EOS_OF = {"spectrum": ("limit", "hse", "polytrope"), "jost": ("limit", "hse"),
            "ppmodes": ("limit",), "scaled": ("polytrope",),
@@ -558,25 +575,52 @@ def test_default_polytrope_spectrum_points_to_scaled(tmp_path, capsys):
     assert not os.listdir(out)
 
 
-@pytest.mark.parametrize("model_block, Gamma, remedy, scaled_rc", [
-    ({"eta": 0.5, "gamma": 2.0}, 2.0, "run the scaled subcommand", 0),
-    ({"eta": 0.05, "gamma": 3.5345}, 2.0,
-     "its couplings decay (e3 = 0.5345 >= 0), and no subcommand analyses", 1)],
+@pytest.mark.parametrize("model_block, Gamma, spectrum_rc, scaled_rc", [
+    ({"eta": 0.5, "gamma": 2.0}, 2.0, 1, 0),
+    ({"eta": 0.05, "gamma": 3.5345}, 2.0, 0, 1)],
     ids=["e3-1", "e3+0.53"])
 def test_graded_refusal_names_scaled_only_where_it_runs(tmp_path, capsys, model_block,
-                                                        Gamma, remedy, scaled_rc):
-    # scaled rescales a polytrope whose couplings grow (e3 < 0); a decaying
-    # one was once pointed there too, and scaled refused it
+                                                        Gamma, spectrum_rc, scaled_rc):
+    # scaled rescales a polytrope whose couplings grow (e3 < 0), and spectrum
+    # points there; a decaying one (e3 > 0) was once pointed there too,
+    # which refuses it, and spectrum now runs it itself
     cfg = write_config(tmp_path / "cfg.json", model=model_block,
                        eos={"variant": "polytrope", "Gamma": Gamma},
                        analysis={"n_trunc": 1000, "i_start": 18},
                        output={"directory": str(tmp_path / "out")})
-    assert cli.run("spectrum", cfg) == 1
+    assert cli.run("spectrum", cfg) == spectrum_rc
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert "the section is graded" in err and remedy in err
+    if spectrum_rc:
+        assert len(err.splitlines()) == 1
+        assert "the section is graded" in err and "run the scaled subcommand" in err
+    else:
+        assert err == ""
     assert cli.run("scaled", cfg) == scaled_rc
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("model_block, Gamma, n_trunc, i_start, interval", [
+    ({"eta": 0.05, "gamma": 3.5345}, 2.0, 1000, 18, [4.0, 4.0]),
+    ({}, 3.0, 500, 16, [-23.0, 1.0])], ids=["e3+0.53", "e3=0"])
+def test_polytrope_spectrum_fills_its_own_interval(tmp_path, capsys, model_block, Gamma,
+                                                    n_trunc, i_start, interval):
+    # decaying couplings (e3 > 0) leave the point 4*Lambda_star, settling
+    # ones (e3 = 0) the band c +- 2*mu_inf.  The coupling P/M/width once
+    # gave 0/0 = NaN past shell 250 at e3 = +0.53, and the limit law's
+    # interval (-3.2, 3.2) once counted 362 of the e3 = 0 values outliers
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", model=model_block,
+                       eos={"variant": "polytrope", "Gamma": Gamma},
+                       analysis={"n_trunc": n_trunc, "i_start": i_start},
+                       output={"directory": str(out)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run("spectrum", cfg) == 0
+    assert capsys.readouterr().err == ""
+    art = json.loads((out / "fill_report.json").read_text())
+    assert art["interval"] == interval
+    assert art["n_outliers"] == 0 and art["n_values"] == n_trunc
+    assert_artifacts_finite(out)
 
 
 def test_nan_bound_for_an_artifact_exits_numerical(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from lawe_spectra import discrete, model
 from lawe_spectra.errors import ValidationError
 
 import discrete_oracle
+import model_oracle
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +151,7 @@ def test_half_eta_offdiag_decays_twice_as_fast():
 def test_delta_r_log_identity(canonical_op):
     dist = canonical_op.pd.dist
     idx = np.arange(1, 31)
-    X = np.sqrt(dist.shell_mass[idx])
+    X = np.sqrt(model_oracle.shell_masses(dist)[idx])
     out = discrete_oracle.delta_r_log(X, dist, i_start=1)
     assert np.max(np.abs(out)) < 1e-12
 

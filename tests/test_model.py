@@ -1,7 +1,6 @@
 """Closed-form geometry and pressure laws."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -34,37 +33,39 @@ def test_radius_closed_form(canonical):
 
 
 def test_width_matches_radius_difference(canonical):
-    # widths are assembled in closed form, not by subtraction; the two
-    # must still agree to additive machine precision
+    # no width is stored: the couplings cancel the closed form
+    # R_star*(1 - eta)*eta**(I-1), which must agree with the radii to
+    # additive machine precision
+    idx = np.arange(1, canonical.N + 1, dtype=float)
+    width = canonical.R_star * (1.0 - canonical.eta) * canonical.eta ** (idx - 1.0)
     diff = np.diff(canonical.radius)
-    assert canonical.width[0] == 0.0
-    assert np.max(np.abs(diff - canonical.width[1:])) < 5e-16 * canonical.R_star
+    assert np.max(np.abs(diff - width)) < 5e-16 * canonical.R_star
 
 
 def test_enclosed_mass_telescopes(canonical):
-    acc = np.cumsum(canonical.shell_mass)
+    acc = np.cumsum(model_oracle.shell_masses(canonical))
     assert np.allclose(canonical.enclosed_mass, acc, rtol=1e-14, atol=0)
     assert canonical.enclosed_mass[-1] <= canonical.M_star
 
 
 def test_shell_mass_closed_form(canonical):
     idx = np.arange(canonical.N + 1, dtype=float)
-    expected = (1.0 - 0.25) * 0.25 ** idx
-    assert np.allclose(canonical.shell_mass, expected, rtol=1e-14, atol=0)
+    # ln M(I) = ln(1 - 0.25) + I*ln 0.25, which no underflow limits
+    expected = math.log(1.0 - 0.25) + idx * math.log(0.25)
+    assert np.allclose(canonical.log_shell_mass(idx), expected, rtol=1e-14, atol=0)
 
 
 def test_core_entries(canonical):
     assert canonical.radius[0] == 0.0
-    assert canonical.width[0] == 0.0
     # index 0 carries the leftover point mass
-    assert canonical.shell_mass[0] == pytest.approx(0.75)
+    assert math.exp(canonical.log_shell_mass(0)) == pytest.approx(0.75)
     assert canonical.enclosed_mass[0] == pytest.approx(0.75)
 
 
 def test_log_forms_match_direct_values(canonical):
     i = np.arange(1, 40)
-    assert np.allclose(np.exp(canonical.log_shell_mass(i)), canonical.shell_mass[i], rtol=1e-12)
-    assert np.allclose(np.exp(canonical.log_width(i)), canonical.width[i], rtol=1e-12)
+    direct = model_oracle.shell_masses(canonical)[i]
+    assert np.allclose(np.exp(canonical.log_shell_mass(i)), direct, rtol=1e-12)
 
 
 def test_validation_messages():
@@ -160,24 +161,28 @@ def test_polytrope_pressure_defaults(canonical):
     c_default = canonical.lambda_star * canonical.eta / (
         16.0 * math.pi ** 2 * canonical.R_star ** 4 * (1.0 - canonical.eta))
     assert pd.C_star == pytest.approx(c_default, rel=1e-15)
-    i = np.arange(1, 30)
-    expected = FOUR_PI * pd.C_star * canonical.radius[i] ** 2 * canonical.width[i] * canonical.eta ** (pd.e3 * i)
-    assert np.allclose(pd.P_over_M[i], expected, rtol=1e-12)
+    # its couplings come in closed form: no P/M is stored
+    assert pd.P_over_M is None
 
 
-def test_overflowing_polytrope_pressure_is_infinitely_inadmissible():
-    # e3 = -1.85 < -1: P/M overflows to inf in the deep shells, where
-    # the defect once came out as inf - inf = NaN, with a RuntimeWarning
-    dist = model.build_mass_distribution(0.3, 1.5, N=900)
-    gp = model.gamma_profile(dist, "constant", value=1.3)
-    pd = model.build_pd_distribution(dist, gp, pressure_mode="polytrope")
-    assert np.isinf(pd.P_over_M[-1])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        res = model_oracle.hse_residual_array(pd)
-        tail = model_oracle.tail_hse_residual(pd)
-    assert not np.any(np.isnan(res))
-    assert tail == math.inf
+@pytest.mark.parametrize("gamma, Gamma, interval", [
+    (2.0, 3.0, (-23.0, 1.0)),       # e3 = 0: mu_inf = 6 about c = 4 - 6*(1/2 + 2)
+    (3.5345, 2.0, (4.0, 4.0)),      # e3 = 0.5345: the couplings vanish
+], ids=["e3=0", "e3+0.53"])
+def test_polytrope_essential_interval(gamma, Gamma, interval):
+    dist = model.build_mass_distribution(0.5, gamma, N=40)
+    pd = model.build_pd_distribution(dist, model.gamma_profile(dist, "constant", value=Gamma),
+                                     pressure_mode="polytrope")
+    assert pd.scaling.interval == interval
+
+
+def test_growing_polytrope_couplings_have_no_interval(canonical):
+    # e3 = -1: the raw couplings grow like eta**-I, and only the scaled
+    # system has an essential spectrum
+    gp = model.gamma_profile(canonical, "constant", value=2.0)
+    pd = model.build_pd_distribution(canonical, gp, pressure_mode="polytrope")
+    with pytest.raises(ValidationError, match=r"e3 = -1 < 0; run the scaled subcommand"):
+        pd.scaling
 
 
 def test_polytrope_requires_constant_profile(canonical):
@@ -205,8 +210,8 @@ def test_arrays_match_the_full_length_formulas_bit_for_bit(eta, gamma):
     for N in (2, 64, 1500, 25000):
         dist = model.build_mass_distribution(eta, gamma, M_star=3.7, R_star=0.45, N=N)
         ref = model_oracle.mass_arrays(eta, gamma, M_star=3.7, R_star=0.45, N=N)
-        got = (dist.radius, dist.width, dist.shell_mass, dist.enclosed_mass)
-        for name, a, b in zip(("radius", "width", "shell_mass", "enclosed_mass"), got, ref):
+        got = (dist.radius, dist.enclosed_mass)
+        for name, a, b in zip(("radius", "enclosed_mass"), got, ref):
             assert np.array_equal(a, b), (name, N)
         pd = model.build_pd_distribution(dist, pressure_mode="limit")
         assert np.array_equal(pd.P_over_M, model_oracle.pressure_limit(dist)), N
@@ -221,7 +226,7 @@ def test_arrays_match_the_full_length_formulas_bit_for_bit(eta, gamma):
 @settings(max_examples=60, deadline=None)
 def test_mass_telescope_property(eta, gamma, M_star, R_star):
     dist = model.build_mass_distribution(eta, gamma, M_star=M_star, R_star=R_star, N=40)
-    acc = np.cumsum(dist.shell_mass)
+    acc = np.cumsum(model_oracle.shell_masses(dist))
     assert np.allclose(dist.enclosed_mass, acc, rtol=1e-12, atol=1e-300)
     assert np.all(np.diff(dist.radius) >= 0)
     assert np.all(dist.radius <= R_star * (1 + 1e-12))

@@ -1,5 +1,6 @@
 """Grading transform, scaled stiff systems and displacement growth."""
 
+import decimal
 import math
 import warnings
 from fractions import Fraction
@@ -14,6 +15,7 @@ from lawe_spectra.errors import ValidationError
 
 import discrete_oracle
 import grading_oracle
+import model_oracle
 
 HALF_LOG2 = 0.5 * math.log(2.0)
 
@@ -221,17 +223,36 @@ def test_limit_coupling_by_profile_kind():
 
 
 @pytest.mark.parametrize("eta, gamma, Gamma", [(0.5, 2.0, 2.0), (0.45, 1.8, 2.3),
-                                               (0.3, 1.5, 1.3)])
+                                               (0.3, 1.5, 1.3), (0.5, 2.0, 2.8),
+                                               (0.5, 2.0, 3.0), (0.05, 3.5345, 2.0)])
 def test_closed_form_coupling_matches_the_raw_route(eta, gamma, Gamma):
-    # the raw route reads the model's P/M through the constant-profile
-    # branch of discrete.coupling_values; the closed form reads neither
+    # the raw route divides P/M by the shell width; in floats both
+    # underflow past I*ln(1/eta) of about 745 and once gave 0/0 = NaN, so
+    # the oracle takes it in 40-digit decimals.  e3 runs from -1.85 to
+    # +0.53; growing couplings are compared up to e**700, short of overflow
     dist = model.build_mass_distribution(eta, gamma, N=2100)
     pd = model.build_pd_distribution(dist, model.gamma_profile(dist, "constant", value=Gamma),
                                      pressure_mode="polytrope")
+    i_hi = 2000 if pd.e3 >= 0.0 else min(2000, int(700.0 / (pd.e3 * math.log(eta))))
+    raw = model_oracle.polytrope_coupling_decimal(pd, 1, i_hi)
+    ref = np.array([float(g) for g in raw])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = discrete.coupling_values(pd, 1, i_hi)
+    tiny = np.finfo(float).tiny
+    normal = ref >= tiny
+    assert np.max(np.abs(got[normal] / ref[normal] - 1.0)) < 1e-13
+    # below the normal range the coupling fades to 0.0 with the true value
+    assert np.all(np.abs(got[~normal] - ref[~normal]) <= tiny)
+    if pd.e3 >= 0.0:
+        return
+    # the scaled couplings mu = nu**I * G3(I), nu = eta**-e3, in decimals too
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        ln_nu = -decimal.Decimal(pd.e3) * decimal.Decimal(eta).ln()
+        mu = np.array([float(g * (i * ln_nu).exp()) for i, g in enumerate(raw, start=1)])
     s = polytrans.build_scaled_system(pd, 2000)
-    idx = np.arange(1, 201)
-    raw = discrete.coupling_values(pd, 1, 200) * s.nu ** idx.astype(float)
-    assert np.max(np.abs(s.mu[:200] / raw - 1.0)) < 1e-12
+    assert np.max(np.abs(s.mu[:i_hi] / mu - 1.0)) < 1e-13
     # r(I) -> R_star: mu approaches its limit from below
     assert np.all(np.diff(s.mu) >= 0.0)
     assert s.mu[-1] == pytest.approx(s.mu_inf, rel=1e-15)
@@ -335,7 +356,6 @@ def test_cross_formulation_identity(stiff_pd, stiff_sys):
 def test_delta_r_growth_balanced(stiff_sys):
     gr = polytrans.delta_r_growth(stiff_sys, 0.0)
     assert abs(gr.solution_rate) < 1e-10
-    assert gr.theory_solution_rate == 0.0
     assert gr.theory_displacement_rate == pytest.approx(HALF_LOG2, abs=1e-15)
     assert gr.displacement_rate == pytest.approx(HALF_LOG2, rel=1e-12)
 
