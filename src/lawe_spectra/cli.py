@@ -379,9 +379,8 @@ def _run_scaled(eff, threads):
             f"scaled analysis needs (model.gamma - 1)*(eos.Gamma - 1) < 2 for a scaling "
             f"base nu = eta**-e3 below 1; eos.Gamma {pd.gamma.c!r} gives e3 = {pd.e3:.6g}")
     system = polytrans.build_scaled_system(pd, n_trunc)
-    vals = spectra.eigenvalues_tridiagonal(system.operator(), threads=threads)
     bs = system.limit_band_structure()
-    brep = spectra.band_report(np.sort(-vals), bs, pad=ana["pad"])
+    brep = spectra.band_report(system.operator(), bs, pad=ana["pad"])
     per_lam = []
     for lam in _or(ana["lambdas"], [0.0]):
         lf = polytrans.local_frequencies(system, lam, i_min=ana["i_min"])

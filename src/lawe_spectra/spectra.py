@@ -12,7 +12,9 @@ must place exactly the claimed eigenvalue index inside ``[lambda_k - tol,
 lambda_k + tol)``; a window must also hold as many values as the Sturm
 counts at its ends.  A result that fails the certificate raises
 :class:`NumericalError` (the CLI exits 2); there is no silent fallback.
-``tol`` is :func:`default_tol`.
+``tol`` is :func:`default_tol`.  :func:`band_report` computes no value:
+by Sylvester's law of inertia, four Sturm counts at the padded band edges
+place the spectrum against two bands.
 
 :func:`sturm_counts` counts the IEEE sign bits of the LDL^T pivots, with
 no pivot floor (LAPACK ``dlaneg``; Marques, Riedy & Voemel 2006).  A wide
@@ -37,8 +39,7 @@ term is the sign bit of q.  A shift is recounted over all rows when
 (m+1) theta + phi lies within 16 times its first-order rounding-error
 bound of a multiple of pi (the shift sits near an eigenvalue), when
 sin(theta)**2 <= 64 eps (at or beyond a band edge), or when q is zero,
-infinite or NaN.  A 2-periodic tail, as in ``scaled``, is not constant
-and keeps the recurrence.
+infinite or NaN.  A 2-periodic tail, as in ``scaled``, is not constant.
 
 The same closed form gives the eigenvalues of such a section without
 ``sterf``.  With s = a - 2 beta cos(theta) and H the negative pivots of
@@ -54,8 +55,8 @@ a + 2 beta] (by the band-edge counts), or with a root unconverged after
 
 SciPy is imported inside the functions that call LAPACK, and only on the
 branch that does, so a process that never reaches them (``sl``,
-``transform-check``, ``report``, and ``spectrum`` on a constant-tail
-section) loads NumPy only.
+``transform-check``, ``scaled``, ``report``, and ``spectrum`` on a
+constant-tail section) loads NumPy only.
 """
 
 from __future__ import annotations
@@ -443,9 +444,9 @@ def sturm_counts(diag, off2, shifts, threads=1):
     within 16 times its first-order rounding-error bound of a multiple of
     pi, with |x| too close to 1 (sin(theta)**2 <= 64 eps) or beyond it,
     or with q zero, infinite or NaN, is recounted over all n rows by the
-    route above.  A 2-periodic tail has no constant one and keeps the
-    loop.  ``threads`` splits the shift vector over a thread pool; the
-    route and the recount do not depend on it.
+    route above; a 2-periodic tail has no constant one.  ``threads``
+    splits the shift vector over a thread pool; the route and the recount
+    do not depend on it.
     """
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     diag, off2 = np.asarray(diag, dtype=float), np.asarray(off2, dtype=float)
@@ -497,27 +498,20 @@ def _certify(diag, off, vals, tol, threads, window=None):
 
 
 def eigenvalues_tridiagonal(op, *, threads=1):
-    """Full spectrum of the symmetric tridiagonal section ``op`` (its
-    ``diag`` and ``offdiag``), certified by Sturm counts.
+    """(values, route, k0, Newton steps): the full spectrum of the
+    symmetric tridiagonal section ``op``, certified by Sturm counts.
 
-    A section that ends in at least 32 exactly constant rows (diagonal a,
-    coupling beta) gets its values as the roots of its continuous Sturm
-    count, by safeguarded Newton steps over its head rows (see
-    :func:`_tail_eigenvalues`); every other section, one with an
+    A section that ends in at least 32 exactly constant rows k0..n-1
+    gets its values as the roots of its continuous Sturm count, by
+    safeguarded Newton steps (:func:`_tail_eigenvalues`), on route
+    ``"constant_tail"``.  Every other section (k0 is n), one with an
     eigenvalue outside [a - 2 beta, a + 2 beta], and one with a root
-    unconverged after 40 steps get LAPACK root-free QR (``sterf``).  One
-    Sturm sweep at every value -+ :func:`default_tol` then certifies that
-    the k-th eigenvalue lies in [value_k - tol, value_k + tol);
-    ``threads`` splits the sweep.  Raises NumericalError naming the first
-    index that fails.
+    unconverged after 40 steps go to LAPACK root-free QR, route
+    ``"sterf"``.  One Sturm sweep at every value -+ :func:`default_tol`
+    then certifies that the k-th eigenvalue lies in [value_k - tol,
+    value_k + tol); ``threads`` splits the sweep.  Raises NumericalError
+    naming the first index that fails.
     """
-    return _eigenvalues(op, threads)[0]
-
-
-def _eigenvalues(op, threads):
-    """(values, route, k0, Newton steps) of :func:`eigenvalues_tridiagonal`;
-    route is ``"constant_tail"`` or ``"sterf"``, k0 the first row of the
-    constant tail (n without one)."""
     diag, off, _, _, tol = _diagonals_and_tol(op)
     off2 = off * off
     k0 = _tail_start(diag, off2)
@@ -699,7 +693,7 @@ def spectrum_fill_report(op, *, pad=0.05, threads=1):
     outside.
     """
     lo, hi = (float(v) for v in op.scaling.interval)
-    vals, route, k0, steps = _eigenvalues(op, threads)
+    vals, route, k0, steps = eigenvalues_tridiagonal(op, threads=threads)
     inside = vals[(vals >= lo - pad) & (vals <= hi + pad)]
     knots = np.concatenate([[lo], np.sort(np.clip(inside, lo, hi)), [hi]])
     max_gap = float(np.max(np.diff(knots))) if inside.size else hi - lo
@@ -845,14 +839,6 @@ class BandStructure:
     def gap(self):
         return (self.e1, self.e2)
 
-    def distance(self, x):
-        """Distance from x to the union of the two bands (0 inside)."""
-        x = np.asarray(x, dtype=float)
-        d = np.full(x.shape, np.inf)
-        for lo, hi in self.bands:
-            d = np.minimum(d, np.maximum.reduce([lo - x, x - hi, np.zeros_like(x)]))
-        return d
-
 
 def band_structure(beta, mu, eta):
     """Closed-form band edges of the 2-periodic limit operator.
@@ -878,22 +864,27 @@ class BandReport:
     n_values: int
     n_off_band: int
     n_gap_interior: int
-    max_band_distance: float
 
 
-def band_report(values, bs, *, pad=0.05):
-    """Count section eigenvalues against the limit bands.
+def band_report(op, bs, *, pad):
+    """Count the negated eigenvalues x = -lambda of the section ``op``
+    against the bands of ``bs``, to which the scaled matrix's negative
+    converges, without computing them.
 
-    Dirichlet truncation may shed a handful of states into the spectral
-    gap; ``n_gap_interior`` counts those farther than ``pad`` from either
-    inner edge, ``n_off_band`` those farther than ``pad`` from the band
-    union.
+    Dirichlet truncation may shed a handful of states into the gap:
+    ``n_gap_interior`` counts the x in (e1 + pad, e2 - pad), 0 where it is
+    empty, and ``n_off_band`` those outside the closed padded bands
+    [e_minus - pad, e1 + pad] and [e2 - pad, e_plus + pad].  By
+    Sylvester's law of inertia a Sturm count of -op is the number of x
+    below its shift, and at nextafter(u, +inf) the number at or below u:
+    one :func:`sturm_counts` call at the four padded edges gives all
+    three.  Raises NumericalError naming a row with a non-finite entry.
     """
-    values = np.asarray(values, dtype=float)
-    dist = bs.distance(values)
-    g_lo, g_hi = bs.gap
-    in_gap = (values > g_lo + pad) & (values < g_hi - pad)
-    return BandReport(n_values=int(values.size),
-                      n_off_band=int(np.count_nonzero(dist > pad)),
-                      n_gap_interior=int(np.count_nonzero(in_gap)),
-                      max_band_distance=float(np.max(dist)) if values.size else 0.0)
+    diag, off, _, _, _ = _diagonals_and_tol(op)
+    n = diag.shape[0]
+    lo, g_lo, g_hi, hi = bs.e_minus - pad, bs.e1 + pad, bs.e2 - pad, bs.e_plus + pad
+    below = sturm_counts(-diag, off * off, [lo, math.nextafter(g_lo, math.inf), g_hi,
+                                            math.nextafter(hi, math.inf)])
+    gap = int(below[2] - below[1]) if g_lo < g_hi else 0
+    return BandReport(n_values=n, n_off_band=gap + int(below[0]) + n - int(below[3]),
+                      n_gap_interior=gap)

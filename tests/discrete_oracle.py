@@ -7,7 +7,9 @@ comparison operator whose bands ``spectra.band_structure`` gives in
 closed form.  The tests check the gauge symmetry, the batched verdicts
 and the band edges against them.  :func:`with_interval` lends a section
 without a model the essential interval that ``spectrum_fill_report``
-measures against.
+measures against.  :func:`band_distance` and :func:`band_report_of_values`
+are the value-based band report that ``spectra.band_report`` replaced by
+four Sturm counts; the tests apply them to LAPACK values.
 """
 
 from types import SimpleNamespace
@@ -15,6 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from lawe_spectra.discrete import JacobiOperator, _dr_bounded
+from lawe_spectra.spectra import BandReport
 
 
 def gauge_flipped(op):
@@ -76,3 +79,30 @@ def build_two_periodic(beta, mu, eta, n, i_start=1):
     diag = np.where(idx % 2 == 1, beta / eta, beta).astype(float)
     offdiag = np.full(n - 1, float(mu))
     return JacobiOperator(diag=diag, offdiag=offdiag, i_start=int(i_start), pd=None)
+
+
+def band_distance(bs, x):
+    """Distance from each x to the union of the two bands of ``bs`` (0 inside)."""
+    x = np.asarray(x, dtype=float)
+    d = np.full(x.shape, np.inf)
+    for lo, hi in bs.bands:
+        d = np.minimum(d, np.maximum.reduce([lo - x, x - hi, np.zeros_like(x)]))
+    return d
+
+
+def band_report_of_values(values, bs, pad):
+    """The band report of the values x themselves: ``n_off_band`` counts
+    the x farther than ``pad`` from the band union, ``n_gap_interior``
+    those strictly inside (e1 + pad, e2 - pad)."""
+    values = np.asarray(values, dtype=float)
+    g_lo, g_hi = bs.gap
+    in_gap = (values > g_lo + pad) & (values < g_hi - pad)
+    return BandReport(n_values=int(values.size),
+                      n_off_band=int(np.count_nonzero(band_distance(bs, values) > pad)),
+                      n_gap_interior=int(np.count_nonzero(in_gap)))
+
+
+def negated(op):
+    """The section -op, whose eigenvalues are those of ``op`` negated."""
+    return JacobiOperator(diag=-np.asarray(op.diag, float), offdiag=op.offdiag,
+                          i_start=op.i_start, pd=op.pd)

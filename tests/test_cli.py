@@ -640,6 +640,25 @@ def test_nan_bound_for_an_artifact_exits_numerical(tmp_path, capsys, monkeypatch
     assert list(out.iterdir()) == []
 
 
+def test_non_finite_scaled_section_exits_numerical(tmp_path, capsys, monkeypatch):
+    # a NaN in the scaled diagonal is refused before the band report
+    # counts a pivot, and no artifact of the job is written
+    real = cli.polytrans.build_scaled_system
+
+    def with_nan(pd, n):
+        system = real(pd, n)
+        diag = system.diag.copy()
+        diag[17] = math.nan
+        return dataclasses.replace(system, diag=diag)
+    monkeypatch.setattr(cli.polytrans, "build_scaled_system", with_nan)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", eos={"variant": "polytrope"},
+                       analysis={"n_trunc": 200}, output={"directory": str(out)})
+    assert cli.run("scaled", cfg) == 2
+    assert "tridiagonal section has a non-finite entry in row 17" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_json_infinity_only_under_sentinels():
     text = cli._render_json("a.json", {"checks": [{"tail_ratio": np.inf}],
                                        "l2_growth": {"max_growth_factor": -np.inf}}, "h")
@@ -1023,18 +1042,22 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 
 
 @pytest.mark.parametrize("subs, loads_lapack", [
-    (("sl", "transform-check"), False), (("spectrum",), False), (("scaled",), True)],
-    ids=["sl+transform-check", "spectrum", "scaled"])
+    (("sl", "transform-check"), False), (("spectrum",), False), (("scaled",), False),
+    (("jost",), True)],
+    ids=["sl+transform-check", "spectrum", "scaled", "jost"])
 def test_scipy_is_loaded_by_the_first_lapack_call(tmp_path, subs, loads_lapack):
     # sl and transform-check never call LAPACK, so their processes skip
     # the scipy import; a spectrum section with a constant tail is solved
-    # without LAPACK, and scaled's 2-periodic tail loads it in its solver
+    # without LAPACK, scaled counts its band report by Sturm counts, and
+    # jost's tail recurrence loads scipy in its band solve
     configs = {"sl": _sl_config(tmp_path),
                "spectrum": write_config(tmp_path / "spectrum.json",
                                         analysis={"n_trunc": 120, "i_start": 16}),
                "scaled": write_config(tmp_path / "scaled.json",
                                       eos={"variant": "polytrope"},
                                       analysis={"n_trunc": 200}),
+               "jost": write_config(tmp_path / "jost.json",
+                                    analysis={"n_trunc": 200, "i_start": 16}),
                "transform-check": write_config(tmp_path / "tc.json")}
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     jobs = json.dumps([(sub, configs[sub]) for sub in subs])

@@ -462,7 +462,7 @@ def test_certificate_of_a_constant_tail_runs_the_head_rows_only(monkeypatch):
         return sequential(diag, off2, shifts)
     monkeypatch.setattr(spectra, "_sequential_counts", spy)
     recounted = _spy_full_counts(monkeypatch)
-    vals = spectra.eigenvalues_tridiagonal(op)
+    vals = spectra.eigenvalues_tridiagonal(op)[0]
     assert vals.size == n and row_shifts
     assert sum(row_shifts) <= (k0 + 1) * 2 * n + n * sum(r.size for r in recounted)
 
@@ -490,7 +490,7 @@ def test_tail_route_values_sit_at_the_exact_eigenvalues():
     rng = np.random.default_rng(2)
     for head in (15, 17, 18):
         d, e = _headed_section(rng, head)
-        vals, route, k0, _ = spectra._eigenvalues(_op(d, e), 1)
+        vals, route, k0, _ = spectra.eigenvalues_tridiagonal(_op(d, e))
         assert (route, k0) == ("constant_tail", head)
         delta = 1e-13 * _span(d, e)
         for k, v in enumerate(vals):
@@ -502,7 +502,7 @@ def test_tail_route_values_sit_at_the_exact_eigenvalues():
 def test_constant_section_eigenvalues_in_closed_form(n):
     a, beta = -0.7, 0.45
     d, e = np.full(n, a), np.full(n - 1, beta)
-    vals, route, _, _ = spectra._eigenvalues(_op(d, e), 1)
+    vals, route, _, _ = spectra.eigenvalues_tridiagonal(_op(d, e))
     exact = a + 2.0 * beta * np.cos(np.arange(n, 0, -1) * math.pi / (n + 1))
     assert route == "constant_tail"
     assert np.max(np.abs(vals - exact)) <= 1e-15 * _span(d, e)
@@ -516,7 +516,7 @@ def test_tail_route_matches_stemr_on_shell_sections():
         op = _shell_section(rng.uniform(0.3, 0.7), rng.uniform(1.5, 3.0),
                             int(rng.integers(200, 3001)), ("limit", "hse")[j % 2])
         d, e = np.asarray(op.diag), np.asarray(op.offdiag)
-        vals, route, _, _ = spectra._eigenvalues(op, 1)
+        vals, route, _, _ = spectra.eigenvalues_tridiagonal(op)
         ref = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stemr")
         assert route == "constant_tail"
         assert np.max(np.abs(vals - ref)) <= 1e-13 * _span(d, e), j
@@ -527,12 +527,12 @@ def test_sections_off_the_tail_route_get_sterf_bit_for_bit(case):
     # the sections take the route until a spike in the head puts an
     # eigenvalue above the band, or one more head row leaves a tail of 31
     d, e = _headed_section(np.random.default_rng(2), 28)
-    assert spectra._eigenvalues(_op(d, e), 1)[1:3] == ("constant_tail", 28)
+    assert spectra.eigenvalues_tridiagonal(_op(d, e))[1:3] == ("constant_tail", 28)
     if case == "head_spike":
         d[7] = 0.3 + 3.0 * 1.1
     else:
         d[28] += 0.1
-    vals, route, k0, steps = spectra._eigenvalues(_op(d, e), 1)
+    vals, route, k0, steps = spectra.eigenvalues_tridiagonal(_op(d, e))
     assert (route, steps) == ("sterf", 0)
     assert d.size - k0 == (32 if case == "head_spike" else 31)
     ref = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
@@ -556,16 +556,20 @@ def test_tail_route_converges_well_inside_the_cap():
     # 45 steps, and Newton without the pivot derivative converges slowly
     for eta, gamma, n in _DENSE_SECTIONS:
         op = _shell_section(eta, gamma, n, "limit")
-        vals, route, k0, steps = spectra._eigenvalues(op, 1)
+        vals, route, k0, steps = spectra.eigenvalues_tridiagonal(op)
         assert route == "constant_tail" and 19 <= k0 <= 89
         assert 1 <= steps <= 5 < spectra._NEWTON_CAP
 
 
-def _scaled_polytrope_op():
+def _scaled_polytrope_system():
     dist = model.build_mass_distribution(0.5, 2.0, N=700)
     gp = model.gamma_profile(dist, "constant", value=2.0)
     pd = model.build_pd_distribution(dist, gp, pressure_mode="polytrope")
-    return polytrans.build_scaled_system(pd, 600).operator()
+    return polytrans.build_scaled_system(pd, 600)
+
+
+def _scaled_polytrope_op():
+    return _scaled_polytrope_system().operator()
 
 
 def _ppmodes_window():
@@ -591,7 +595,7 @@ def test_lapack_route_matches_bisection(case, canonical_op):
     glo, ghi = spectra.gershgorin_interval(op.diag, op.offdiag)
     tol = 1e-10 * (ghi - glo)
     if window is None:
-        vals = spectra.eigenvalues_tridiagonal(op)
+        vals = spectra.eigenvalues_tridiagonal(op)[0]
     else:
         vals, _ = spectra.eigenpairs_tridiagonal(op, window=window)
     ref = _eigenvalues_bisect(op, window=window)
@@ -610,7 +614,7 @@ def test_default_tolerance_floor_on_a_nearly_scalar_section():
     glo, ghi = spectra.gershgorin_interval(d, e)
     tol = spectra.default_tol(glo, ghi)
     assert spectra.DEFAULT_RTOL * (ghi - glo) < np.spacing(4.0) < tol
-    vals = spectra.eigenvalues_tridiagonal(_op(d, e))
+    vals = spectra.eigenvalues_tridiagonal(_op(d, e))[0]
     ks = np.arange(120)
     assert np.array_equal(spectra.sturm_counts(d, e * e, vals + tol), ks + 1)
     assert np.max(np.abs(vals - _eigenvalues_bisect(d, e))) <= tol
@@ -648,7 +652,7 @@ def _nudged(vals, tol):
 
 def test_certificate_rejects_nudged_value(canonical_op, monkeypatch):
     # canonical_op ends in a constant tail and takes the Newton route
-    assert spectra._eigenvalues(canonical_op, 1)[1] == "constant_tail"
+    assert spectra.eigenvalues_tridiagonal(canonical_op)[1] == "constant_tail"
     tol = _default_tol(canonical_op)
     real = spectra._tail_eigenvalues
     monkeypatch.setattr(spectra, "_tail_eigenvalues",
@@ -660,7 +664,7 @@ def test_certificate_rejects_nudged_value(canonical_op, monkeypatch):
 def test_certificate_rejects_nudged_sterf_value(monkeypatch):
     # the scaled polytrope's 2-periodic tail is not constant: sterf
     op = _scaled_polytrope_op()
-    assert spectra._eigenvalues(op, 1)[1] == "sterf"
+    assert spectra.eigenvalues_tridiagonal(op)[1] == "sterf"
     tol = _default_tol(op)
     _lapack_patched(monkeypatch, lambda vals: _nudged(vals, tol))
     with pytest.raises(NumericalError, match="certificate failed at eigenvalue index 5:"):
@@ -894,7 +898,7 @@ def test_band_edges_closed_form():
     assert bs.e2 == 4.0
     assert bs.e_plus == pytest.approx(3.0 + math.sqrt(5.0), rel=1e-14)
     assert bs.gap == (2.0, 4.0)
-    d = bs.distance(np.array([1.0, 2.0, 3.0, 4.5, 6.0]))
+    d = discrete_oracle.band_distance(bs, np.array([1.0, 2.0, 3.0, 4.5, 6.0]))
     assert d[0] == 0.0
     assert d[1] == 0.0
     assert d[2] == pytest.approx(1.0)
@@ -915,22 +919,97 @@ def test_two_periodic_section_fills_bands():
     assert np.all(op.offdiag == 1.0)
     assert op.diag[0] == 4.0  # shell 1 is odd: beta/eta
     assert op.diag[1] == 2.0
-    vals = spectra.eigenvalues_tridiagonal(op)
-    rep = spectra.band_report(vals, bs)
+    # band_report places the negated eigenvalues, so the section's own
+    # values are those of -op
+    rep = spectra.band_report(discrete_oracle.negated(op), bs, pad=0.05)
     assert rep.n_values == 400
     assert rep.n_off_band == 0
     assert rep.n_gap_interior == 0
-    assert rep.max_band_distance == pytest.approx(0.0, abs=1e-12)
+    vals = scipy.linalg.eigvalsh_tridiagonal(op.diag, op.offdiag)
+    assert np.max(discrete_oracle.band_distance(bs, vals)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_band_report_counts_gap_states():
+    # a diagonal section (every coupling exactly 0) holds the values
+    # x = -diag exactly; four of them sit on the padded edges, and four
+    # lie one double past an edge, away from its band
     bs = spectra.band_structure(2.0, 1.0, 0.5)
-    vals = np.array([1.0, 3.0, 2.01, 5.0, 7.0])
-    rep = spectra.band_report(vals, bs, pad=0.05)
-    # 3.0 is deep in the gap; 2.01 is within the margin of the band edge
-    assert rep.n_gap_interior == 1
-    assert rep.n_off_band == 2  # 3.0 and 7.0
-    assert rep.max_band_distance == pytest.approx(7.0 - bs.e_plus)
+    pad = 0.05
+    edges = [bs.e_minus - pad, bs.e1 + pad, bs.e2 - pad, bs.e_plus + pad]
+    past = [math.nextafter(u, math.inf if k % 2 else -math.inf)
+            for k, u in enumerate(edges)]
+    vals = np.array([1.0, 3.0, 2.01, 5.0, 7.0, *edges, *past])
+    rep = spectra.band_report(_op(-vals, np.zeros(vals.size - 1)), bs, pad=pad)
+    assert rep.n_values == 13
+    # 3.0 is deep in the gap; 2.01 is within the margin of the band edge;
+    # the padded bands are closed, so the edge values stay on them and
+    # the two values past the inner edges lie in the gap
+    assert rep.n_gap_interior == 1 + 2
+    assert rep.n_off_band == 2 + 4  # 3.0, 7.0 and the four past the edges
+    assert np.max(discrete_oracle.band_distance(bs, vals)) == pytest.approx(7.0 - bs.e_plus)
+
+
+def test_band_report_thresholds_are_exact_counts(monkeypatch):
+    # a two-periodic section whose head sheds states into the gap and off
+    # the bands, negated: each of the four threshold counts equals the
+    # exact count of the values x = -lambda below its shift
+    bs = spectra.band_structure(2.0, 1.0, 0.5)
+    op = discrete_oracle.build_two_periodic(2.0, 1.0, 0.5, 59)
+    op.diag[:5] += [0.0, 0.0, 1.0, 0.0, -4.0]
+    op = discrete_oracle.negated(op)
+    calls = []
+    real = spectra.sturm_counts
+
+    def spy(diag, off2, shifts, threads=1):
+        counts = real(diag, off2, shifts, threads)
+        calls.append((diag, off2, shifts, counts))
+        return counts
+    monkeypatch.setattr(spectra, "sturm_counts", spy)
+    for pad in (0.0, 0.05):
+        rep = spectra.band_report(op, bs, pad=pad)
+        diag, off2, shifts, counts = calls.pop()
+        assert len(shifts) == 4
+        exact = [sturm_oracle.exact_counts(diag, off2, u) for u in shifts]
+        assert [int(c) for c in counts] == [below for below, _ in exact], pad
+        neg = np.sort(-scipy.linalg.eigvalsh_tridiagonal(op.diag, op.offdiag))
+        assert rep == discrete_oracle.band_report_of_values(neg, bs, pad), pad
+        assert rep.n_gap_interior > 0 and rep.n_off_band > rep.n_gap_interior, pad
+
+
+def test_band_report_matches_lapack_values_on_benchmark_sections():
+    # scaled sections drawn like the benchmark's, but from 100 rows on so
+    # that the sequential count (n < 256) runs as well as the segmented
+    # one; the oracle applies the value-based report to LAPACK MRRR values
+    rng = np.random.default_rng(11)
+    sizes, gaps = [], 0
+    for j in range(32):
+        eta, gamma = rng.uniform(0.45, 0.65), rng.uniform(1.8, 2.4)
+        Gamma = 1.0 + rng.uniform(1.1, 1.8) / (gamma - 1.0)
+        n = int(rng.integers(100, 701))
+        dist = model.build_mass_distribution(eta, gamma, N=n + 5)
+        gp = model.gamma_profile(dist, "constant", value=Gamma)
+        pd = model.build_pd_distribution(dist, gp, pressure_mode="polytrope")
+        system = polytrans.build_scaled_system(pd, n)
+        op, bs = system.operator(), system.limit_band_structure()
+        neg = np.sort(-scipy.linalg.eigvalsh_tridiagonal(op.diag, op.offdiag,
+                                                        lapack_driver="stemr"))
+        # the last pad closes the gap
+        for pad in (0.0, 0.05, 0.2, 0.6 * (bs.e2 - bs.e1)):
+            rep = spectra.band_report(op, bs, pad=pad)
+            assert rep == discrete_oracle.band_report_of_values(neg, bs, pad), (j, pad)
+            gaps += rep.n_gap_interior > 0
+        assert rep.n_gap_interior == 0
+        sizes.append(n)
+    assert min(sizes) < spectra._SEGMENT_MIN_ROWS <= np.median(sizes)
+    assert gaps > 0
+
+
+def test_band_report_refuses_a_non_finite_section():
+    system = _scaled_polytrope_system()
+    op = system.operator()
+    op.diag[17] = np.nan
+    with pytest.raises(NumericalError, match="non-finite entry in row 17"):
+        spectra.band_report(op, system.limit_band_structure(), pad=0.05)
 
 
 @given(beta=st.floats(0.5, 4.0), mu=st.floats(0.1, 2.0), eta=st.floats(0.1, 0.9))
