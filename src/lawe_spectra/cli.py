@@ -2,10 +2,13 @@
 
 Config files are strict JSON with a versioned ``schema`` field, checked
 key by key against ``_SCHEMA``; unknown keys are rejected everywhere, so a
-typo cannot silently fall back to a default.  Artifacts are byte-identical
-across runs with the same effective configuration: floats are written in
-shortest round-trip form, JSON keys are sorted, and every CSV opens with a
-comment line carrying the sha256 hash of the effective config.
+typo cannot silently fall back to a default.  The config states the whole
+job; the command line adds only the subcommand, which the effective config
+records as ``analysis.subcommand``, and ``--out``, which replaces
+``output.directory``.  Artifacts are byte-identical across runs with the
+same effective configuration: floats are written in shortest round-trip
+form, JSON keys are sorted, and every CSV opens with a comment line
+carrying the sha256 hash of the effective config.
 
 Each subcommand's handler computes and returns its artifacts as data,
 ``{file name: content}``; ``main`` is the only writer.  It renders every
@@ -78,9 +81,9 @@ _SCHEMA = {
     "analysis": {
         # a null n_trunc, i_start, i_min, n_instances or lambdas takes the
         # subcommand's own default; see the handlers
-        "subcommand": (_STR, None), "lambdas": (_NUMS, None), "n_trunc": (_SIZE, None),
-        "i_start": (_SIZE, None), "i_min": (_INT, None), "pad": (_NUM, 0.05),
-        "seed": (_INT, 0), "threads": (_POS_INT, None), "rational": (_BOOL, False),
+        "lambdas": (_NUMS, None), "n_trunc": (_SIZE, None), "i_start": (_SIZE, None),
+        "i_min": (_INT, None), "pad": (_NUM, 0.05), "seed": (_INT, 0),
+        "threads": (_POS_INT, None), "rational": (_BOOL, False),
         "n_instances": (_COUNT, None), "x_max": (_POS, 2000.0), "rtol": (_POS, 1e-10),
         "alpha": (_NUM, 0.8), "p": (_NUM, 0.5), "spacing": (_NUM, 5.0), "b": (_NUM, None),
     },
@@ -138,15 +141,12 @@ def load_config(path):
 
 
 def effective_config(cfg, args):
-    """Overlay defaults and command-line overrides onto a parsed config."""
+    """Overlay defaults and ``--out`` onto a parsed config, and record the
+    subcommand as ``analysis.subcommand`` so that the config hash names it."""
     eff = {"schema": 1, "eos": {"variant": "limit", **cfg.get("eos", {})}}
     for name in ("model", "analysis", "output"):
         eff[name] = {**_defaults(_SCHEMA[name]), **cfg.get(name, {})}
-    overrides = {"subcommand": args.subcommand, "seed": args.seed,
-                 "threads": args.threads, "rational": args.rational or None}
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    _check_block(overrides, _SCHEMA["analysis"], "analysis", "command-line")
-    eff["analysis"].update(overrides)
+    eff["analysis"]["subcommand"] = args.subcommand
     if args.out is not None:
         eff["output"]["directory"] = args.out
     return eff
@@ -543,16 +543,9 @@ class _Parser(argparse.ArgumentParser):
 # built once: each parse_args call returns a fresh namespace, error() raises
 _PARSER = _Parser(prog="lawe-spectra",
                   description="spectral analyses of shell-model wave operators")
-_PARSER.add_argument("subcommand", nargs="?", choices=sorted(_HANDLERS),
-                     help="analysis to run (may also come from the config)")
+_PARSER.add_argument("subcommand", choices=sorted(_HANDLERS), help="analysis to run")
 _PARSER.add_argument("--config", help="path to a JSON config (schema 1)")
 _PARSER.add_argument("--out", help="output directory (overrides config)")
-_PARSER.add_argument("--seed", type=int, help="PRNG seed (overrides config)")
-_PARSER.add_argument("--rational", action="store_true",
-                     help="exact exponent certificate (transform-check only)")
-_PARSER.add_argument("--threads", type=int,
-                     help="threads for the Sturm certificate sweep "
-                          "(overrides config)")
 
 
 def run(subcommand, config_path=None, *, argv_extra=()):
@@ -569,16 +562,7 @@ def main(argv=None):
         args = _PARSER.parse_args(argv)
         cfg = load_config(args.config) if args.config else {"schema": 1}
         eff = effective_config(cfg, args)
-        sub = eff["analysis"]["subcommand"]
-        if sub is None:
-            raise ValidationError(
-                "no subcommand: pass one on the command line or set "
-                "analysis.subcommand in the config")
-        if sub not in _HANDLERS:
-            raise ValidationError(
-                f"subcommand must be one of {sorted(_HANDLERS)}, got {sub!r}")
-        if args.rational and sub != "transform-check":
-            raise ValidationError("--rational applies to transform-check only")
+        sub = args.subcommand
         outdir = eff["output"]["directory"]
         try:
             os.makedirs(outdir, exist_ok=True)

@@ -37,6 +37,10 @@ FOUR_PI = 4.0 * math.pi
 _LOG_MAX = 709.0
 #: -expm1(x) is exactly 1.0 below x = -37.43; the cut-off keeps a margin
 _EXPM1_ONE = 40.0
+#: a polytrope's e3 = (gamma-1)*(Gamma-1) - 2 within this of zero is stored
+#: as 0.0: the product carries a rounding error of a few ulps of 2.0, and
+#: its sign would otherwise decide between decaying and growing couplings
+_E3_ROUNDING = 4.0 * math.ulp(2.0)
 
 
 def _live(rate, cutoff, n):
@@ -368,7 +372,8 @@ def build_pd_distribution(dist, gamma_prof=None, *, zeta=0.0, pressure_mode="lim
                        balance; admissible to machine precision.
         "polytrope" -- exact power law in P*rho/M**2 with amplitude C_star
                        and exponent e3 = (gamma-1)*(Gamma-1) - 2, used
-                       with constant Gamma profiles; it stores no P/M.
+                       with constant Gamma profiles; it stores no P/M,
+                       and an e3 within a few ulps of zero as 0.0.
     "limit" and "hse" take geometric profiles, whose constant carries zeta.
     """
     if gamma_prof is None:
@@ -388,6 +393,8 @@ def build_pd_distribution(dist, gamma_prof=None, *, zeta=0.0, pressure_mode="lim
             C_star = dist.lambda_star * dist.eta / (16.0 * math.pi**2 * dist.R_star**4 * (1.0 - dist.eta))
         _check_positive("C_star", C_star)
         C_out, e3 = float(C_star), (dist.gamma - 1.0) * (gamma_prof.c - 1.0) - 2.0
+        if abs(e3) <= _E3_ROUNDING:
+            e3 = 0.0
     else:
         raise ValidationError(f"unknown pressure_mode {pressure_mode!r}")
 

@@ -719,29 +719,26 @@ class TailEnvelope:
 
     Beyond the integrated window the solution keeps the amplitude the
     trace established (bounded-solution regime), so envelope bounds on
-    y, delta_r and the regularity quantity follow from the coefficient
+    delta_r and the regularity quantity follow from the coefficient
     powers alone, evaluated on a grid log-spaced in depth.
     """
 
-    x: np.ndarray = field(repr=False)
     depth: np.ndarray = field(repr=False)
     amp_Y: float
     amp_Yp: float
-    env_y: np.ndarray = field(repr=False)
-    env_yp: np.ndarray = field(repr=False)
     env_delta_r: np.ndarray = field(repr=False)
     env_R: np.ndarray = field(repr=False)
 
 
 def _envelope_fields(eos, amp_Y, amp_Yp, x, D):
-    """Envelope bounds on y, y', delta_r and Gamma*P*(3y + x*y')."""
+    """Envelope bounds on delta_r = x*y and Gamma*P*(3y + x*y')."""
     pw4 = (eos.p(x) * eos.w(x)) ** 0.25
     env_y = amp_Y / pw4
     # y' = Y'*W/(pw)^(1/4) + Y*((pw)^(-1/4))'; both terms kept
     dpw4 = _pw_minus_quarter_log_deriv(eos, x, D)
     env_yp = amp_Yp * eos.W(x) / pw4 + amp_Y * np.abs(dpw4) / pw4
     env_R = eos.gamma_P(x) * (3.0 * env_y + x * env_yp)
-    return env_y, env_yp, x * env_y, env_R
+    return x * env_y, env_R
 
 
 #: depth, in units of R_star, down to which a trace is continued by envelopes
@@ -766,9 +763,9 @@ def extend_trace_asymptotic(trace, form):
             f"trace already reaches depth {d_hi!r}, below ENVELOPE_DEPTH")
     D = np.geomspace(ENVELOPE_DEPTH * eos.R_star, d_hi, 500)[::-1]
     x = eos.R_star - D
-    env_y, env_yp, env_dr, env_R = _envelope_fields(eos, amp_Y, amp_Yp, x, D)
-    return TailEnvelope(x=x, depth=D, amp_Y=amp_Y, amp_Yp=amp_Yp, env_y=env_y,
-                        env_yp=env_yp, env_delta_r=env_dr, env_R=env_R)
+    env_dr, env_R = _envelope_fields(eos, amp_Y, amp_Yp, x, D)
+    return TailEnvelope(depth=D, amp_Y=amp_Y, amp_Yp=amp_Yp, env_delta_r=env_dr,
+                        env_R=env_R)
 
 
 def _pw_minus_quarter_log_deriv(eos, x, D):
@@ -933,7 +930,7 @@ def regularity_check(trace, eos, envelope):
     peak = float(np.max(R_tr[k:]))
     x_win = trace.x_grid[k]
     env_at = float(_envelope_fields(eos, envelope.amp_Y, envelope.amp_Yp,
-                                    x_win, eos.depth(x_win))[3])
+                                    x_win, eos.depth(x_win))[1])
     ratio = peak / env_at if env_at > 0 else np.inf
 
     sel = D <= D.min() * 100.0

@@ -32,8 +32,9 @@ def spectrum_cfg(tmp_path):
 
 
 def test_transform_check_rational_prints_exact(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json", output={"directory": str(tmp_path / "out")})
-    rc = cli.run("transform-check", cfg, argv_extra=["--rational"])
+    cfg = write_config(tmp_path / "cfg.json", analysis={"rational": True},
+                       output={"directory": str(tmp_path / "out")})
+    rc = cli.run("transform-check", cfg)
     assert rc == 0
     assert "residual: exact zero, n=50" in capsys.readouterr().out
     art = json.loads((tmp_path / "out" / "transform_check.json").read_text())
@@ -59,9 +60,9 @@ def test_rational_mode_exact_for_every_seed(tmp_path, capsys):
     for seed in (0, 1, 2):
         out = tmp_path / f"out{seed}"
         cfg = write_config(tmp_path / f"cfg{seed}.json",
+                           analysis={"rational": True, "seed": seed},
                            output={"directory": str(out)})
-        assert cli.run("transform-check", cfg,
-                       argv_extra=["--rational", "--seed", str(seed)]) == 0
+        assert cli.run("transform-check", cfg) == 0
         art = json.loads((out / "transform_check.json").read_text())
         assert art["exact"] is True and art["max_residual"] == "0"
         hashes.add(art["config_sha256"])
@@ -76,19 +77,18 @@ def test_consecutive_runs_do_not_share_options(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", analysis={"n_instances": 2},
                        output={"directory": str(tmp_path / "cfg_out")})
     flagged = tmp_path / "flag_out"
-    assert cli.run("transform-check", cfg,
-                   argv_extra=["--rational", "--seed", "7", "--out", str(flagged)]) == 0
+    assert cli.run("transform-check", cfg, argv_extra=["--out", str(flagged)]) == 0
     assert cli.run("transform-check", cfg) == 0
-    first = json.loads((flagged / "transform_check.json").read_text())
-    second = json.loads((tmp_path / "cfg_out" / "transform_check.json").read_text())
     assert os.listdir(flagged) == ["transform_check.json"]
-    assert first["rational"] is True and second["rational"] is False
-    # the second job hashes the config's own seed and no --rational
+    assert os.listdir(tmp_path / "cfg_out") == ["transform_check.json"]
+    # the second job writes where its config says; the location is not
+    # hashed, so both jobs write the same bytes
     args = cli._PARSER.parse_args(["transform-check", "--config", cfg])
-    assert (args.seed, args.out, args.rational) == (None, None, False)
+    assert args.out is None
     eff = cli.effective_config(cli.load_config(cfg), args)
-    assert second["config_sha256"] == cli.config_hash(eff)
-    assert first["config_sha256"] != second["config_sha256"]
+    first = (flagged / "transform_check.json").read_text()
+    assert (tmp_path / "cfg_out" / "transform_check.json").read_text() == first
+    assert json.loads(first)["config_sha256"] == cli.config_hash(eff)
     capsys.readouterr()
 
 
@@ -132,12 +132,13 @@ def test_fill_report_records_the_eigenvalue_route(tmp_path, capsys, n_trunc, rou
     capsys.readouterr()
 
 
-def test_thread_count_does_not_change_numbers(tmp_path, spectrum_cfg, capsys):
+def test_thread_count_does_not_change_numbers(tmp_path, capsys):
     rows = []
-    for extra in ([], ["--threads", "3"]):
-        out = tmp_path / f"t{len(extra)}"
-        assert cli.run("spectrum", spectrum_cfg,
-                       argv_extra=["--out", str(out)] + list(extra)) == 0
+    for threads in (None, 3):
+        out = tmp_path / f"t{threads}"
+        cfg = write_config(tmp_path / f"cfg{threads}.json", output={"directory": str(out)},
+                           analysis={"n_trunc": 120, "i_start": 16, "threads": threads})
+        assert cli.run("spectrum", cfg) == 0
         rows.append((out / "eigenvalues.csv").read_text().splitlines())
     # the provenance line hashes the config (thread count included);
     # the numerical rows must agree exactly
@@ -158,14 +159,13 @@ def test_csv_opens_with_config_hash(tmp_path, spectrum_cfg, capsys):
 
 
 def test_hash_ignores_output_location_only(tmp_path):
-    base = {"analysis": {"subcommand": "spectrum", "n_trunc": 64}}
+    base = {"analysis": {"n_trunc": 64}}
     cfg_a = cli.load_config(write_config(tmp_path / "a.json", **base))
     cfg_b = cli.load_config(write_config(
         tmp_path / "b.json", output={"directory": "elsewhere"}, **base))
     cfg_c = cli.load_config(write_config(
         tmp_path / "c.json", model={"eta": 0.4}, **base))
-    args = type("A", (), {"subcommand": None, "seed": None, "rational": False,
-                          "threads": None, "out": None})()
+    args = type("A", (), {"subcommand": "spectrum", "out": None})()
     h = [cli.config_hash(cli.effective_config(c, args)) for c in (cfg_a, cfg_b, cfg_c)]
     assert h[0] == h[1]
     assert h[0] != h[2]
@@ -191,70 +191,95 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     assert "config is not valid JSON" in capsys.readouterr().err
 
     assert cli.main(["--config", write_config(tmp_path / "nosub.json")]) == 1
-    assert "no subcommand" in capsys.readouterr().err
+    assert "the following arguments are required: subcommand" in capsys.readouterr().err
 
-    assert cli.run("spectrum", write_config(tmp_path / "r.json"),
-                   argv_extra=["--rational"]) == 1
-    assert "--rational applies to transform-check only" in capsys.readouterr().err
+    assert cli.main(["spectra"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "spectra" in err
 
     cfg = write_config(tmp_path / "bad_eos.json", eos={"variant": "nope"})
     assert cli.run("spectrum", cfg) == 1
     assert "eos variant must be one of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--rational"], ["--threads", "2"]],
+                         ids=["seed", "rational", "threads"])
+def test_removed_flag_exits_1(tmp_path, capsys, flag):
+    # the config is the one source of a job's settings: analysis.seed,
+    # .rational and .threads have no command-line override
+    out = tmp_path / "out"
+    assert cli.run("transform-check", None, argv_extra=["--out", str(out), *flag]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and flag[0] in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_default_spectrum_config_hash_is_pinned(tmp_path, capsys):
+    # the effective config records the subcommand as analysis.subcommand and
+    # every default; each artifact's provenance hashes it, so it must not drift
+    pinned = "89da41760d6d2e7af4f3f37780435219bacda08579bacde468e666fb7b06e302"
+    eff = cli.effective_config({"schema": 1}, cli._PARSER.parse_args(["spectrum"]))
+    assert eff["analysis"]["subcommand"] == "spectrum"
+    assert cli.config_hash(eff) == pinned
+    out = tmp_path / "out"
+    assert cli.run("spectrum", None, argv_extra=["--out", str(out)]) == 0
+    assert (out / "eigenvalues.csv").read_text().startswith(f"# config sha256: {pinned}\n")
+    assert json.loads((out / "fill_report.json").read_text())["config_sha256"] == pinned
+    capsys.readouterr()
+
+
 THIS_CONFIG = "<the config file itself>"
 
-# malformed configs: (subcommand, blocks, extra argv, text stderr must hold)
+# malformed configs: (subcommand, blocks, text stderr must hold)
 PROBES = {
-    "n_trunc-string": ("spectrum", {"analysis": {"n_trunc": "abc"}}, [],
+    "n_trunc-string": ("spectrum", {"analysis": {"n_trunc": "abc"}},
                        "analysis.n_trunc must be an integer, got 'abc'"),
-    "n_trunc-float": ("spectrum", {"analysis": {"n_trunc": 10.5}}, [],
+    "n_trunc-float": ("spectrum", {"analysis": {"n_trunc": 10.5}},
                       "analysis.n_trunc must be an integer, got 10.5"),
-    "n_trunc-zero": ("spectrum", {"analysis": {"n_trunc": 0}}, [], "need n >= 2, got 0"),
-    "eta-string": ("spectrum", {"model": {"eta": "x"}}, [], "model.eta must be"),
-    "eta-nan": ("spectrum", {"model": {"eta": float("nan")}}, [], "model.eta must be"),
-    "lambdas-scalar": ("jost", {"analysis": {"lambdas": 0.5}}, [], "analysis.lambdas"),
-    "lambdas-string": ("jost", {"analysis": {"lambdas": ["a"]}}, [], "analysis.lambdas"),
-    "lambdas-nan": ("scaled", {"analysis": {"lambdas": [float("nan")]}}, [],
+    "n_trunc-zero": ("spectrum", {"analysis": {"n_trunc": 0}}, "need n >= 2, got 0"),
+    "eta-string": ("spectrum", {"model": {"eta": "x"}}, "model.eta must be"),
+    "eta-nan": ("spectrum", {"model": {"eta": float("nan")}}, "model.eta must be"),
+    "lambdas-scalar": ("jost", {"analysis": {"lambdas": 0.5}}, "analysis.lambdas"),
+    "lambdas-string": ("jost", {"analysis": {"lambdas": ["a"]}}, "analysis.lambdas"),
+    "lambdas-nan": ("scaled", {"analysis": {"lambdas": [float("nan")]}},
                     "analysis.lambdas"),
-    "pad-string": ("spectrum", {"analysis": {"pad": "x"}}, [], "analysis.pad"),
-    "i_min-string": ("scaled", {"analysis": {"i_min": "q"}}, [], "analysis.i_min"),
+    "pad-string": ("spectrum", {"analysis": {"pad": "x"}}, "analysis.pad"),
+    "i_min-string": ("scaled", {"analysis": {"i_min": "q"}}, "analysis.i_min"),
     "n_trunc-short-scaled": ("scaled", {"eos": {"variant": "polytrope"},
-                                        "analysis": {"n_trunc": 5}}, [],
+                                        "analysis": {"n_trunc": 5}},
                              "analysis.n_trunc must be at least 9 for scaled, got 5"),
-    "threads-string": ("spectrum", {"analysis": {"threads": "two"}}, [],
+    "threads-string": ("spectrum", {"analysis": {"threads": "two"}},
                        "analysis.threads"),
-    "threads-zero": ("spectrum", {"analysis": {"threads": 0}}, [],
+    "threads-zero": ("spectrum", {"analysis": {"threads": 0}},
                      "analysis.threads must be a positive integer, got 0"),
-    "threads-flag-zero": ("spectrum", {}, ["--threads", "0"],
-                          "analysis.threads must be a positive integer, got 0"),
-    "threads-bool": ("spectrum", {"analysis": {"threads": True}}, [], "analysis.threads"),
-    "n_instances-negative": ("transform-check", {"analysis": {"n_instances": -5}}, [],
+    "threads-bool": ("spectrum", {"analysis": {"threads": True}}, "analysis.threads"),
+    "n_instances-negative": ("transform-check", {"analysis": {"n_instances": -5}},
                              "analysis.n_instances must be a positive integer"),
     "x_max-negative": ("sl", {"eos": {"variant": "polytropic", "a": 2, "b": 4},
-                              "analysis": {"lambdas": [1.0], "x_max": -1}}, [],
+                              "analysis": {"lambdas": [1.0], "x_max": -1}},
                        "analysis.x_max must be a positive finite number, got -1"),
-    "polytropic-without-a": ("sl", {"eos": {"variant": "polytropic", "b": 4}}, [],
+    "polytropic-without-a": ("sl", {"eos": {"variant": "polytropic", "b": 4}},
                              "eos.a is required"),
-    "eos-null-Gamma": ("scaled", {"eos": {"variant": "polytrope", "Gamma": None}}, [],
+    "eos-null-Gamma": ("scaled", {"eos": {"variant": "polytrope", "Gamma": None}},
                        "eos.Gamma must be"),
-    "formats-removed": ("spectrum", {"output": {"formats": ["xml"]}}, [],
+    "formats-removed": ("spectrum", {"output": {"formats": ["xml"]}},
                         "unknown key(s) ['formats'] in output block"),
-    "output-is-a-file": ("transform-check", {"output": {"directory": THIS_CONFIG}}, [],
+    "output-is-a-file": ("transform-check", {"output": {"directory": THIS_CONFIG}},
                          "output.directory"),
-    "n_trunc-huge": ("spectrum", {"analysis": {"n_trunc": 10**30}}, [],
+    "n_trunc-huge": ("spectrum", {"analysis": {"n_trunc": 10**30}},
                      "analysis.n_trunc must be at most 1000000, got 10000000000"),
-    "i_start-huge": ("spectrum", {"analysis": {"i_start": 10**7}}, [],
+    "i_start-huge": ("spectrum", {"analysis": {"i_start": 10**7}},
                      "analysis.i_start must be at most 1000000, got 10000000"),
-    "n_instances-huge": ("transform-check", {"analysis": {"n_instances": 10**6}}, [],
+    "n_instances-huge": ("transform-check", {"analysis": {"n_instances": 10**6}},
                          "analysis.n_instances must be at most 10000, got 1000000"),
     # on this shifted-potential layer the depth falls like exp(-sqrt(3)*X), so
     # it reaches 1e-7 R_star, a decade above the envelope's floor, at X = 8.9
     "x_max-past-envelope": ("sl", {"eos": {"variant": "polytropic", "a": 1, "b": 3},
-                                   "analysis": {"lambdas": [1.0], "x_max": 60}}, [],
+                                   "analysis": {"lambdas": [1.0], "x_max": 60}},
                             "analysis.x_max must be below 8.9056 for this layer"),
     "lambdas-negative-sl": ("sl", {"eos": {"variant": "polytropic", "a": 2, "b": 4},
-                                   "analysis": {"lambdas": [1.0, -0.5]}}, [],
+                                   "analysis": {"lambdas": [1.0, -0.5]}},
                             "analysis.lambdas must be positive for sl"),
 }
 
@@ -263,14 +288,16 @@ def _removed_key_probe(sub, block, key, value, variant=None):
     fields = {key: value} if variant is None else {"variant": variant, key: value}
     where = block if variant is None else f"eos ({variant})"
     name = f"removed-{block}.{key}" if variant is None else f"removed-eos.{variant}.{key}"
-    return name, (sub, {block: fields}, [], f"unknown key(s) ['{key}'] in {where} block")
+    return name, (sub, {block: fields}, f"unknown key(s) ['{key}'] in {where} block")
 
 
 # keys that no longer exist: the eos variant alone fixes the shell model,
-# the section fixes its shell count, and ppmodes searches below the model
-# edge at the default certificate tolerance
+# the section fixes its shell count, ppmodes searches below the model edge
+# at the default certificate tolerance, and only the command line names
+# the subcommand
 PROBES.update(_removed_key_probe(*probe) for probe in [
     ("spectrum", "model", "N", 5000),
+    ("spectrum", "analysis", "subcommand", "spectrum"),
     *(("spectrum", "eos", key, value, variant) for variant in ("limit", "hse")
       for key, value in (("profile", "constant"), ("Gamma", 2.0), ("c", 1.0))),
     *(("ppmodes", "analysis", key, value) for key, value in
@@ -279,13 +306,13 @@ PROBES.update(_removed_key_probe(*probe) for probe in [
 
 @pytest.mark.parametrize("probe", sorted(PROBES))
 def test_malformed_config_exits_1(tmp_path, capsys, probe):
-    sub, blocks, extra, text = PROBES[probe]
+    sub, blocks, text = PROBES[probe]
     cfg = tmp_path / "cfg.json"
     output = {"directory": str(tmp_path / "out"), **blocks.get("output", {})}
     if output["directory"] == THIS_CONFIG:
         output["directory"] = str(cfg)
     cfg.write_text(json.dumps({"schema": 1, **blocks, "output": output}))
-    assert cli.run(sub, str(cfg), argv_extra=extra) == 1
+    assert cli.run(sub, str(cfg)) == 1
     err = capsys.readouterr().err
     assert text in err
     assert "Traceback" not in err
@@ -577,13 +604,15 @@ def test_default_polytrope_spectrum_points_to_scaled(tmp_path, capsys):
 
 @pytest.mark.parametrize("model_block, Gamma, spectrum_rc, scaled_rc", [
     ({"eta": 0.5, "gamma": 2.0}, 2.0, 1, 0),
-    ({"eta": 0.05, "gamma": 3.5345}, 2.0, 0, 1)],
-    ids=["e3-1", "e3+0.53"])
+    ({"eta": 0.05, "gamma": 3.5345}, 2.0, 0, 1),
+    ({"gamma": 2.5}, 2.333333333333333, 0, 1)],
+    ids=["e3-1", "e3+0.53", "e3-ulp"])
 def test_graded_refusal_names_scaled_only_where_it_runs(tmp_path, capsys, model_block,
                                                         Gamma, spectrum_rc, scaled_rc):
     # scaled rescales a polytrope whose couplings grow (e3 < 0), and spectrum
     # points there; a decaying one (e3 > 0) was once pointed there too,
-    # which refuses it, and spectrum now runs it itself
+    # which refuses it, and spectrum now runs it itself.  An e3 of -4.4e-16,
+    # a rounding of 0, was once read as growing; it settles like e3 = 0
     cfg = write_config(tmp_path / "cfg.json", model=model_block,
                        eos={"variant": "polytrope", "Gamma": Gamma},
                        analysis={"n_trunc": 1000, "i_start": 18},
@@ -601,13 +630,18 @@ def test_graded_refusal_names_scaled_only_where_it_runs(tmp_path, capsys, model_
 
 @pytest.mark.parametrize("model_block, Gamma, n_trunc, i_start, interval", [
     ({"eta": 0.05, "gamma": 3.5345}, 2.0, 1000, 18, [4.0, 4.0]),
-    ({}, 3.0, 500, 16, [-23.0, 1.0])], ids=["e3+0.53", "e3=0"])
+    ({}, 3.0, 500, 16, [-23.0, 1.0]),
+    ({"gamma": 2.2}, 2.666666666666667, 500, 16, [-22.351699387022165, 0.5128011470854208]),
+    ({"gamma": 2.5}, 2.333333333333333, 500, 16, [-22.63192632217428, -0.43339350879015726])],
+    ids=["e3+0.53", "e3=0", "e3+ulp", "e3-ulp"])
 def test_polytrope_spectrum_fills_its_own_interval(tmp_path, capsys, model_block, Gamma,
                                                     n_trunc, i_start, interval):
     # decaying couplings (e3 > 0) leave the point 4*Lambda_star, settling
     # ones (e3 = 0) the band c +- 2*mu_inf.  The coupling P/M/width once
     # gave 0/0 = NaN past shell 250 at e3 = +0.53, and the limit law's
-    # interval (-3.2, 3.2) once counted 362 of the e3 = 0 values outliers
+    # interval (-3.2, 3.2) once counted 362 of the e3 = 0 values outliers.
+    # e3 = +-4.4e-16 is a rounding of 0: read by its sign, the e3+ulp
+    # section once reported the point 4*Lambda_star with all 500 outliers
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json", model=model_block,
                        eos={"variant": "polytrope", "Gamma": Gamma},
@@ -776,8 +810,9 @@ def test_csv_length_guard_names_artifact_and_lengths():
 def test_unwritable_artifact_exits_1_without_traceback(tmp_path, capsys):
     out = tmp_path / "out"
     (out / "transform_check.json").mkdir(parents=True)
-    cfg = write_config(tmp_path / "cfg.json", output={"directory": str(out)})
-    assert cli.run("transform-check", cfg, argv_extra=["--rational"]) == 1
+    cfg = write_config(tmp_path / "cfg.json", analysis={"rational": True},
+                       output={"directory": str(out)})
+    assert cli.run("transform-check", cfg) == 1
     err = capsys.readouterr().err
     assert "output.directory" in err and "cannot write transform_check.json" in err
     assert "Traceback" not in err
@@ -916,8 +951,9 @@ def test_sl_grid_past_the_size_bound_exits_1(tmp_path, capsys):
 
 def test_report_aggregates_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
-    cfg = write_config(tmp_path / "cfg.json", output={"directory": str(out)})
-    assert cli.run("transform-check", cfg, argv_extra=["--rational"]) == 0
+    cfg = write_config(tmp_path / "cfg.json", analysis={"rational": True},
+                       output={"directory": str(out)})
+    assert cli.run("transform-check", cfg) == 0
     assert cli.run("report", cfg) == 0
     assert "report: aggregated 1 artifact(s)" in capsys.readouterr().out
     rep = json.loads((out / "report.json").read_text())
@@ -1072,20 +1108,20 @@ def test_scipy_is_loaded_by_the_first_lapack_call(tmp_path, subs, loads_lapack):
 
 
 #: one small job per subcommand and per ``sl`` route: (subcommand, config
-#: blocks, extra arguments)
+#: blocks)
 _FEEDER_JOBS = [
-    ("spectrum", {"analysis": {"n_trunc": 120}}, ()),
-    ("jost", {"eos": {"variant": "hse"}, "analysis": {"n_trunc": 200}}, ()),
-    ("ppmodes", {"analysis": {"n_trunc": 600}}, ()),
-    ("scaled", {"eos": {"variant": "polytrope"}, "analysis": {"n_trunc": 200}}, ()),
-    ("transform-check", {"analysis": {"n_instances": 2}}, ("--rational",)),
+    ("spectrum", {"analysis": {"n_trunc": 120}}),
+    ("jost", {"eos": {"variant": "hse"}, "analysis": {"n_trunc": 200}}),
+    ("ppmodes", {"analysis": {"n_trunc": 600}}),
+    ("scaled", {"eos": {"variant": "polytrope"}, "analysis": {"n_trunc": 200}}),
+    ("transform-check", {"analysis": {"n_instances": 2, "rational": True}}),
     ("sl", {"eos": {"variant": "polytropic", "a": 2, "b": 4},
-            "analysis": {"lambdas": [1.0], "x_max": 40.0}}, ()),
+            "analysis": {"lambdas": [1.0], "x_max": 40.0}}),
     ("sl", {"eos": {"variant": "linear_thermal", "a": 1, "b": 4, "c": 2.5},
-            "analysis": {"lambdas": [1.0], "x_max": 40.0}}, ()),
+            "analysis": {"lambdas": [1.0], "x_max": 40.0}}),
     ("sl", {"eos": {"variant": "linear_thermal", "a": 1, "b": 4, "c": 1.5},
-            "analysis": {"lambdas": [1.0], "x_max": 40.0}}, ()),
-    ("report", {}, ()),
+            "analysis": {"lambdas": [1.0], "x_max": 40.0}}),
+    ("report", {}),
 ]
 
 
@@ -1118,11 +1154,11 @@ def test_every_public_function_feeds_a_job(tmp_path, capsys):
             called.add(frame.f_code)
 
     out = str(tmp_path / "out")
-    for k, (sub, blocks, extra) in enumerate(_FEEDER_JOBS):
+    for k, (sub, blocks) in enumerate(_FEEDER_JOBS):
         cfg = write_config(tmp_path / f"cfg{k}.json", **blocks)
         sys.setprofile(profile)
         try:
-            rc = cli.run(sub, cfg, argv_extra=["--out", out, *extra])
+            rc = cli.run(sub, cfg, argv_extra=["--out", out])
         finally:
             sys.setprofile(None)
         assert rc == 0, (sub, blocks, capsys.readouterr().err)

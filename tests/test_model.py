@@ -168,7 +168,11 @@ def test_polytrope_pressure_defaults(canonical):
 @pytest.mark.parametrize("gamma, Gamma, interval", [
     (2.0, 3.0, (-23.0, 1.0)),       # e3 = 0: mu_inf = 6 about c = 4 - 6*(1/2 + 2)
     (3.5345, 2.0, (4.0, 4.0)),      # e3 = 0.5345: the couplings vanish
-], ids=["e3=0", "e3+0.53"])
+    # e3 = +-4.4e-16, one ulp of 2.0, is a rounding of 0 and read as 0
+    (2.2, 2.666666666666667, (-22.351699387022165, 0.5128011470854208)),
+    (2.5, 2.333333333333333, (-22.63192632217428, -0.43339350879015726)),
+    (2.0, 3.0 + 1e-12, (4.0, 4.0)),  # e3 = 1e-12 is no rounding: it decays
+], ids=["e3=0", "e3+0.53", "e3+ulp", "e3-ulp", "e3+1e-12"])
 def test_polytrope_essential_interval(gamma, Gamma, interval):
     dist = model.build_mass_distribution(0.5, gamma, N=40)
     pd = model.build_pd_distribution(dist, model.gamma_profile(dist, "constant", value=Gamma),
@@ -182,6 +186,16 @@ def test_growing_polytrope_couplings_have_no_interval(canonical):
     gp = model.gamma_profile(canonical, "constant", value=2.0)
     pd = model.build_pd_distribution(canonical, gp, pressure_mode="polytrope")
     with pytest.raises(ValidationError, match=r"e3 = -1 < 0; run the scaled subcommand"):
+        pd.scaling
+
+
+def test_polytrope_e3_just_below_zero_has_no_interval(canonical):
+    # e3 = -1e-12 lies far beyond the rounding of (gamma-1)*(Gamma-1) - 2
+    # and keeps its sign: the couplings grow, however slowly
+    gp = model.gamma_profile(canonical, "constant", value=3.0 - 1e-12)
+    pd = model.build_pd_distribution(canonical, gp, pressure_mode="polytrope")
+    assert pd.e3 == pytest.approx(-1e-12, rel=1e-3)
+    with pytest.raises(ValidationError, match="< 0; run the scaled subcommand"):
         pd.scaling
 
 
