@@ -455,7 +455,9 @@ def _run_sl(eff, threads):
             "lambda": trace.lam,
             "propagator": {"method": "magnus6", "substeps": trace.substeps,
                            "levels": list(trace.levels),
-                           "error_estimate": trace.error_estimate},
+                           "error_estimate": trace.error_estimate,
+                           "grid_points": trace.X_grid.size,
+                           "steps": (trace.X_grid.size - 1) * sum(trace.levels)},
             "regularity": _fields(reg, "fitted_power analytic_power lower_bound "
                                        "monotone within bound_satisfied"),
             "l2_growth": _fields(gr, "slope r_squared max_growth_factor "

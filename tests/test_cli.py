@@ -859,8 +859,13 @@ def test_sl_trace_csv_layout(tmp_path, capsys):
     assert prop["method"] == "magnus6"
     assert prop["substeps"] >= 4 and prop["substeps"] & (prop["substeps"] - 1) == 0
     levels = prop["levels"]
-    assert levels[0] == 2 and levels[-1] == prop["substeps"]
+    # 24 points per wavelength ask for 229 points over x_max 60, so the
+    # grid has the floor's 250; 8 steps on each of its 249 intervals come
+    # nearest in log2 to the 2*999 of the first level
+    assert prop["grid_points"] == slform.MIN_GRID == 250 == len(rows) - 2
+    assert levels[0] == 8 and levels[-1] == prop["substeps"]
     assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
+    assert prop["steps"] == 249 * sum(levels)
     assert 0.0 < prop["error_estimate"] <= 1e-8
 
 

@@ -319,9 +319,19 @@ def test_flat_potential_integrates_to_sine():
     sign = np.sign(tr.Y)
     sign[sign == 0] = 1.0
     idx = np.nonzero(np.diff(sign))[0]
-    X = tr.X_grid
-    zeros = X[idx] - tr.Y[idx] * (X[idx + 1] - X[idx]) / (tr.Y[idx + 1] - tr.Y[idx])
-    assert np.max(np.abs(np.diff(zeros) - math.pi)) < 1e-4
+    X, Y, Yp = tr.X_grid, tr.Y, tr.Y_prime
+    # each zero from the cubic Hermite interpolant of Y and Y' on its
+    # interval, whose error is O(h**4) where the linear one's is O(h**2)
+    zeros = []
+    for i in idx:
+        h = X[i + 1] - X[i]
+        y0, d0, y1, d1 = Y[i], h * Yp[i], Y[i + 1], h * Yp[i + 1]
+        roots = np.roots([2 * y0 + d0 - 2 * y1 + d1, -3 * y0 - 2 * d0 + 3 * y1 - d1, d0, y0])
+        t = [r.real for r in roots if abs(r.imag) < 1e-12 and 0.0 <= r.real <= 1.0]
+        assert len(t) == 1
+        zeros.append(X[i] + t[0] * h)
+    assert len(zeros) == 31
+    assert np.max(np.abs(np.diff(zeros) - math.pi)) < 1e-6
     fit = slform.wkb_fit(tr, _FlatForm())
     assert fit.residual < 1e-6
     assert abs(fit.alpha) == pytest.approx(0.5, abs=1e-6)
@@ -521,6 +531,37 @@ def test_magnus_agrees_with_dop853(name, lam):
     assert tr.substeps >= 4 and tr.error_estimate <= 1e-10
 
 
+@given(lam=st.floats(1e-6, 1e3), X_max=st.floats(1e-6, 1e3))
+def test_grid_points_never_fall_below_the_floor(lam, X_max):
+    assert slform.grid_points(lam, X_max) >= slform.MIN_GRID
+
+
+@pytest.mark.parametrize("name", ["P(2,4)", "P(2,3)", "LT(1,4,1.5)"])
+def test_a_trace_at_the_floor_feeds_every_diagnostic(name):
+    # 24 points per wavelength ask for 190 points over X_max 50, so the
+    # grid has the floor's; the three layers take the WKB fit's three
+    # slope branches: V1 with V2 = 0, V2' of a small V2 = Q, and the two
+    # correction integrals of a large V2 = Q
+    form = slform.CanonicalForm(_BENCH_LAYERS[name])
+    tr = slform.integrate_canonical(form, 1.0, X_max=50.0)
+    n = slform.MIN_GRID
+    assert tr.X_grid.size == n
+    env = slform.extend_trace_asymptotic(tr, form)    # reads the last fifth
+    assert np.isfinite(env.amp_Y) and np.isfinite(env.amp_Yp) and env.amp_Y > 0.0
+    reg = slform.regularity_check(tr, form.eos, env)
+    gr = slform.l2_growth(tr, env)
+    assert reg.within and reg.monotone and gr.diverges
+    fit = slform.wkb_fit(tr, form)                      # reads the second half
+    assert fit.window == (float(tr.X_grid[n // 2]), 50.0)
+    # a slope over fewer than 8 nonzero points would read -inf
+    assert fit.hypothesis_slopes and all(np.isfinite(s) for s in fit.hypothesis_slopes.values())
+    # one point short of the floor is refused
+    short = dataclasses.replace(tr, X_grid=tr.X_grid[:-1], Y=tr.Y[:-1],
+                                Y_prime=tr.Y_prime[:-1], x_grid=tr.x_grid[:-1], y=tr.y[:-1])
+    with pytest.raises(ValidationError, match=f"249 points, fewer than {n}"):
+        slform.regularity_check(short, form.eos, slform.extend_trace_asymptotic(short, form))
+
+
 def test_magnus_is_sixth_order():
     # at a fixed output grid each doubling of the steps per interval
     # halves h and should cut the error 64-fold; on 200 intervals the
@@ -556,17 +597,25 @@ def test_magnus_stalls_on_an_unreachable_rtol():
 
 
 def test_magnus_keeps_doubling_while_steps_are_unresolved():
-    # Q reaches -7500, so at 4-8 steps per interval each step turns the
-    # solution by several radians and the first doublings cut the
-    # estimate by less than 4x; that is not yet roundoff
+    # Q falls without bound, so at 4 steps per interval each step turns
+    # the solution by several radians and the doubling from 8 to 16 cuts
+    # the estimate by less than 4x; that is not yet roundoff
     form = slform.CanonicalForm(slform.LinearThermal(1, 4, 1.05))
-    tr = slform.integrate_canonical(form, 1.0, X_max=100.0, rtol=1e-10)
+    tr = slform.integrate_canonical(form, 1.0, X_max=120.0, rtol=1e-10)
     assert tr.error_estimate <= 1e-10
-    # every level computed is listed: from 2 steps per interval, doubling,
-    # up to the one kept
+    # every level computed is listed, doubling up to the one kept; 24
+    # points per wavelength give 458 points, and 4 steps on each of the
+    # 457 intervals come nearest in log2 to the 2*999 of the first level
     levels = tr.levels
-    assert levels[0] == 2 and levels[-1] == tr.substeps and len(levels) >= 4
+    assert tr.X_grid.size == 458
+    assert levels[0] == 4 and levels[-1] == tr.substeps and len(levels) >= 4
     assert all(b == 2 * a for a, b in zip(levels, levels[1:]))
+    H = 120.0 / 457
+    sols = [slform._propagate(form, 1.0, H, 457, m) for m in levels]
+    assert _same_bits(sols[-1][0][0], tr.Y)
+    ests = [slform._doubling_estimate(c, f) for (c, _), (f, _) in zip(sols, sols[1:])]
+    assert any(e1 > 0.25 * e0 and turn > math.pi
+               for (e0, e1), (_, turn) in zip(zip(ests, ests[1:]), sols))
 
 
 def test_doubling_estimate_floor_and_non_finite_solutions():
