@@ -63,6 +63,7 @@ from .polytrans import (
     TransformCheck,
     build_scaled_system,
     delta_r_growth,
+    grading_exact,
     grading_exponents,
     local_frequencies,
     similarity_check,

@@ -70,6 +70,25 @@ def grading_exponents(n):
     return -m * (m + odd), m * (m - 1 + odd)
 
 
+def grading_exact(n):
+    """Whether the grading identity of :func:`similarity_check` holds in
+    exact exponent arithmetic at size n, for all nonzero x and y.
+
+    Each entry of B = D(y,x) A D(x,y) over its claimed value is x**s *
+    y**t, and every s and t must vanish.  Entry j's leftovers depend only
+    on j and the exponents of rows j and j + 1, which do not depend on n,
+    so one pass at size N certifies every size n <= N.
+    """
+    p, q = grading_exponents(n)
+    j = np.arange(1, n)
+    half = np.arange(1, n + 1) // 2
+    # leftover exponents of x and y on the super-, sub- and main diagonal
+    left = (q[:-1] + j + p[1:], p[:-1] + q[1:],     # [B]_{j,j+1} / c_j
+            q[1:] + p[:-1], p[1:] + j + q[:-1],     # [B]_{j+1,j} / b_j
+            p + q + half)                           # [B]_{j,j} * (x*y)**m / a_j
+    return not any(e.any() for e in left)
+
+
 @dataclass(frozen=True)
 class TransformCheck:
     max_residual: float
@@ -86,10 +105,10 @@ def similarity_check(diag, sub, sup, x, y):
     tridiagonal with [B]_{j,j+1} = c_j, [B]_{j+1,j} = b_j and
     [B]_{j,j} = a_j/(x*y)**floor(j/2).
 
-    ``exact`` certifies the claim for all nonzero x, y: each entry of B
-    over its claimed value is x**s * y**t, and every s and t must vanish.
-    ``max_residual`` is max |B - claim| in float64, inf once the powers
-    overflow; NaN entries (inf*0) are left out of the maximum.
+    ``exact`` certifies the claim for all nonzero x, y
+    (:func:`grading_exact`).  ``max_residual`` is max |B - claim| in
+    float64, inf once the powers overflow; NaN entries (inf*0) are left
+    out of the maximum.
     """
     a, b, c = (np.asarray(v, dtype=float) for v in (diag, sub, sup))
     n = a.size
@@ -101,12 +120,6 @@ def similarity_check(diag, sub, sup, x, y):
     p, q = grading_exponents(n)
     j = np.arange(1, n)
     half = np.arange(1, n + 1) // 2
-    # leftover exponents of x and y on the super-, sub- and main diagonal
-    left = (q[:-1] + j + p[1:], p[:-1] + q[1:],     # [B]_{j,j+1} / c_j
-            q[1:] + p[:-1], p[1:] + j + q[:-1],     # [B]_{j+1,j} / b_j
-            p + q + half)                           # [B]_{j,j} * (x*y)**m / a_j
-    exact = not any(e.any() for e in left)
-
     x, y = np.float64(x), np.float64(y)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         dr = x ** p * y ** q
@@ -116,7 +129,7 @@ def similarity_check(diag, sub, sup, x, y):
             np.abs(dl[1:] * (b * y ** j) * dr[:-1] - b),
             np.abs(dl * a * dr - a / (x * y) ** half)])
     worst = float(np.max(res, initial=0.0, where=~np.isnan(res)))
-    return TransformCheck(max_residual=worst, n=n, exact=exact)
+    return TransformCheck(max_residual=worst, n=n, exact=grading_exact(n))
 
 
 @dataclass(frozen=True)
@@ -321,20 +334,25 @@ def delta_r_growth(system, lam):
         raise ValidationError(
             "couplings mu underflow to zero on the requested range, "
             "and the weighted tail solve divides by them")
-    rhs = system.theta * np.exp(2.0 * alpha * math.log(nu)) - lam
-    log_abs = np.empty(n)
+    # Python floats: the same IEEE operations as NumPy scalars, at a
+    # fraction of the cost per step
+    rhs = (system.theta * np.exp(2.0 * alpha * math.log(nu)) - lam).tolist()
+    mu = mu.tolist()
+    log_abs = [0.0]
     y_prev, y_cur = 0.0, 1.0
     log_scale = 0.0
-    log_abs[0] = 0.0
     for k in range(n - 1):
         y_next = (rhs[k] * y_cur - (mu[k - 1] if k else 0.0) * y_prev) / mu[k]
         y_prev, y_cur = y_cur, y_next
-        m = max(abs(y_prev), abs(y_cur))
+        # |y_prev| stayed at most 1e250 in the step before, so only the
+        # new value can pass the bound
+        m = abs(y_cur)
         if m > 1e250:
             y_prev /= m
             y_cur /= m
             log_scale += math.log(m)
-        log_abs[k + 1] = (log_scale + math.log(abs(y_cur))) if y_cur != 0.0 else -math.inf
+        log_abs.append((log_scale + math.log(abs(y_cur))) if y_cur != 0.0 else -math.inf)
+    log_abs = np.array(log_abs)
 
     sol_rate = _envelope_fit(idx, log_abs)
     gamma = system.gamma

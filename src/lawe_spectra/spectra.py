@@ -46,12 +46,18 @@ The same closed form gives the eigenvalues of such a section without
 rows 0..k0-2, C(theta) = H + ((m+1) theta + phi)/pi is continuous and
 increasing, and eigenvalue K sits where C = K + 1 (the secular equation
 of the head against the free tail; Golub 1973).  One head pass at the
-tail's nodes j pi/(m+1) brackets every root, and safeguarded Newton steps
-in theta, vectorised over the unconverged roots, cost O(k0) per root and
-step; the pivot derivative q'_i = -1 + (e_{i-1}**2/q_{i-1}**2) q'_{i-1}
-gives dphi/dtheta.  A section with an eigenvalue outside [a - 2 beta,
-a + 2 beta] (by the band-edge counts), or with a root unconverged after
-40 steps, goes to ``sterf``; both routes pass the same certificate.
+tail's nodes j pi/(m+1), j = 0..m+1, brackets every root, and
+safeguarded Newton steps in theta, vectorised over the unconverged roots,
+cost O(k0) per root and step; the pivot derivative q'_i = -1 +
+(e_{i-1}**2/q_{i-1}**2) q'_{i-1} gives dphi/dtheta.  The end nodes are the
+band edges a -+ 2 beta, where the tail pivots over -+beta follow r -> 2 -
+1/r and turn negative once exactly when the last head pivot gives r in
+(0, m/(m+1)); so the same pass tells whether an eigenvalue lies outside
+[a - 2 beta, a + 2 beta], and only a ratio within ``_EDGE_MARGIN`` of
+m/(m+1) is left to the full Sturm count.  A section with an eigenvalue
+outside the band, or with a root unconverged after 6 n/k0 steps
+(:func:`_newton_cap`), goes to ``sterf``; both routes pass the same
+certificate.
 
 SciPy is imported inside the functions that call LAPACK, and only on the
 branch that does, so a process that never reaches them (``sl``,
@@ -120,9 +126,19 @@ _SAFETY = 16.0
 #: fewest rows of an exactly constant tail that is counted in closed form
 _TAIL_MIN_ROWS = 32
 
-#: Newton steps after which a constant-tail section with a root still
-#: unconverged goes to ``sterf``
-_NEWTON_CAP = 40
+#: Newton steps, per row of the section over the rows of its head, after
+#: which a constant-tail section with a root still unconverged goes to
+#: ``sterf`` (see :func:`_newton_cap`).  Measured on weakly disordered
+#: heads of 100-400 rows in sections of 1000-1500: running to this cap took
+#: 1.0-1.4 times ``sterf``'s time, and heads that converge in 31-43 steps
+#: still do so, at 0.7-0.8 times it
+_NEWTON_RATE = 6.0
+
+#: a band-edge pivot ratio this close to its threshold m/(m+1) leaves the
+#: edge to the full Sturm count: far above the first-order rounding error
+#: of q/beta and of the tail recurrence, about (k0 + m) eps, and far below
+#: the nearest ratio of 1200 seeded limit and hse sections, 3.0e-5 away
+_EDGE_MARGIN = 1e-9
 
 #: a root stops once its Newton step or its bracket in theta is at most
 #: this wide, 4 ulps of pi: it moves the value by at most 8 ulps of pi
@@ -320,30 +336,59 @@ def _tail_counts(diag, off2, shifts, k0):
     return count, settled
 
 
+def _newton_cap(n, k0):
+    """Newton steps after which a constant-tail section of n rows whose
+    head has k0 rows goes to ``sterf``: ``_NEWTON_RATE`` n/k0.  A step
+    costs about k0 row operations per live root and ``sterf`` about n per
+    root, so the steps of a section that never converges cost at most a
+    few times ``sterf``."""
+    return int(_NEWTON_RATE * n / k0)
+
+
+def _band_edges(h, dr, k0, m):
+    """Whether no eigenvalue lies below a - 2 beta and none at or above
+    a + 2 beta, from the head pass at theta = 0 and pi: True, False, or
+    None when the last head pivot's ratio lies within ``_EDGE_MARGIN`` of
+    its threshold.
+
+    At s = a -+ 2 beta the tail pivots over -+beta follow r_j = 2 -
+    1/r_{j-1} from r_0 = -+q/beta, so r_j = (j+1+c)/(j+c) with c = 1/(r_0 -
+    1), and one of r_1..r_m is negative exactly when r_0 lies in (0,
+    m/(m+1)).  The count at a - 2 beta is 0 when the head has no negative
+    pivot and q/beta > m/(m+1); the count at a + 2 beta is n when all k0
+    head pivots are negative and -q/beta > m/(m+1).
+    """
+    t = m / (m + 1.0)
+    # h counts rows 0..k0-2; dr is q/beta - cos(theta), cos = +1 and -1
+    return [False if wrong else None if abs(r - t) <= _EDGE_MARGIN else bool(r > t)
+            for wrong, r in ((h[0], dr[0] + 1.0), (k0 - 1 - h[-1], 1.0 - dr[-1]))]
+
+
 def _tail_eigenvalues(diag, off2, k0):
-    """(values, Newton steps) of a section with a constant tail from row
-    k0, as roots of its continuous count; values is None where the section
-    must go to ``sterf``: an eigenvalue lies outside the tail's band, or a
-    root has not converged after ``_NEWTON_CAP`` steps.
+    """(values, Newton steps, edge test) of a section with a constant tail
+    from row k0, as roots of its continuous count; values is None where the
+    section must go to ``sterf``: an eigenvalue lies outside the tail's
+    band, or a root has not converged after :func:`_newton_cap` steps.
+    The edge test is ``"closed_form"`` where the head pass decided the
+    band edges and ``"sturm"`` where the full counts at a -+ 2 beta did.
 
     With s = a - 2 beta cos(theta) and H(s) the negative pivots of rows
     0..k0-2, C(theta) = H(s) + ((m+1) theta + phi)/pi (phi as in
     :func:`_tail_counts`) is continuous and increasing, floor(C) is the
     Sturm count, and eigenvalue K sits where C = K + 1.  One head pass at
-    the tail's nodes theta_j = j pi/(m+1), where (m+1) theta_j is j pi,
-    brackets every root; the band-edge counts stand for C(0) and C(pi).
-    Newton steps in theta start from the linear interpolation of C in the
-    bracket, take dphi/dtheta from the pivot derivative, and bisect when
-    they leave the bracket that the sign of C - (K + 1) tightens.  A root
-    stops on its own once its Newton step (zero where C = K + 1 exactly),
-    taken before any bisection, or its bracket is at most 4 ulps of pi.
+    the tail's nodes theta_j = j pi/(m+1), j = 0..m+1, where (m+1) theta_j
+    is j pi, brackets every root and decides the band edges
+    (:func:`_band_edges`); C(0) is taken as 0, and C(pi), at least n, as
+    computed.  Newton steps in theta start from the linear interpolation
+    of C in the bracket, take dphi/dtheta from the pivot derivative, and
+    bisect when they leave the bracket that the sign of C - (K + 1)
+    tightens.  A root stops on its own once its Newton step (zero where
+    C = K + 1 exactly), taken before any bisection, or its bracket is at
+    most 4 ulps of pi.
     """
     n = diag.shape[0]
     m = n - k0
     a, beta = float(diag[-1]), math.sqrt(off2[-1])
-    edges = _full_counts(diag, off2, np.array([a - 2.0 * beta, a + 2.0 * beta]), 1)
-    if edges[0] != 0 or edges[1] != n:
-        return None, 0
     head_d, head_e2 = diag[:k0], off2[:k0 - 1]
 
     def head(theta, slope):
@@ -355,18 +400,25 @@ def _tail_eigenvalues(diag, off2, k0):
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         nodes = np.linspace(0.0, np.pi, m + 2)
-        h, sin, _, dr, _ = head(nodes[1:-1], False)
-        c = np.concatenate([[0.0], (h + np.arange(1, m + 1)) + np.arctan2(sin, dr) / np.pi,
-                            [float(n)]])
+        h, sin, _, dr, _ = head(nodes, False)
+        edges, edge_test = _band_edges(h, dr, k0, m), "closed_form"
+        if None in edges and False not in edges:
+            edge_test = "sturm"
+            counts = _full_counts(diag, off2, np.array([a - 2.0 * beta, a + 2.0 * beta]), 1)
+            edges = [counts[0] == 0, counts[1] == n]
+        if not all(edges):
+            return None, 0, edge_test
+        c = (h + np.arange(m + 2)) + np.arctan2(sin, dr) / np.pi
+        c[0] = 0.0
         k1 = np.arange(1.0, n + 1.0)
         j = np.searchsorted(c, k1) - 1
         lo, hi = nodes[j], nodes[j + 1]
         t = lo + (k1 - c[j]) / (c[j + 1] - c[j]) * (hi - lo)
         live = np.arange(n)
-        steps = 0
+        steps, cap = 0, _newton_cap(n, k0)
         while live.size:
-            if steps == _NEWTON_CAP:
-                return None, steps
+            if steps >= cap:
+                return None, steps, edge_test
             steps += 1
             tl, lol, hil = t[live], lo[live], hi[live]
             h, sin, cos, dr, ddr = head(tl, True)
@@ -384,7 +436,7 @@ def _tail_eigenvalues(diag, off2, k0):
             t[live] = np.where(done, tl, tn)
             lo[live], hi[live] = lol, hil
             live = live[~done]
-    return np.sort(a - 2.0 * beta * np.cos(t)), steps
+    return np.sort(a - 2.0 * beta * np.cos(t)), steps, edge_test
 
 
 def _split(fn, shifts, threads):
@@ -498,15 +550,17 @@ def _certify(diag, off, vals, tol, threads, window=None):
 
 
 def eigenvalues_tridiagonal(op, *, threads=1):
-    """(values, route, k0, Newton steps): the full spectrum of the
-    symmetric tridiagonal section ``op``, certified by Sturm counts.
+    """(values, route, k0, Newton steps, edge test): the full spectrum of
+    the symmetric tridiagonal section ``op``, certified by Sturm counts.
 
     A section that ends in at least 32 exactly constant rows k0..n-1
     gets its values as the roots of its continuous Sturm count, by
     safeguarded Newton steps (:func:`_tail_eigenvalues`), on route
-    ``"constant_tail"``.  Every other section (k0 is n), one with an
-    eigenvalue outside [a - 2 beta, a + 2 beta], and one with a root
-    unconverged after 40 steps go to LAPACK root-free QR, route
+    ``"constant_tail"``; its edge test says how the band edges were
+    decided (``"closed_form"`` or ``"sturm"``).  Every other section (k0
+    is n, edge test None), one with an eigenvalue outside [a - 2 beta,
+    a + 2 beta], and one with a root unconverged after
+    :func:`_newton_cap` steps go to LAPACK root-free QR, route
     ``"sterf"``.  One Sturm sweep at every value -+ :func:`default_tol`
     then certifies that the k-th eigenvalue lies in [value_k - tol,
     value_k + tol); ``threads`` splits the sweep.  Raises NumericalError
@@ -515,9 +569,9 @@ def eigenvalues_tridiagonal(op, *, threads=1):
     diag, off, _, _, tol = _diagonals_and_tol(op)
     off2 = off * off
     k0 = _tail_start(diag, off2)
-    vals, steps = None, 0
+    vals, steps, edge_test = None, 0, None
     if diag.shape[0] - k0 >= _TAIL_MIN_ROWS:
-        vals, steps = _tail_eigenvalues(diag, off2, k0)
+        vals, steps, edge_test = _tail_eigenvalues(diag, off2, k0)
     route = "constant_tail"
     if vals is None:
         from scipy.linalg import eigvalsh_tridiagonal
@@ -530,7 +584,7 @@ def eigenvalues_tridiagonal(op, *, threads=1):
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"LAPACK tridiagonal eigensolver failed: {exc}") from None
     _certify(diag, off, vals, tol, threads)
-    return vals, route, k0, steps
+    return vals, route, k0, steps, edge_test
 
 
 def eigenpairs_tridiagonal(op, *, window, threads=1):
@@ -673,10 +727,13 @@ class FillReport:
     n_outliers: int = 0
     #: how :func:`eigenvalues_tridiagonal` found the values: the route
     #: (``"constant_tail"`` or ``"sterf"``), the first row k0 of the
-    #: constant tail (n without one) and the Newton steps taken
+    #: constant tail (n without one), the Newton steps taken and how the
+    #: band edges were decided (``"closed_form"``, ``"sturm"``, or None
+    #: without a constant tail)
     route: str = "sterf"
     tail_start: int = 0
     newton_steps: int = 0
+    edge_test: str | None = None
 
     @property
     def fills(self):
@@ -693,14 +750,15 @@ def spectrum_fill_report(op, *, pad=0.05, threads=1):
     outside.
     """
     lo, hi = (float(v) for v in op.scaling.interval)
-    vals, route, k0, steps = eigenvalues_tridiagonal(op, threads=threads)
+    vals, route, k0, steps, edge_test = eigenvalues_tridiagonal(op, threads=threads)
     inside = vals[(vals >= lo - pad) & (vals <= hi + pad)]
     knots = np.concatenate([[lo], np.sort(np.clip(inside, lo, hi)), [hi]])
     max_gap = float(np.max(np.diff(knots))) if inside.size else hi - lo
     return FillReport(interval=(lo, hi), pad=float(pad), values=vals,
                       max_gap=max_gap, n_inside=int(inside.size),
                       n_outliers=int(vals.size - inside.size),
-                      route=route, tail_start=k0, newton_steps=steps)
+                      route=route, tail_start=k0, newton_steps=steps,
+                      edge_test=edge_test)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lawe_spectra import cli, slform
+from lawe_spectra import cli, polytrans, slform
 from lawe_spectra.errors import NumericalError, ValidationError
 
 
@@ -41,6 +41,78 @@ def test_transform_check_rational_prints_exact(tmp_path, capsys):
     assert art["rational"] is True
     assert art["exact"] is True
     assert art["max_residual"] == "0"
+
+
+#: sha256 of transform_check.json as written when every rational run drew
+#: its instances and certified each one: (seed, n_instances) -> digest
+_RATIONAL_DIGESTS = {
+    (0, 1): "053d9703b7bde481c467528d537070cab97953869708b37fbaf2c8275f7ae9b0",
+    (0, 50): "77b7c712dae788aae08e185fd2478b014b63c4aa75f3d9d23faa1feed89a0990",
+    (1, 1): "0bf2e04a4c9d603ffee44bc2fb87eb5b69478c3ff277a2f39cbfd31aca704052",
+    (1, 50): "ad4298e9e36cb129fbb6ed1a476761470f1df13ee443e90a0d75af8bc32a0812",
+    (7, 1): "5509f635ccb3b838fff02cf9c449e25675d8b355b5a8d913ce6688ea96653219",
+    (7, 50): "4abc7051bc70a7a782d9d51d737e1dd3b40b6962ea8fcfe76d05f5056e0d8e01",
+}
+
+
+@pytest.mark.parametrize("seed, n_instances", sorted(_RATIONAL_DIGESTS))
+def test_rational_transform_check_one_pass_writes_the_same_bytes(
+        tmp_path, capsys, seed, n_instances):
+    import hashlib
+    cfg = write_config(tmp_path / "cfg.json", analysis={
+        "rational": True, "seed": seed, "n_instances": n_instances})
+    assert cli.run("transform-check", cfg, argv_extra=["--out", str(tmp_path / "out")]) == 0
+    data = (tmp_path / "out" / "transform_check.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _RATIONAL_DIGESTS[seed, n_instances]
+    assert capsys.readouterr().out == f"residual: exact zero, n={n_instances}\n"
+
+
+@pytest.mark.parametrize("j", [1, 2, 37, 63, 64])
+def test_rational_transform_check_exits_2_on_a_mutated_exponent(
+        tmp_path, capsys, monkeypatch, j):
+    # p_j - 1 at one j <= 64 breaks the leftover sum of row j; one instance
+    # would have had to draw a size of at least j to see it
+    real = polytrans.grading_exponents
+
+    def mutated(n):
+        p, q = real(n)
+        if j <= n:
+            p = p.copy()
+            p[j - 1] -= 1
+        return p, q
+    monkeypatch.setattr(polytrans, "grading_exponents", mutated)
+    cfg = write_config(tmp_path / "cfg.json", analysis={"rational": True, "n_instances": 1})
+    assert cli.run("transform-check", cfg, argv_extra=["--out", str(tmp_path / "out")]) == 2
+    assert "grading identity violated" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "transform_check.json").exists()
+
+
+def test_repeating_float_columns_format_each_value_once(monkeypatch):
+    # a column whose cells mostly repeat the cell two rows above, as a
+    # saturated 2-periodic tail does, formats its distinct bit patterns
+    # once; the text equals repr per cell, -0.0, subnormals and extreme
+    # exponents included.  Other columns, with repeats elsewhere or none,
+    # format cell by cell and never sort
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+               1.7976931348623157e308, -1e300, 1e16, 1e-05, 0.1, 1.0 / 3.0]
+    base = np.array(special + rng.standard_normal(20).tolist())
+    saturated = np.concatenate([base, np.resize(base[-2:], 300)])
+    periodic = [saturated, saturated[len(special):].astype(np.float32), saturated[::-1],
+                np.tile([-0.0, 0.0], 50), np.tile([5e-324, -0.0, -1e300, 0.1], 50)[::2]]
+    others = [np.tile(special, 25), rng.choice(base, 400), rng.standard_normal(500),
+              np.array([-0.0])]
+    sorts = []
+    real = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or real(*a, **k))
+    for k, col in enumerate(periodic + others):
+        assert list(cli._cells(col)) == [repr(v) for v in col.astype(float).tolist()]
+        assert len(sorts) == min(k + 1, len(periodic)), k
+    assert list(cli._cells(np.array([]))) == []
+    # integer and boolean columns keep their own text
+    assert list(cli._cells(np.array([0, -3, 2**40, 0, -3]))) == ["0", "-3", str(2**40), "0", "-3"]
+    assert list(cli._cells(np.array([True, False, True, True]))) == [
+        "true", "false", "true", "true"]
 
 
 def test_transform_check_float_mode_cannot_certify(tmp_path, capsys):
@@ -129,6 +201,8 @@ def test_fill_report_records_the_eigenvalue_route(tmp_path, capsys, n_trunc, rou
     report = json.loads((tmp_path / "out" / "fill_report.json").read_text())
     assert (report["route"], report["tail_start"]) == (route, 39)
     assert (report["newton_steps"] > 0) == (route == "constant_tail")
+    # the head pass decides the band edges; a section without a tail has none
+    assert report["edge_test"] == ("closed_form" if route == "constant_tail" else None)
     capsys.readouterr()
 
 
@@ -1120,6 +1194,8 @@ _FEEDER_JOBS = [
     ("ppmodes", {"analysis": {"n_trunc": 600}}),
     ("scaled", {"eos": {"variant": "polytrope"}, "analysis": {"n_trunc": 200}}),
     ("transform-check", {"analysis": {"n_instances": 2, "rational": True}}),
+    # only the float mode draws instances and calls similarity_check
+    ("transform-check", {"analysis": {"n_instances": 2}}),
     ("sl", {"eos": {"variant": "polytropic", "a": 2, "b": 4},
             "analysis": {"lambdas": [1.0], "x_max": 40.0}}),
     ("sl", {"eos": {"variant": "linear_thermal", "a": 1, "b": 4, "c": 2.5},

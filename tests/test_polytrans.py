@@ -369,6 +369,30 @@ def test_delta_r_growth_outside_band(stiff_sys):
     assert gr.solution_rate == pytest.approx(math.log(2.0), rel=0.05)
 
 
+@pytest.mark.parametrize("lam", [0.0, 10.0])
+def test_delta_r_growth_matches_the_numpy_scalar_loop(stiff_sys, lam):
+    # the recurrence runs on Python floats: the same IEEE operations as on
+    # NumPy scalars, so both rates agree bit for bit, inside the band and
+    # beyond it, where the solution is rescaled past 1e250
+    n, nu, mu = stiff_sys.n, stiff_sys.nu, stiff_sys.mu
+    idx = np.arange(1, n + 1)
+    rhs = stiff_sys.theta * np.exp(2.0 * (idx // 2) * math.log(nu)) - lam
+    log_abs = np.empty(n)
+    log_abs[0] = 0.0
+    y_prev, y_cur, log_scale = np.float64(0.0), np.float64(1.0), 0.0
+    for k in range(n - 1):
+        y_prev, y_cur = y_cur, (rhs[k] * y_cur - (mu[k - 1] if k else 0.0) * y_prev) / mu[k]
+        m = max(abs(y_prev), abs(y_cur))
+        if m > 1e250:
+            y_prev, y_cur, log_scale = y_prev / m, y_cur / m, log_scale + math.log(m)
+        log_abs[k + 1] = log_scale + math.log(abs(y_cur))
+    disp = (log_abs + (idx // 2) * math.log(nu)
+            - 0.5 * stiff_sys.pd.dist.log_shell_mass(idx))
+    gr = polytrans.delta_r_growth(stiff_sys, lam)
+    assert gr.solution_rate == polytrans._envelope_fit(idx, log_abs)
+    assert gr.displacement_rate == polytrans._envelope_fit(idx, disp)
+
+
 def test_delta_r_growth_guards(stiff_sys):
     with pytest.raises(ValidationError, match="n = 8 leaves too short a range"):
         polytrans.delta_r_growth(polytrans.build_scaled_system(stiff_sys.pd, 8), 0.0)

@@ -471,11 +471,11 @@ def test_certificate_of_a_constant_tail_runs_the_head_rows_only(monkeypatch):
 # Eigenvalues of a constant-tail section: Newton on the continuous count
 
 
-def _headed_section(rng, head, n=60, a=0.3, beta=1.1):
-    # a random head of weaker couplings over a constant tail: every
-    # eigenvalue stays inside the tail's band [a - 2 beta, a + 2 beta]
-    d = np.concatenate([a + 0.4 * beta * rng.standard_normal(head), np.full(n - head, a)])
-    e = np.concatenate([beta * rng.uniform(0.6, 1.0, head - 1), np.full(n - head, beta)])
+def _headed_section(rng, head, n=60, a=0.3, beta=1.1, spread=0.4, weakest=0.6):
+    # a random head of weaker couplings over a constant tail: diagonal
+    # a + spread beta N(0, 1) and couplings beta U(weakest, 1)
+    d = np.concatenate([a + spread * beta * rng.standard_normal(head), np.full(n - head, a)])
+    e = np.concatenate([beta * rng.uniform(weakest, 1.0, head - 1), np.full(n - head, beta)])
     return d, e
 
 
@@ -490,7 +490,7 @@ def test_tail_route_values_sit_at_the_exact_eigenvalues():
     rng = np.random.default_rng(2)
     for head in (15, 17, 18):
         d, e = _headed_section(rng, head)
-        vals, route, k0, _ = spectra.eigenvalues_tridiagonal(_op(d, e))
+        vals, route, k0, _, _ = spectra.eigenvalues_tridiagonal(_op(d, e))
         assert (route, k0) == ("constant_tail", head)
         delta = 1e-13 * _span(d, e)
         for k, v in enumerate(vals):
@@ -502,7 +502,7 @@ def test_tail_route_values_sit_at_the_exact_eigenvalues():
 def test_constant_section_eigenvalues_in_closed_form(n):
     a, beta = -0.7, 0.45
     d, e = np.full(n, a), np.full(n - 1, beta)
-    vals, route, _, _ = spectra.eigenvalues_tridiagonal(_op(d, e))
+    vals, route, _, _, _ = spectra.eigenvalues_tridiagonal(_op(d, e))
     exact = a + 2.0 * beta * np.cos(np.arange(n, 0, -1) * math.pi / (n + 1))
     assert route == "constant_tail"
     assert np.max(np.abs(vals - exact)) <= 1e-15 * _span(d, e)
@@ -516,7 +516,7 @@ def test_tail_route_matches_stemr_on_shell_sections():
         op = _shell_section(rng.uniform(0.3, 0.7), rng.uniform(1.5, 3.0),
                             int(rng.integers(200, 3001)), ("limit", "hse")[j % 2])
         d, e = np.asarray(op.diag), np.asarray(op.offdiag)
-        vals, route, _, _ = spectra.eigenvalues_tridiagonal(op)
+        vals, route, _, _, _ = spectra.eigenvalues_tridiagonal(op)
         ref = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stemr")
         assert route == "constant_tail"
         assert np.max(np.abs(vals - ref)) <= 1e-13 * _span(d, e), j
@@ -525,14 +525,15 @@ def test_tail_route_matches_stemr_on_shell_sections():
 @pytest.mark.parametrize("case", ["head_spike", "short_tail"])
 def test_sections_off_the_tail_route_get_sterf_bit_for_bit(case):
     # the sections take the route until a spike in the head puts an
-    # eigenvalue above the band, or one more head row leaves a tail of 31
-    d, e = _headed_section(np.random.default_rng(2), 28)
+    # eigenvalue above the band, or one more head row leaves a tail of 31;
+    # a weakly disordered head converges within the cap of 60/28 rows
+    d, e = _headed_section(np.random.default_rng(2), 28, spread=0.1, weakest=0.9)
     assert spectra.eigenvalues_tridiagonal(_op(d, e))[1:3] == ("constant_tail", 28)
     if case == "head_spike":
         d[7] = 0.3 + 3.0 * 1.1
     else:
         d[28] += 0.1
-    vals, route, k0, steps = spectra.eigenvalues_tridiagonal(_op(d, e))
+    vals, route, k0, steps, _ = spectra.eigenvalues_tridiagonal(_op(d, e))
     assert (route, steps) == ("sterf", 0)
     assert d.size - k0 == (32 if case == "head_spike" else 31)
     ref = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
@@ -556,9 +557,93 @@ def test_tail_route_converges_well_inside_the_cap():
     # 45 steps, and Newton without the pivot derivative converges slowly
     for eta, gamma, n in _DENSE_SECTIONS:
         op = _shell_section(eta, gamma, n, "limit")
-        vals, route, k0, steps = spectra.eigenvalues_tridiagonal(op)
+        vals, route, k0, steps, _ = spectra.eigenvalues_tridiagonal(op)
         assert route == "constant_tail" and 19 <= k0 <= 89
-        assert 1 <= steps <= 5 < spectra._NEWTON_CAP
+        assert 1 <= steps <= 5 < spectra._newton_cap(n, k0)
+
+
+def test_newton_cap_hands_random_heads_to_sterf():
+    # weakly disordered heads of 60-400 rows: their modes barely reach the
+    # tail, so some roots need tens of steps.  The steps stop at
+    # _newton_cap(n, k0) = 6 n/k0, where the 400-row head goes to sterf;
+    # both routes pass the certificate (eigenvalues_tridiagonal raises
+    # otherwise) and agree with LAPACK MRRR
+    rng = np.random.default_rng(31)
+    routes = []
+    for head, n in ((400, 1500), (200, 1500), (100, 1000), (60, 300)):
+        d, e = _headed_section(rng, head, n=n, spread=0.1, weakest=0.9)
+        vals, route, k0, steps, edge_test = spectra.eigenvalues_tridiagonal(_op(d, e))
+        cap = spectra._newton_cap(n, k0)
+        assert (k0, edge_test) == (head, "closed_form")
+        assert 0 < steps <= cap and (route == "constant_tail" or steps == cap)
+        ref = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stemr")
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * _span(d, e), head
+        routes.append((route, steps, cap))
+    assert routes[0] == ("sterf", 22, 22)
+    assert [r[0] for r in routes[1:]] == ["constant_tail"] * 3
+
+
+def _spy_band_edges(monkeypatch):
+    verdicts = []
+    real = spectra._band_edges
+
+    def spy(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+    monkeypatch.setattr(spectra, "_band_edges", spy)
+    return verdicts
+
+
+def test_band_edges_from_the_node_pass_match_the_full_counts(monkeypatch):
+    # seeded limit and hse sections far beyond the benchmark's range,
+    # where many heads put an eigenvalue outside the band: the verdicts
+    # that the head pass reads off its end nodes equal the full Sturm
+    # counts at a -+ 2 beta, at both edges, on every section
+    verdicts = _spy_band_edges(monkeypatch)
+    rng = np.random.default_rng(30)
+    sections = outside = 0
+    while sections < 200:
+        eta, gamma = rng.uniform(0.05, 0.95), rng.uniform(1.05, 6.0)
+        n, i_start = int(rng.integers(40, 1501)), int(rng.integers(1, 31))
+        try:
+            dist = model.build_mass_distribution(eta, gamma, N=n + i_start + 4)
+            pd = model.build_pd_distribution(dist, pressure_mode=("limit", "hse")[sections % 2])
+            op = discrete.assemble_jacobi(pd, n, i_start=i_start)
+        except ValidationError:
+            continue
+        d, e2 = np.asarray(op.diag), np.asarray(op.offdiag) ** 2
+        k0 = spectra._tail_start(d, e2)
+        if n - k0 < spectra._TAIL_MIN_ROWS:
+            continue
+        verdicts.clear()
+        vals, steps, edge_test = spectra._tail_eigenvalues(d, e2, k0)
+        a, beta = d[-1], math.sqrt(e2[-1])
+        full = spectra._full_counts(d, e2, np.array([a - 2.0 * beta, a + 2.0 * beta]), 1)
+        assert verdicts == [[full[0] == 0, full[1] == n]], (eta, gamma, n, i_start)
+        assert edge_test == "closed_form"
+        outside += not all(verdicts[0])
+        sections += 1
+    assert 20 <= outside <= 180
+
+
+@pytest.mark.parametrize("n, route", [(60, "sterf"), (200, "constant_tail")])
+def test_band_edge_inside_the_margin_takes_the_full_count(monkeypatch, n, route):
+    # one head row whose pivot at a - 2 beta is beta m/(m+1) puts an
+    # eigenvalue on the band edge: q/beta sits on its threshold to
+    # rounding, so the full counts at a -+ 2 beta decide the edges.  They
+    # place the value just below the edge at n 60 and not at n 200; both
+    # routes pass the certificate
+    a, beta, m = 0.3, 1.1, n - 1
+    d, e = np.full(n, a), np.full(n - 1, beta)
+    d[0] = a - 2.0 * beta + beta * m / (m + 1)
+    verdicts = _spy_band_edges(monkeypatch)
+    recounted = _spy_full_counts(monkeypatch)
+    vals, got, k0, _, edge_test = spectra.eigenvalues_tridiagonal(_op(d, e))
+    assert (got, k0, edge_test) == (route, 1, "sturm")
+    assert verdicts == [[None, True]]
+    assert np.array_equal(recounted[0], [a - 2.0 * beta, a + 2.0 * beta])
+    ref = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stemr")
+    assert np.max(np.abs(vals - ref)) <= 1e-13 * _span(d, e)
 
 
 def _scaled_polytrope_system():
@@ -656,7 +741,7 @@ def test_certificate_rejects_nudged_value(canonical_op, monkeypatch):
     tol = _default_tol(canonical_op)
     real = spectra._tail_eigenvalues
     monkeypatch.setattr(spectra, "_tail_eigenvalues",
-                        lambda *a: (_nudged(real(*a)[0], tol), 1))
+                        lambda *a: (_nudged(real(*a)[0], tol), 1, "closed_form"))
     with pytest.raises(NumericalError, match="certificate failed at eigenvalue index 5:"):
         spectra.eigenvalues_tridiagonal(canonical_op)
 
