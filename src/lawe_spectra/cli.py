@@ -305,7 +305,7 @@ def _run_spectrum(eff, threads):
             "fill_report.json": {
                 "interval": list(rep.interval), "n_values": int(rep.values.size),
                 **_fields(rep, "pad n_inside n_outliers max_gap fills route tail_start "
-                               "newton_steps edge_test")}}
+                               "newton_steps")}}
 
 
 #: jost artifact columns and the JostFit attributes they hold
@@ -475,7 +475,7 @@ def _run_sl(eff, threads):
                            "grid_points": trace.X_grid.size,
                            "steps": (trace.X_grid.size - 1) * sum(trace.levels)},
             "regularity": _fields(reg, "fitted_power analytic_power lower_bound "
-                                       "monotone within bound_satisfied"),
+                                       "monotone within bound_satisfied envelope_ratio"),
             "l2_growth": _fields(gr, "slope r_squared max_growth_factor "
                                      "growth_exponent diverges"),
             "wkb": {"alpha_abs": abs(wkb.alpha), "beta_abs": abs(wkb.beta),

@@ -221,12 +221,6 @@ def detect_edge_eigenvalues(op, dsp, *, threads=1):
     lo = glo - 1e-6 * span
     hi = edge - 1e-9 * span
     vals, vecs = eigenpairs_tridiagonal(op, window=(lo, hi), threads=threads)
-    if vals.size == 0:
-        empty = np.empty(0)
-        return EdgeModes(edge=float(edge), values=vals,
-                         blocks=np.empty(0, int), in_block=empty,
-                         dr_bounded=np.empty(0, bool))
-
     blocks, in_block = dsp.block_of(op.shells, vecs)
     return EdgeModes(edge=float(edge), values=vals, blocks=blocks, in_block=in_block,
                      dr_bounded=delta_r_bounded(vecs, op.pd.dist, i_start=op.i_start))

@@ -450,7 +450,7 @@ def canonical_derivative_exponents(eos):
 
 @dataclass(frozen=True)
 class CanonicalTrace:
-    """Integrated canonical solution with the recovered radius and ratio.
+    """Integrated canonical solution with the recovered radius.
 
     ``substeps`` is the number of Magnus steps per output interval,
     ``levels`` the steps per interval of every level computed, ending at
@@ -464,7 +464,6 @@ class CanonicalTrace:
     Y: np.ndarray = field(repr=False)
     Y_prime: np.ndarray = field(repr=False)
     x_grid: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
     substeps: int = None
     levels: tuple = None
     error_estimate: float = None
@@ -681,10 +680,9 @@ def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10):
     in the stall below.  The step size does not shrink with the local
     frequency.  Once every step turns the solution by at most pi, a
     doubling that cuts the estimate less than fourfold means roundoff
-    has the upper hand, and raises NumericalError.  The radius and the
-    displacement ratio are recovered on the same grid through
-    x = x_of_X(X) and y = Y/(pw)**(1/4).  A grid of more than MAX_GRID
-    points is refused before anything is allocated.
+    has the upper hand, and raises NumericalError.  The radius is
+    recovered on the same grid through x = x_of_X(X).  A grid of more
+    than MAX_GRID points is refused before anything is allocated.
     """
     if lam <= 0.0:
         raise ValidationError(f"lam must be positive, got {lam!r}")
@@ -723,10 +721,9 @@ def integrate_canonical(form, lam, X_max=2000.0, rtol=1e-10):
         m, prev_est, prev_turn = 2 * m, est, turn
         coarse, turn = fine, fine_turn
     Y, Yp = fine
-    x = form.x_of_X(grid)
-    y = Y / (form.eos.p(x) * form.eos.w(x)) ** 0.25
-    return CanonicalTrace(lam=float(lam), X_grid=grid, Y=Y, Y_prime=Yp, x_grid=x,
-                          y=y, substeps=2 * m, levels=tuple(levels), error_estimate=est)
+    return CanonicalTrace(lam=float(lam), X_grid=grid, Y=Y, Y_prime=Yp,
+                          x_grid=form.x_of_X(grid), substeps=2 * m, levels=tuple(levels),
+                          error_estimate=est)
 
 
 @dataclass(frozen=True)
@@ -833,10 +830,6 @@ def wkb_fit(trace, form):
     lam = trace.lam
     k = int(0.5 * trace.X_grid.size)
     X = trace.X_grid[k:]
-    if X[0] <= 0.0:
-        keep = X > 0.0
-        X = X[keep]
-        k = trace.X_grid.size - X.size
     Yw = trace.Y[k:]
     Yp = trace.Y_prime[k:]
 
@@ -909,7 +902,8 @@ class DecayReport:
 
 
 def trace_regularity(trace, eos):
-    """R(x) = Gamma*P*(3y + x*y') on the trace grid, with exact y'.
+    """R(x) = Gamma*P*(3y + x*y') on the trace grid, with y =
+    Y/(pw)**(1/4) and exact y'.
 
     y' carries two terms, Y'*W/(pw)**(1/4) and Y*((pw)**(-1/4))'; both
     are closed form for the power-law coefficients.
@@ -919,7 +913,7 @@ def trace_regularity(trace, eos):
     pw4 = (eos.p(x) * eos.w(x)) ** 0.25
     yp = trace.Y_prime * eos.W(x) / pw4 \
         + trace.Y * _pw_minus_quarter_log_deriv(eos, x, D) / pw4
-    return eos.gamma_P(x) * (3.0 * trace.y + x * yp)
+    return eos.gamma_P(x) * (3.0 * (trace.Y / pw4) + x * yp)
 
 
 def regularity_check(trace, eos, envelope):
@@ -929,11 +923,13 @@ def regularity_check(trace, eos, envelope):
     canonical distance to depth d grows like d**(s+1) with s+1 < 0),
     so the last two decades down to 1e-8 of the stellar radius come
     from the envelope continuation, validated against the exact trace
-    R(x) where the two overlap.  The analytic rate for bounded (Y, Y')
-    is (ab+a)/4, set by the x*Gamma*P*y' term; the classical
-    requirement is only a positive power, with (a+1)/2 the guaranteed
-    lower bound for the polytropic layer (3/4 for the two-term layer
-    with a weak second source).  ``envelope`` is the trace's
+    R(x) where the two overlap: ``envelope_ratio`` is the peak |R| over
+    the trace's last fifth, the stretch the envelope amplitudes are read
+    from, over the envelope bound at its start.  The analytic rate for
+    bounded (Y, Y') is (ab+a)/4, set by the x*Gamma*P*y' term; the
+    classical requirement is only a positive power, with (a+1)/2 the
+    guaranteed lower bound for the polytropic layer (3/4 for the
+    two-term layer with a weak second source).  ``envelope`` is the trace's
     :func:`extend_trace_asymptotic`.
     """
     if trace.X_grid.size < MIN_GRID:
@@ -968,7 +964,6 @@ def regularity_check(trace, eos, envelope):
 class GrowthReport:
     """Witnesses for non-L2 canonical solutions and diverging delta_r."""
 
-    F: np.ndarray = field(repr=False)
     slope: float
     r_squared: float
     max_growth_factor: float
@@ -1013,5 +1008,5 @@ def l2_growth(trace, envelope):
     factor = f_near / f_far if f_far > 0 else np.inf
     sel = D <= lo * 100.0
     coef2 = np.polyfit(-np.log(D[sel]), np.log(dr[sel]), 1)
-    return GrowthReport(F=F, slope=float(coef[0]), r_squared=r2,
+    return GrowthReport(slope=float(coef[0]), r_squared=r2,
                         max_growth_factor=float(factor), growth_exponent=float(coef2[0]))

@@ -53,11 +53,10 @@ cost O(k0) per root and step; the pivot derivative q'_i = -1 +
 band edges a -+ 2 beta, where the tail pivots over -+beta follow r -> 2 -
 1/r and turn negative once exactly when the last head pivot gives r in
 (0, m/(m+1)); so the same pass tells whether an eigenvalue lies outside
-[a - 2 beta, a + 2 beta], and only a ratio within ``_EDGE_MARGIN`` of
-m/(m+1) is left to the full Sturm count.  A section with an eigenvalue
-outside the band, or with a root unconverged after 6 n/k0 steps
-(:func:`_newton_cap`), goes to ``sterf``; both routes pass the same
-certificate.
+[a - 2 beta, a + 2 beta].  A section with an eigenvalue outside the band,
+with a ratio within ``_EDGE_MARGIN`` of m/(m+1), or with a root
+unconverged after 6 n/k0 steps (:func:`_newton_cap`), goes to ``sterf``;
+both routes pass the same certificate.
 
 SciPy is imported inside the functions that call LAPACK, and only on the
 branch that does, so a process that never reaches them (``sl``,
@@ -134,10 +133,11 @@ _TAIL_MIN_ROWS = 32
 #: still do so, at 0.7-0.8 times it
 _NEWTON_RATE = 6.0
 
-#: a band-edge pivot ratio this close to its threshold m/(m+1) leaves the
-#: edge to the full Sturm count: far above the first-order rounding error
-#: of q/beta and of the tail recurrence, about (k0 + m) eps, and far below
-#: the nearest ratio of 1200 seeded limit and hse sections, 3.0e-5 away
+#: a band-edge pivot ratio this close to its threshold m/(m+1) does not
+#: clear its edge, and the section goes to ``sterf``: far above the
+#: first-order rounding error of q/beta and of the tail recurrence, about
+#: (k0 + m) eps, and far below the nearest ratio of 1200 seeded limit and
+#: hse sections, 3.0e-5 away
 _EDGE_MARGIN = 1e-9
 
 #: a root stops once its Newton step or its bracket in theta is at most
@@ -346,10 +346,10 @@ def _newton_cap(n, k0):
 
 
 def _band_edges(h, dr, k0, m):
-    """Whether no eigenvalue lies below a - 2 beta and none at or above
-    a + 2 beta, from the head pass at theta = 0 and pi: True, False, or
-    None when the last head pivot's ratio lies within ``_EDGE_MARGIN`` of
-    its threshold.
+    """Whether the head pass at theta = 0 and pi clears both band edges:
+    no eigenvalue lies below a - 2 beta and none at or above a + 2 beta.
+    A last head pivot whose ratio lies within ``_EDGE_MARGIN`` of its
+    threshold does not clear its edge.
 
     At s = a -+ 2 beta the tail pivots over -+beta follow r_j = 2 -
     1/r_{j-1} from r_0 = -+q/beta, so r_j = (j+1+c)/(j+c) with c = 1/(r_0 -
@@ -360,17 +360,16 @@ def _band_edges(h, dr, k0, m):
     """
     t = m / (m + 1.0)
     # h counts rows 0..k0-2; dr is q/beta - cos(theta), cos = +1 and -1
-    return [False if wrong else None if abs(r - t) <= _EDGE_MARGIN else bool(r > t)
-            for wrong, r in ((h[0], dr[0] + 1.0), (k0 - 1 - h[-1], 1.0 - dr[-1]))]
+    return bool(h[0] == 0 and h[-1] == k0 - 1
+                and dr[0] + 1.0 - t > _EDGE_MARGIN and 1.0 - dr[-1] - t > _EDGE_MARGIN)
 
 
 def _tail_eigenvalues(diag, off2, k0):
-    """(values, Newton steps, edge test) of a section with a constant tail
-    from row k0, as roots of its continuous count; values is None where the
-    section must go to ``sterf``: an eigenvalue lies outside the tail's
-    band, or a root has not converged after :func:`_newton_cap` steps.
-    The edge test is ``"closed_form"`` where the head pass decided the
-    band edges and ``"sturm"`` where the full counts at a -+ 2 beta did.
+    """(values, Newton steps) of a section with a constant tail from row
+    k0, as roots of its continuous count; values is None where the section
+    must go to ``sterf``: the head pass does not clear both band edges
+    (:func:`_band_edges`), or a root has not converged after
+    :func:`_newton_cap` steps.
 
     With s = a - 2 beta cos(theta) and H(s) the negative pivots of rows
     0..k0-2, C(theta) = H(s) + ((m+1) theta + phi)/pi (phi as in
@@ -401,13 +400,8 @@ def _tail_eigenvalues(diag, off2, k0):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         nodes = np.linspace(0.0, np.pi, m + 2)
         h, sin, _, dr, _ = head(nodes, False)
-        edges, edge_test = _band_edges(h, dr, k0, m), "closed_form"
-        if None in edges and False not in edges:
-            edge_test = "sturm"
-            counts = _full_counts(diag, off2, np.array([a - 2.0 * beta, a + 2.0 * beta]), 1)
-            edges = [counts[0] == 0, counts[1] == n]
-        if not all(edges):
-            return None, 0, edge_test
+        if not _band_edges(h, dr, k0, m):
+            return None, 0
         c = (h + np.arange(m + 2)) + np.arctan2(sin, dr) / np.pi
         c[0] = 0.0
         k1 = np.arange(1.0, n + 1.0)
@@ -418,7 +412,7 @@ def _tail_eigenvalues(diag, off2, k0):
         steps, cap = 0, _newton_cap(n, k0)
         while live.size:
             if steps >= cap:
-                return None, steps, edge_test
+                return None, steps
             steps += 1
             tl, lol, hil = t[live], lo[live], hi[live]
             h, sin, cos, dr, ddr = head(tl, True)
@@ -436,7 +430,7 @@ def _tail_eigenvalues(diag, off2, k0):
             t[live] = np.where(done, tl, tn)
             lo[live], hi[live] = lol, hil
             live = live[~done]
-    return np.sort(a - 2.0 * beta * np.cos(t)), steps, edge_test
+    return np.sort(a - 2.0 * beta * np.cos(t)), steps
 
 
 def _split(fn, shifts, threads):
@@ -550,28 +544,26 @@ def _certify(diag, off, vals, tol, threads, window=None):
 
 
 def eigenvalues_tridiagonal(op, *, threads=1):
-    """(values, route, k0, Newton steps, edge test): the full spectrum of
-    the symmetric tridiagonal section ``op``, certified by Sturm counts.
+    """(values, route, k0, Newton steps): the full spectrum of the
+    symmetric tridiagonal section ``op``, certified by Sturm counts.
 
     A section that ends in at least 32 exactly constant rows k0..n-1
     gets its values as the roots of its continuous Sturm count, by
     safeguarded Newton steps (:func:`_tail_eigenvalues`), on route
-    ``"constant_tail"``; its edge test says how the band edges were
-    decided (``"closed_form"`` or ``"sturm"``).  Every other section (k0
-    is n, edge test None), one with an eigenvalue outside [a - 2 beta,
-    a + 2 beta], and one with a root unconverged after
-    :func:`_newton_cap` steps go to LAPACK root-free QR, route
-    ``"sterf"``.  One Sturm sweep at every value -+ :func:`default_tol`
-    then certifies that the k-th eigenvalue lies in [value_k - tol,
-    value_k + tol); ``threads`` splits the sweep.  Raises NumericalError
+    ``"constant_tail"``.  Every other section (k0 is n), one whose head
+    pass does not clear both band edges of [a - 2 beta, a + 2 beta], and
+    one with a root unconverged after :func:`_newton_cap` steps go to
+    LAPACK root-free QR, route ``"sterf"``.  One Sturm sweep at every
+    value -+ :func:`default_tol` then certifies that the k-th eigenvalue
+    lies in [value_k - tol, value_k + tol); ``threads`` splits the sweep.  Raises NumericalError
     naming the first index that fails.
     """
     diag, off, _, _, tol = _diagonals_and_tol(op)
     off2 = off * off
     k0 = _tail_start(diag, off2)
-    vals, steps, edge_test = None, 0, None
+    vals, steps = None, 0
     if diag.shape[0] - k0 >= _TAIL_MIN_ROWS:
-        vals, steps, edge_test = _tail_eigenvalues(diag, off2, k0)
+        vals, steps = _tail_eigenvalues(diag, off2, k0)
     route = "constant_tail"
     if vals is None:
         from scipy.linalg import eigvalsh_tridiagonal
@@ -584,7 +576,7 @@ def eigenvalues_tridiagonal(op, *, threads=1):
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"LAPACK tridiagonal eigensolver failed: {exc}") from None
     _certify(diag, off, vals, tol, threads)
-    return vals, route, k0, steps, edge_test
+    return vals, route, k0, steps
 
 
 def eigenpairs_tridiagonal(op, *, window, threads=1):
@@ -620,8 +612,6 @@ def eigenpairs_tridiagonal(op, *, window, threads=1):
 def _clusters(ascending, cluster_tol):
     """(start, stop) of each run of ``ascending`` values whose neighbours
     lie at most ``cluster_tol`` apart."""
-    if ascending.size == 0:
-        return []
     cuts = (np.flatnonzero(np.diff(ascending) > cluster_tol) + 1).tolist()
     return list(zip([0, *cuts], [*cuts, ascending.size]))
 
@@ -727,13 +717,10 @@ class FillReport:
     n_outliers: int = 0
     #: how :func:`eigenvalues_tridiagonal` found the values: the route
     #: (``"constant_tail"`` or ``"sterf"``), the first row k0 of the
-    #: constant tail (n without one), the Newton steps taken and how the
-    #: band edges were decided (``"closed_form"``, ``"sturm"``, or None
-    #: without a constant tail)
+    #: constant tail (n without one) and the Newton steps taken
     route: str = "sterf"
     tail_start: int = 0
     newton_steps: int = 0
-    edge_test: str | None = None
 
     @property
     def fills(self):
@@ -750,15 +737,13 @@ def spectrum_fill_report(op, *, pad=0.05, threads=1):
     outside.
     """
     lo, hi = (float(v) for v in op.scaling.interval)
-    vals, route, k0, steps, edge_test = eigenvalues_tridiagonal(op, threads=threads)
+    vals, route, k0, steps = eigenvalues_tridiagonal(op, threads=threads)
     inside = vals[(vals >= lo - pad) & (vals <= hi + pad)]
     knots = np.concatenate([[lo], np.sort(np.clip(inside, lo, hi)), [hi]])
-    max_gap = float(np.max(np.diff(knots))) if inside.size else hi - lo
     return FillReport(interval=(lo, hi), pad=float(pad), values=vals,
-                      max_gap=max_gap, n_inside=int(inside.size),
+                      max_gap=float(np.max(np.diff(knots))), n_inside=int(inside.size),
                       n_outliers=int(vals.size - inside.size),
-                      route=route, tail_start=k0, newton_steps=steps,
-                      edge_test=edge_test)
+                      route=route, tail_start=k0, newton_steps=steps)
 
 
 @dataclass(frozen=True)

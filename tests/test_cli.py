@@ -201,8 +201,7 @@ def test_fill_report_records_the_eigenvalue_route(tmp_path, capsys, n_trunc, rou
     report = json.loads((tmp_path / "out" / "fill_report.json").read_text())
     assert (report["route"], report["tail_start"]) == (route, 39)
     assert (report["newton_steps"] > 0) == (route == "constant_tail")
-    # the head pass decides the band edges; a section without a tail has none
-    assert report["edge_test"] == ("closed_form" if route == "constant_tail" else None)
+    assert "edge_test" not in report
     capsys.readouterr()
 
 
@@ -948,9 +947,10 @@ def test_sl_trace_csv_layout(tmp_path, capsys):
     ({"variant": "linear_thermal", "a": 1, "b": 4, "c": 2.5}, "q0")],
     ids=["polytropic", "linear_thermal"])
 def test_sl_trace_csv_rebuilds_the_dropped_fields(tmp_path, capsys, eos, split):
-    # trace_k.csv holds only what the solver computed; the radius x, the
-    # ratio xi and delta_r = x*xi follow from its X and Y bit for bit
-    # through the library's closed forms
+    # trace_k.csv holds only what the solver computed; the radius x and
+    # the regularity field R, which reads the ratio xi = Y/(pw)**(1/4),
+    # follow from its columns bit for bit through the library's closed
+    # forms
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "cfg.json", eos=eos,
                        analysis={"lambdas": [1.0], "x_max": 60.0},
@@ -966,10 +966,10 @@ def test_sl_trace_csv_rebuilds_the_dropped_fields(tmp_path, capsys, eos, split):
     for col, ref in ((X, tr.X_grid), (Y, tr.Y), (Y_prime, tr.Y_prime)):
         assert np.array_equal(col, ref)
     x = form.x_of_X(X)
-    xi = Y / (layer.p(x) * layer.w(x)) ** 0.25
     assert np.array_equal(x, tr.x_grid)
-    assert np.array_equal(xi, tr.y)
-    assert np.array_equal(x * xi, tr.x_grid * tr.y)
+    rebuilt = slform.CanonicalTrace(lam=1.0, X_grid=X, Y=Y, Y_prime=Y_prime, x_grid=x)
+    assert np.array_equal(slform.trace_regularity(rebuilt, layer),
+                          slform.trace_regularity(tr, layer))
     res = json.loads((out / "sl.json").read_text())["traces"][0]
     assert res["wkb"]["split"] == split
     assert "delta_r_lower" not in res["l2_growth"]

@@ -126,6 +126,12 @@ def test_repulsive_field_binds_nothing(dsp):
     assert em.count == 0
     # no ladder to fit: slope and r**2 are None
     assert em.ladder_fit() == (None, None)
+    # the empty window runs the general path: its empty arrays keep the
+    # dtypes of a populated ladder, so the ppmodes.csv columns stay float,
+    # int, float and bool
+    got = [(a.dtype, a.shape) for a in (em.values, em.blocks, em.in_block, em.dr_bounded)]
+    assert got == [(np.dtype(float), (0,)), (np.dtype(int), (0,)),
+                   (np.dtype(float), (0,)), (np.dtype(bool), (0,))]
 
 
 def _block_of_per_mode(dsp, shells, mass):

@@ -342,9 +342,7 @@ def test_trace_fields_consistent(poly24_trace):
     form, tr = poly24_trace
     assert tr.X_grid[-1] == 600.0
     assert np.all(np.diff(tr.x_grid) > 0)
-    sl = form.eos
-    pw4 = (sl.p(tr.x_grid) * sl.w(tr.x_grid)) ** 0.25
-    assert np.array_equal(tr.y, tr.Y / pw4)
+    assert np.array_equal(tr.x_grid, form.x_of_X(tr.X_grid))
 
 
 def test_envelope_continuation(poly24_trace):
@@ -472,19 +470,17 @@ def test_zero_solution_has_zero_regularity():
     X = np.linspace(0.0, 100.0, 2000)
     zero = np.zeros_like(X)
     tr = slform.CanonicalTrace(lam=1.0, X_grid=X, Y=zero, Y_prime=zero,
-                               x_grid=form.x_of_X(X), y=zero)
+                               x_grid=form.x_of_X(X))
     assert np.all(slform.trace_regularity(tr, form.eos) == 0.0)
 
 
 def test_dying_solution_not_flagged_divergent():
     form = slform.CanonicalForm(slform.Polytropic(2, 4))
-    sl = form.eos
     X = np.linspace(0.0, 100.0, 2000)
     xg = form.x_of_X(X)
     Y = np.clip(1.0 - X / 50.0, 0.0, None)
-    y = Y / (sl.p(xg) * sl.w(xg)) ** 0.25
     tr = slform.CanonicalTrace(lam=1.0, X_grid=X, Y=Y, Y_prime=np.gradient(Y, X),
-                               x_grid=xg, y=y)
+                               x_grid=xg)
     with np.errstate(divide="ignore"):
         rep = slform.l2_growth(tr, slform.extend_trace_asymptotic(tr, form))
     assert abs(rep.slope) < 1e-12
@@ -496,7 +492,7 @@ def test_regularity_needs_a_long_trace():
     X = np.linspace(0.0, 5.0, 100)
     one = np.ones_like(X)
     tr = slform.CanonicalTrace(lam=1.0, X_grid=X, Y=one, Y_prime=one,
-                               x_grid=form.x_of_X(X), y=one)
+                               x_grid=form.x_of_X(X))
     with pytest.raises(ValidationError, match="trace too short"):
         slform.regularity_check(tr, form.eos, slform.extend_trace_asymptotic(tr, form))
 
@@ -557,7 +553,7 @@ def test_a_trace_at_the_floor_feeds_every_diagnostic(name):
     assert fit.hypothesis_slopes and all(np.isfinite(s) for s in fit.hypothesis_slopes.values())
     # one point short of the floor is refused
     short = dataclasses.replace(tr, X_grid=tr.X_grid[:-1], Y=tr.Y[:-1],
-                                Y_prime=tr.Y_prime[:-1], x_grid=tr.x_grid[:-1], y=tr.y[:-1])
+                                Y_prime=tr.Y_prime[:-1], x_grid=tr.x_grid[:-1])
     with pytest.raises(ValidationError, match=f"249 points, fewer than {n}"):
         slform.regularity_check(short, form.eos, slform.extend_trace_asymptotic(short, form))
 
